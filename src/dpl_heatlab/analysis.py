@@ -14,8 +14,8 @@ from .quadrature import QuadratureSpec
 from .series import (
     assemble_at_points,
     assemble_field,
-    default_truncation,
     mode_coefficients,
+    resolve_truncation,
 )
 from .trajectory import position
 
@@ -114,10 +114,7 @@ def locate_peak(s: PlateScenario, t: float, M: int | None = None,
                 refine: bool = True, quad: QuadratureSpec | None = None, *,
                 threads=None) -> PeakReport:
     """Grid argmax of the series field, optionally refined inside the cell."""
-    if M is None or N is None:
-        dm, dn = default_truncation(s)
-        M = M or dm
-        N = N or dn
+    M, N = resolve_truncation(s, M, N)
     grid = grid or default_peak_grid(s)
     table = build_mode_table(s, M, N)
     coeffs = mode_coefficients(s, table, t, quad, threads=threads)
@@ -134,10 +131,7 @@ def line_profile_y(s: PlateScenario, t: float, y0: float,
         raise ValueError(f"cut must be interior: 0 < y0 < {s.H}, got {y0!r}")
     if nsamples < 2:
         raise ValueError(f"need at least 2 samples, got {nsamples}")
-    if M is None or N is None:
-        dm, dn = default_truncation(s)
-        M = M or dm
-        N = N or dn
+    M, N = resolve_truncation(s, M, N)
     xs = np.linspace(0.0, s.L, nsamples)
     if t == 0.0:
         vals = np.full(nsamples, float(s.T0))
@@ -165,10 +159,7 @@ def trajectory_profile(s: PlateScenario, t: float,
             f"trajectory kind {traj.kind!r} is not a closed central curve")
     if nangles < 2:
         raise ValueError(f"need at least 2 angles, got {nangles}")
-    if M is None or N is None:
-        dm, dn = default_truncation(s)
-        M = M or dm
-        N = N or dn
+    M, N = resolve_truncation(s, M, N)
     phi = np.linspace(0.0, 2.0 * math.pi, nangles, endpoint=False)
     xs = traj.cx + traj.A * np.cos(phi)
     ys = traj.cy + traj.B * np.sin(phi)

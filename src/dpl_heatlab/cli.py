@@ -45,7 +45,7 @@ from .model import (
     validate_scenario,
 )
 from .quadrature import QuadratureSpec
-from .series import default_truncation, temperature
+from .series import resolve_truncation, temperature
 from .trajectory import position
 
 _FIELD_PLOT = '''"""Render {csv} as a heat map with the source path overlay."""
@@ -185,7 +185,7 @@ def _write_manifest(out: Path, args, subcommand: str, extra: dict) -> None:
 
 def _resolve_modes(args, s) -> tuple[int, int]:
     if args.modes is None:
-        return default_truncation(s)
+        return resolve_truncation(s)
     return _parse_pair(args.modes, "--modes")
 
 

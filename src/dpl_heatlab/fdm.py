@@ -40,7 +40,7 @@ from .errors import UnstableConfig
 from .model import FdmConfig, GridSpec, PlateScenario, TemperatureField
 from .modes import build_mode_table
 from .quadrature import QuadratureSpec
-from .series import assemble_field, default_truncation, mode_coefficients
+from .series import assemble_field, mode_coefficients, resolve_truncation
 from .trajectory import position, velocity, velocity_bounds
 
 BLOWUP_SENTINEL = 1e12
@@ -268,17 +268,25 @@ class GaussianSourceFactors:
         spline = CubicSpline(centers, table, axis=0)
         return spline, spline.derivative()
 
-    def __call__(self, taus: np.ndarray) -> np.ndarray:
+    def __call__(self, taus: np.ndarray, cols=None) -> np.ndarray:
+        """(Q, P) factors at taus for the mode columns ``cols`` (all if None)."""
+        cols = slice(None) if cols is None else cols
+        ix, iy = self._ix[cols], self._iy[cols]
         x, y = position(self.s.trajectory, taus)
-        px = self._spl_x(x)[:, self._ix]
-        py = self._spl_y(y)[:, self._iy]
-        f = px * py
+        px_u, py_u = self._spl_x(x), self._spl_y(y)
+        f = np.take(px_u, ix, axis=1)
+        f *= np.take(py_u, iy, axis=1)
         if self.s.tau_q != 0.0:
             vx, vy = velocity(self.s.trajectory, taus)
-            dpx = self._dspl_x(x)[:, self._ix]
-            dpy = self._dspl_y(y)[:, self._iy]
-            f = f + self.s.tau_q * (vx[:, None] * dpx * py
-                                    + vy[:, None] * px * dpy)
+            drift = np.take(self._dspl_x(x), ix, axis=1)
+            drift *= vx[:, None]
+            drift *= np.take(py_u, iy, axis=1)
+            cross = np.take(px_u, ix, axis=1)
+            cross *= vy[:, None]
+            cross *= np.take(self._dspl_y(y), iy, axis=1)
+            drift += cross
+            drift *= self.s.tau_q
+            f += drift
         return f
 
     def bound(self) -> np.ndarray:
@@ -297,10 +305,7 @@ def project_gaussian_source_series(s: PlateScenario, sigma: float,
     """Series field whose source matches the smoothed FDM source."""
     if sigma <= 0.0:
         raise ValueError(f"sigma must be positive, got {sigma!r}")
-    if M is None or N is None:
-        dm, dn = default_truncation(s)
-        M = M or dm
-        N = N or dn
+    M, N = resolve_truncation(s, M, N)
     table = build_mode_table(s, M, N)
 
     def factory(sc, kx, ky):

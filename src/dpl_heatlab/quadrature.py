@@ -75,6 +75,9 @@ def _panel_rule(f, lefts, rights):
     flat = np.atleast_2d(np.asarray(flat, dtype=float))
     if flat.shape[0] == 1 and pts.size > 1:
         flat = flat.T
+    # The weighted sums below run in memory order, so fix the order to keep
+    # the bits independent of how the integrand laid out its result.
+    flat = np.ascontiguousarray(flat)
     vals = flat.reshape(pts.shape[0], NODES.size, -1)
     k15 = np.einsum("q,pqc->pc", K15_WEIGHTS, vals) * half[:, None]
     g7 = np.einsum("q,pqc->pc", G7_WEIGHTS, vals[:, G7_INDEX, :]) * half[:, None]

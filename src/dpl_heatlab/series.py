@@ -16,8 +16,15 @@ with prefactor 4 alpha theta / (L H tau_q k) on the lagged branch and
 Coefficients for a whole mode table are computed by one adaptive pass per
 time segment (segments split at trajectory quarter-periods), processed
 backward from tau = t so that modes whose remaining kernel mass is below
-their error budget drop out early.  Modes are handled in fixed chunks in
+their error budget drop out early; later segments evaluate source factors
+for the still-active modes only.  Modes are handled in fixed chunks in
 ascending-k2 order, so results do not depend on the worker-thread count.
+
+The basis is separable, and both hot paths use that.  Source factors
+evaluate sin/cos once per distinct kx and ky and gather the per-axis values
+into mode columns.  Assembly arranges the amplitudes as an (M, N) matrix A
+and sums the series as SX @ A @ SY.T on a grid, or as the row sums of
+(SX @ A) * SY at paired points, with SX and SY the per-axis sine tables.
 """
 
 from __future__ import annotations
@@ -53,6 +60,16 @@ def default_truncation(s: PlateScenario) -> tuple[int, int]:
     return (80, 80) if s.alpha < 1e-3 else (40, 40)
 
 
+def resolve_truncation(s: PlateScenario, M: int | None = None,
+                       N: int | None = None) -> tuple[int, int]:
+    """(M, N) with any missing count taken from ``default_truncation``."""
+    if M is None or N is None:
+        dm, dn = default_truncation(s)
+        M = M or dm
+        N = N or dn
+    return M, N
+
+
 def prefactor(s: PlateScenario, classical: bool | None = None) -> float:
     """Scalar multiplying gain * P_mn in the temperature series.
 
@@ -81,25 +98,43 @@ def resolve_threads(threads=None) -> int:
 
 
 class PointSourceFactors:
-    """Vectorized source factor f(tau) for the Dirac point source."""
+    """Vectorized source factor f(tau) for the Dirac point source.
+
+    The basis is separable, so sin/cos are evaluated once per distinct kx
+    and ky and gathered into mode columns.
+    """
 
     def __init__(self, s: PlateScenario, kx: np.ndarray, ky: np.ndarray):
         self.traj = s.trajectory
         self.tau_q = s.tau_q
         self.kx = kx
         self.ky = ky
+        self._ux, self._ix = np.unique(kx, return_inverse=True)
+        self._uy, self._iy = np.unique(ky, return_inverse=True)
 
-    def __call__(self, taus: np.ndarray) -> np.ndarray:
+    def __call__(self, taus: np.ndarray, cols=None) -> np.ndarray:
+        """(Q, P) factors at taus for the mode columns ``cols`` (all if None)."""
+        cols = slice(None) if cols is None else cols
+        ix, iy = self._ix[cols], self._iy[cols]
         x, y = position(self.traj, taus)
-        argx = np.outer(x, self.kx)
-        argy = np.outer(y, self.ky)
+        argx = np.outer(x, self._ux)
+        argy = np.outer(y, self._uy)
         sinx, siny = np.sin(argx), np.sin(argy)
-        f = sinx * siny
+        f = np.take(sinx, ix, axis=1)
+        f *= np.take(siny, iy, axis=1)
         if self.tau_q != 0.0:
             vx, vy = velocity(self.traj, taus)
-            f = f + self.tau_q * (
-                (vx[:, None] * self.kx[None, :]) * np.cos(argx) * siny
-                + (vy[:, None] * self.ky[None, :]) * sinx * np.cos(argy))
+            # Same association as the per-mode formula, so the values are
+            # bitwise those of evaluating every (sample, mode) pair.
+            drift = np.multiply.outer(vx, self.kx[cols])
+            drift *= np.take(np.cos(argx), ix, axis=1)
+            drift *= np.take(siny, iy, axis=1)
+            cross = np.multiply.outer(vy, self.ky[cols])
+            cross *= np.take(sinx, ix, axis=1)
+            cross *= np.take(np.cos(argy), iy, axis=1)
+            drift += cross
+            drift *= self.tau_q
+            f += drift
         return f
 
     def bound(self) -> np.ndarray:
@@ -184,8 +219,9 @@ def _coefficients_chunk(s, table: ModeTable, sel: slice, t: float,
 
         def f(taus, _idx=idx, _reg=reg_a, _dmp=dmp_a, _spl=spl_a, _slo=slo_a):
             delta = np.maximum(t - taus, 0.0)
-            return factors(taus)[:, _idx] * kernel_matrix(
-                _reg, _dmp, _spl, _slo, delta)
+            vals = factors(taus, _idx)
+            vals *= kernel_matrix(_reg, _dmp, _spl, _slo, delta)
+            return vals
 
         tol = np.maximum(quad.abs_tol, quad.rel_tol * np.abs(acc[idx])) / nseg
         totals, errors = integrate_columns(f, a_seg, b_seg, seg_spec, abs_tol=tol)
@@ -262,22 +298,31 @@ def amplitudes(s: PlateScenario, table: ModeTable,
     return prefactor(s, classical=table.classical) * table.gain * coeffs
 
 
-def _kahan_sum_modes(amps, sinx, siny, mask=None):
-    """sum_p amps[p] * outer(sinx[:, p], siny[:, p]) in table order.
+def _series_sum(s: PlateScenario, table: ModeTable, amps: np.ndarray,
+                xs, ys, mode_mask=None, *, paired=False) -> np.ndarray:
+    """sum_p amps[p] sin(kx_p x) sin(ky_p y), excluding modes outside the mask.
 
-    Compensated accumulation, one mode at a time, in the ascending-k2
-    order the table already has.
+    With A the (M, N) amplitude matrix (zero outside ``mode_mask``, trimmed
+    to the largest m and n in use) and SX, SY the per-axis sine tables, the
+    sum on the xs-by-ys grid is SX @ A @ SY.T; with ``paired`` it is taken
+    at the points (xs[i], ys[i]) as the row sums of (SX @ A) * SY.
     """
-    total = np.zeros((sinx.shape[0], siny.shape[0]))
-    comp = np.zeros_like(total)
-    index = range(amps.size) if mask is None else np.flatnonzero(mask)
-    for p in index:
-        term = amps[p] * np.outer(sinx[:, p], siny[:, p])
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-    return total
+    xs = np.atleast_1d(np.asarray(xs, dtype=float))
+    ys = np.atleast_1d(np.asarray(ys, dtype=float))
+    M, N = table.M, table.N
+    if mode_mask is not None:
+        amps = np.where(mode_mask, amps, 0.0)
+        M = int(table.m[mode_mask].max(initial=0))
+        N = int(table.n[mode_mask].max(initial=0))
+    # inv maps (m-1)*N + (n-1) to table order, so this lays amps out by (m, n).
+    amp = amps[table.inv].reshape(table.M, table.N)[:M, :N]
+    kx = table.kx[table.inv[:M * table.N:table.N]]   # modes (m, 1)
+    ky = table.ky[table.inv[:N]]                     # modes (1, n)
+    sxa = _sin_table(xs, kx, s.L) @ amp
+    sy = _sin_table(ys, ky, s.H)
+    if paired:
+        return np.einsum("ij,ij->i", sxa, sy)
+    return sxa @ sy.T
 
 
 def assemble_field(s: PlateScenario, table: ModeTable, coeffs: np.ndarray,
@@ -285,31 +330,16 @@ def assemble_field(s: PlateScenario, table: ModeTable, coeffs: np.ndarray,
                    mode_mask=None) -> TemperatureField:
     """Sum the series on a grid; optional mask restricts the truncation."""
     xs, ys = grid.axes(s.L, s.H)
-    sinx = _sin_table(xs, table.kx, s.L)
-    siny = _sin_table(ys, table.ky, s.H)
-    amps = amplitudes(s, table, coeffs)
-    values = _kahan_sum_modes(amps, sinx, siny, mode_mask) + s.T0
+    values = _series_sum(s, table, amplitudes(s, table, coeffs), xs, ys,
+                         mode_mask) + s.T0
     return TemperatureField(grid=grid, t=float(t), values=values)
 
 
 def assemble_at_points(s: PlateScenario, table: ModeTable, coeffs: np.ndarray,
                        xs, ys, mode_mask=None) -> np.ndarray:
     """Series values at paired sample points (xs[i], ys[i])."""
-    xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    ys = np.atleast_1d(np.asarray(ys, dtype=float))
-    sinx = _sin_table(xs, table.kx, s.L)
-    siny = _sin_table(ys, table.ky, s.H)
-    amps = amplitudes(s, table, coeffs)
-    index = range(amps.size) if mode_mask is None else np.flatnonzero(mode_mask)
-    total = np.zeros(xs.size)
-    comp = np.zeros_like(total)
-    for p in index:
-        term = amps[p] * (sinx[:, p] * siny[:, p])
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-    return total + s.T0
+    return _series_sum(s, table, amplitudes(s, table, coeffs), xs, ys,
+                       mode_mask, paired=True) + s.T0
 
 
 def temperature(s: PlateScenario, grid: GridSpec, t: float,
@@ -319,10 +349,7 @@ def temperature(s: PlateScenario, grid: GridSpec, t: float,
     """Temperature field on the grid at time t via the truncated series."""
     if t < 0.0:
         raise NegativeElapsed(f"temperature requested at negative time {t!r}")
-    if M is None or N is None:
-        dm, dn = default_truncation(s)
-        M = M or dm
-        N = N or dn
+    M, N = resolve_truncation(s, M, N)
     if t == 0.0:
         values = np.full((grid.nx, grid.ny), float(s.T0))
         return TemperatureField(grid=grid, t=0.0, values=values)
@@ -338,10 +365,7 @@ def temperature_at_points(s: PlateScenario, xs, ys, t: float,
     """Series temperatures at arbitrary paired points at time t."""
     if t < 0.0:
         raise NegativeElapsed(f"temperature requested at negative time {t!r}")
-    if M is None or N is None:
-        dm, dn = default_truncation(s)
-        M = M or dm
-        N = N or dn
+    M, N = resolve_truncation(s, M, N)
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     if t == 0.0:
         return np.full(xs.size, float(s.T0))
@@ -378,19 +402,7 @@ def switch_on_transient(s: PlateScenario, table: ModeTable, t: float,
                          table.slow, np.array([t]))[0]
     pseudo = f0 * kern  # plays the role of P_mn for the correction
     c = 4.0 * s.alpha * s.theta / (s.L * s.H * s.k)
-    xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    ys = np.atleast_1d(np.asarray(ys, dtype=float))
-    sinx = _sin_table(xs, table.kx, s.L)
-    siny = _sin_table(ys, table.ky, s.H)
-    total = np.zeros(xs.size)
-    comp = np.zeros_like(total)
-    for p in range(pseudo.size):
-        term = (c * pseudo[p]) * (sinx[:, p] * siny[:, p])
-        y = term - comp
-        tt = total + y
-        comp = (tt - total) - y
-        total = tt
-    return total
+    return _series_sum(s, table, c * pseudo, xs, ys, paired=True)
 
 
 # --- incremental evaluation ------------------------------------------------

@@ -65,3 +65,26 @@ def tiny_scenario(**overrides):
                                            w=0.2 * np.pi))
     fields.update(overrides)
     return dh.PlateScenario(**fields)
+
+
+def kahan_mode_sum(amps, sinx, siny, mask=None, paired=False):
+    """Per-mode compensated series sum, the reference for field assembly.
+
+    Adds amps[p] * sinx[:, p] (x) siny[:, p] one mode at a time in table
+    order with Kahan compensation: the outer product on a grid, or the
+    elementwise product at paired points when ``paired`` is set.
+    """
+    shape = (sinx.shape[0],) if paired else (sinx.shape[0], siny.shape[0])
+    total = np.zeros(shape)
+    comp = np.zeros(shape)
+    index = range(amps.size) if mask is None else np.flatnonzero(mask)
+    for p in index:
+        if paired:
+            term = amps[p] * (sinx[:, p] * siny[:, p])
+        else:
+            term = amps[p] * np.outer(sinx[:, p], siny[:, p])
+        y = term - comp
+        t = total + y
+        comp = (t - total) - y
+        total = t
+    return total

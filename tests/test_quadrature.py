@@ -115,3 +115,20 @@ def test_polynomials_integrate_exactly(coeffs, a, width):
     integ = poly.integ()
     exact = integ(b) - integ(a)
     assert abs(got - exact) <= 1e-9 * (1.0 + abs(exact))
+
+
+def test_totals_do_not_depend_on_integrand_memory_order():
+    # Column gathers such as values[:, idx] come back Fortran-ordered; the
+    # same values must integrate to the same bits either way.
+    rates = np.linspace(0.1, 30.0, 700)
+
+    def c_order(ts):
+        return np.cos(np.outer(ts, rates)) * np.exp(-0.1 * ts)[:, None]
+
+    def f_order(ts):
+        return np.asfortranarray(c_order(ts))
+
+    assert f_order(np.linspace(0.0, 1.0, 15)).flags.f_contiguous
+    c_totals, _ = integrate_columns(c_order, 0.0, 5.0, SPEC)
+    f_totals, _ = integrate_columns(f_order, 0.0, 5.0, SPEC)
+    assert np.array_equal(c_totals, f_totals)

@@ -5,14 +5,18 @@ import numpy as np
 import pytest
 
 import dpl_heatlab as dh
+from dpl_heatlab import series
 from dpl_heatlab.errors import NegativeElapsed, QuadratureNotConverged
+from dpl_heatlab.fdm import GaussianSourceFactors
 from dpl_heatlab.modes import build_mode_table
 from dpl_heatlab.quadrature import QuadratureSpec
-from dpl_heatlab.series import (CoefficientHistory, amplitudes,
-                                default_truncation, mode_coefficient,
-                                mode_coefficients, prefactor, resolve_threads,
+from dpl_heatlab.series import (CoefficientHistory, PointSourceFactors,
+                                amplitudes, assemble_at_points,
+                                assemble_field, default_truncation,
+                                mode_coefficient, mode_coefficients,
+                                prefactor, resolve_threads, resolve_truncation,
                                 source_factor, switch_on_transient)
-from helpers import simpson_mode_coefficient, tiny_scenario
+from helpers import kahan_mode_sum, simpson_mode_coefficient, tiny_scenario
 
 
 def stationary_scenario(**overrides):
@@ -209,9 +213,11 @@ def test_history_rejects_backward_steps():
         hist.advance(2.0)
 
 
-def test_thread_count_does_not_change_bits():
+def test_thread_count_does_not_change_bits(monkeypatch):
     s, _ = dh.load_bundled("ct_alpha2_q1_T5")
     table = build_mode_table(s, 10, 10)
+    # Small chunks, so that the 100 modes keep several workers busy.
+    monkeypatch.setattr(series, "MODE_CHUNK", 16)
     one = mode_coefficients(s, table, 11.0, threads=1)
     four = mode_coefficients(s, table, 11.0, threads=4)
     assert np.array_equal(one, four)
@@ -231,6 +237,14 @@ def test_default_truncation_scales_with_diffusivity():
     assert default_truncation(tiny_scenario(alpha=1.29e-2)) == (40, 40)
 
 
+def test_resolve_truncation_fills_only_missing_counts():
+    s = tiny_scenario(alpha=1.29e-2)
+    assert resolve_truncation(s) == (40, 40)
+    assert resolve_truncation(s, 7, None) == (7, 40)
+    assert resolve_truncation(s, None, 5) == (40, 5)
+    assert resolve_truncation(s, 7, 5) == (7, 5)
+
+
 def test_resolve_threads_env_fallback(monkeypatch):
     monkeypatch.setenv("DPL_HEATLAB_THREADS", "3")
     assert resolve_threads() == 3
@@ -247,3 +261,94 @@ def test_amplitudes_combine_prefactor_and_gain():
     coeffs = np.linspace(1.0, 2.0, table.nmodes)
     amps = amplitudes(s, table, coeffs)
     assert np.allclose(amps, prefactor(s) * table.gain * coeffs, rtol=1e-15)
+
+
+# --- separable evaluation ---------------------------------------------------
+
+
+@pytest.mark.parametrize("kind", ["point-lagged", "point-classical",
+                                  "gaussian"])
+def test_column_restricted_factors_equal_selected_columns(kind):
+    s, _ = dh.load_bundled("ct_alpha2_q5_T1")
+    if kind == "point-classical":
+        s = dh.classical(s)
+    table = build_mode_table(s, 7, 6)
+    if kind == "gaussian":
+        factors = GaussianSourceFactors(s, table.kx, table.ky, 0.05)
+    else:
+        factors = PointSourceFactors(s, table.kx, table.ky)
+    taus = np.linspace(0.0, 12.0, 37)
+    cols = np.array([0, 3, 4, 11, 20, 41])
+    got = factors(taus, cols)
+    assert got.flags.c_contiguous
+    assert np.array_equal(got, factors(taus)[:, cols])
+
+
+def test_point_factors_match_per_mode_formula_bitwise():
+    s, _ = dh.load_bundled("ct_alpha2_q5_T1")
+    table = build_mode_table(s, 7, 6)
+    taus = np.linspace(0.0, 12.0, 37)
+    x, y = dh.position(s.trajectory, taus)
+    vx, vy = dh.velocity(s.trajectory, taus)
+    argx, argy = np.outer(x, table.kx), np.outer(y, table.ky)
+    expected = np.sin(argx) * np.sin(argy) + s.tau_q * (
+        (vx[:, None] * table.kx[None, :]) * np.cos(argx) * np.sin(argy)
+        + (vy[:, None] * table.ky[None, :]) * np.sin(argx) * np.cos(argy))
+    got = PointSourceFactors(s, table.kx, table.ky)(taus)
+    assert np.array_equal(got, expected)
+
+
+def _assembly_case(T0=20.0):
+    s = tiny_scenario(T0=T0)
+    table = build_mode_table(s, 9, 7)
+    return s, table, mode_coefficients(s, table, 4.0)
+
+
+@pytest.mark.parametrize("masked", [False, True])
+def test_matrix_product_assembly_matches_per_mode_sum(masked):
+    s, table, coeffs = _assembly_case()
+    mask = (table.m + table.n) % 3 != 0 if masked else None
+    amps = amplitudes(s, table, coeffs)
+
+    grid = dh.GridSpec(23, 17)
+    xs, ys = grid.axes(s.L, s.H)
+    ref = kahan_mode_sum(amps, np.sin(np.outer(xs, table.kx)),
+                         np.sin(np.outer(ys, table.ky)), mask)
+    peak = np.abs(ref).max()
+    field = assemble_field(s, table, coeffs, grid, 4.0, mode_mask=mask)
+    assert np.abs(field.values - s.T0 - ref).max() <= 1e-13 * peak
+
+    rng = np.random.default_rng(7)
+    px, py = rng.uniform(0.0, s.L, 31), rng.uniform(0.0, s.H, 31)
+    ref = kahan_mode_sum(amps, np.sin(np.outer(px, table.kx)),
+                         np.sin(np.outer(py, table.ky)), mask, paired=True)
+    got = assemble_at_points(s, table, coeffs, px, py, mode_mask=mask)
+    assert np.abs(got - s.T0 - ref).max() <= 1e-13 * peak
+
+
+def test_masked_assembly_equals_truncated_table():
+    s, big, coeffs = _assembly_case()
+    small = build_mode_table(s, 5, 4)
+    sub = coeffs[[big.index_of(m, n) for m, n in zip(small.m, small.n)]]
+    mask = (big.m <= 5) & (big.n <= 4)
+    grid = dh.GridSpec(19, 13)
+    masked = assemble_field(s, big, coeffs, grid, 4.0, mode_mask=mask)
+    direct = assemble_field(s, small, sub, grid, 4.0)
+    assert np.array_equal(masked.values, direct.values)
+    xs, ys = np.linspace(0.1, 0.9, 9), np.linspace(0.8, 0.2, 9)
+    assert np.array_equal(
+        assemble_at_points(s, big, coeffs, xs, ys, mode_mask=mask),
+        assemble_at_points(s, small, sub, xs, ys))
+
+
+def test_masked_assembly_keeps_edges_at_ambient():
+    s, table, coeffs = _assembly_case(T0=250.0)
+    mask = (table.m + table.n) % 3 != 0
+    v = assemble_field(s, table, coeffs, dh.GridSpec(13, 11), 4.0,
+                       mode_mask=mask).values
+    assert (v[0, :] == 250.0).all() and (v[-1, :] == 250.0).all()
+    assert (v[:, 0] == 250.0).all() and (v[:, -1] == 250.0).all()
+    assert v[1:-1, 1:-1].max() > 250.0 + 1.0
+    edge = assemble_at_points(s, table, coeffs, [0.0, s.L, 0.3, 0.7],
+                              [0.4, 0.6, 0.0, s.H], mode_mask=mask)
+    assert (edge == 250.0).all()
