@@ -48,37 +48,33 @@ from .model import (
     validate_scenario,
     with_lags,
 )
-from .modes import ModeEntry, ModeTable, build_mode_table, kernel
-from .quadrature import QuadratureSpec, integrate_columns, integrate_scalar
+from .modes import ModeTable, build_mode_table
+from .quadrature import QuadratureSpec, integrate_columns
 from .series import (
     CoefficientHistory,
+    SeriesSolution,
     default_truncation,
-    mode_coefficient,
     mode_coefficients,
-    source_factor,
+    solve_series,
     temperature,
-    temperature_at_point,
-    temperature_at_points,
 )
 from .trajectory import SourceState, period, position, source_state, velocity
 
 __all__ = [
     "__version__",
     "CoefficientHistory", "ConfigFormatError", "FdmConfig",
-    "GaussianSourceFactors", "GridSpec", "LineProfile", "ModeEntry",
-    "ModeTable", "NegativeElapsed", "PeakOnBoundary", "PeakReport",
-    "PlateScenario", "QuadratureNotConverged", "QuadratureSpec",
-    "ScenarioValidationError", "SourceState", "TemperatureField",
+    "GaussianSourceFactors", "GridSpec", "LineProfile", "ModeTable",
+    "NegativeElapsed", "PeakOnBoundary", "PeakReport", "PlateScenario",
+    "QuadratureNotConverged", "QuadratureSpec", "ScenarioValidationError",
+    "SeriesSolution", "SourceState", "TemperatureField",
     "Trajectory", "TrajectoryNotClosed", "UnstableConfig",
     "ZeroAngularVelocity", "build_mode_table", "bundled_scenario_names",
     "classical", "default_peak_grid", "default_truncation",
     "deviation_report", "format_scenario", "integrate_columns",
-    "integrate_scalar", "kernel",
     "line_profile_y", "load_bundled", "load_scenario", "load_scenario_file",
-    "locate_peak", "mode_coefficient", "mode_coefficients", "period",
+    "locate_peak", "mode_coefficients", "period",
     "position", "project_gaussian_source_series", "save_scenario",
-    "solve_fdm", "source_factor", "source_peak_distance_sweep",
-    "source_state", "temperature", "temperature_at_point",
-    "temperature_at_points", "trajectory_profile", "validate_scenario",
+    "solve_fdm", "solve_series", "source_peak_distance_sweep",
+    "source_state", "temperature", "trajectory_profile", "validate_scenario",
     "velocity", "with_lags",
 ]

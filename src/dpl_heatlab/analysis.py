@@ -9,14 +9,8 @@ import numpy as np
 
 from .errors import PeakOnBoundary, TrajectoryNotClosed
 from .model import CIRCLE, ELLIPSE, GridSpec, PlateScenario, default_peak_grid
-from .modes import build_mode_table
 from .quadrature import QuadratureSpec
-from .series import (
-    assemble_at_points,
-    assemble_field,
-    mode_coefficients,
-    resolve_truncation,
-)
+from .series import SeriesSolution, solve_series
 from .trajectory import position
 
 
@@ -73,9 +67,10 @@ def _fit_refine(patch: np.ndarray) -> tuple[float, float]:
     return du, dv
 
 
-def _peak_from_values(s, table, coeffs, grid, t, truncation,
-                      refine, mode_mask=None) -> PeakReport:
-    field = assemble_field(s, table, coeffs, grid, t, mode_mask=mode_mask)
+def _peak(sol: SeriesSolution, grid: GridSpec, truncation, refine,
+          mode_mask=None) -> PeakReport:
+    s = sol.s
+    field = sol.field(grid, mode_mask=mode_mask)
     values = field.values
     flat = int(np.argmax(values))
     ix, iy = np.unravel_index(flat, values.shape)
@@ -95,14 +90,12 @@ def _peak_from_values(s, table, coeffs, grid, t, truncation,
             hy = ys[1] - ys[0]
             x_try = x_pk + du * hx
             y_try = y_pk + dv * hy
-            t_try = float(assemble_at_points(s, table, coeffs,
-                                             [x_try], [y_try],
-                                             mode_mask=mode_mask)[0])
+            t_try = float(sol.at([x_try], [y_try], mode_mask=mode_mask)[0])
             # Never report a worse point than the grid argmax.
             if t_try >= t_pk:
                 x_pk, y_pk, t_pk = x_try, y_try, t_try
 
-    x_src, y_src = position(s.trajectory, t)
+    x_src, y_src = position(s.trajectory, sol.t)
     dist = math.hypot(x_pk - x_src, y_pk - y_src)
     return PeakReport(peak_position=(x_pk, y_pk), peak_value=t_pk,
                       source_position=(float(x_src), float(y_src)),
@@ -114,11 +107,9 @@ def locate_peak(s: PlateScenario, t: float, M: int | None = None,
                 refine: bool = True, quad: QuadratureSpec | None = None, *,
                 threads=None) -> PeakReport:
     """Grid argmax of the series field, optionally refined inside the cell."""
-    M, N = resolve_truncation(s, M, N)
-    grid = grid or default_peak_grid(s)
-    table = build_mode_table(s, M, N)
-    coeffs = mode_coefficients(s, table, t, quad, threads=threads)
-    return _peak_from_values(s, table, coeffs, grid, t, (M, N), refine)
+    sol = solve_series(s, t, M, N, quad, threads=threads)
+    return _peak(sol, grid or default_peak_grid(s),
+                 (sol.table.M, sol.table.N), refine)
 
 
 def line_profile_y(s: PlateScenario, t: float, y0: float,
@@ -131,14 +122,9 @@ def line_profile_y(s: PlateScenario, t: float, y0: float,
         raise ValueError(f"cut must be interior: 0 < y0 < {s.H}, got {y0!r}")
     if nsamples < 2:
         raise ValueError(f"need at least 2 samples, got {nsamples}")
-    M, N = resolve_truncation(s, M, N)
     xs = np.linspace(0.0, s.L, nsamples)
-    if t == 0.0:
-        vals = np.full(nsamples, float(s.T0))
-    else:
-        table = build_mode_table(s, M, N)
-        coeffs = mode_coefficients(s, table, t, quad, threads=threads)
-        vals = assemble_at_points(s, table, coeffs, xs, np.full(nsamples, y0))
+    vals = solve_series(s, t, M, N, quad, threads=threads).at(
+        xs, np.full(nsamples, y0))
     return LineProfile(parameter=xs, values=vals, t=float(t), label="x")
 
 
@@ -159,16 +145,10 @@ def trajectory_profile(s: PlateScenario, t: float,
             f"trajectory kind {traj.kind!r} is not a closed central curve")
     if nangles < 2:
         raise ValueError(f"need at least 2 angles, got {nangles}")
-    M, N = resolve_truncation(s, M, N)
     phi = np.linspace(0.0, 2.0 * math.pi, nangles, endpoint=False)
     xs = traj.cx + traj.A * np.cos(phi)
     ys = traj.cy + traj.B * np.sin(phi)
-    if t == 0.0:
-        vals = np.full(nangles, float(s.T0))
-    else:
-        table = build_mode_table(s, M, N)
-        coeffs = mode_coefficients(s, table, t, quad, threads=threads)
-        vals = assemble_at_points(s, table, coeffs, xs, ys)
+    vals = solve_series(s, t, M, N, quad, threads=threads).at(xs, ys)
     return LineProfile(parameter=phi, values=vals, t=float(t), label="phi")
 
 
@@ -189,14 +169,11 @@ def source_peak_distance_sweep(s: PlateScenario, t: float,
     grid = grid or default_peak_grid(s)
     m_max = max(mm for mm, _ in truncations)
     n_max = max(nn for _, nn in truncations)
-    table = build_mode_table(s, m_max, n_max)
-    coeffs = mode_coefficients(s, table, t, quad, threads=threads)
-    reports = []
-    for mm, nn in truncations:
-        mask = (table.m <= mm) & (table.n <= nn)
-        reports.append(_peak_from_values(s, table, coeffs, grid, t,
-                                         (mm, nn), refine, mode_mask=mask))
-    return reports
+    sol = solve_series(s, t, m_max, n_max, quad, threads=threads)
+    table = sol.table
+    return [_peak(sol, grid, (mm, nn), refine,
+                  mode_mask=(table.m <= mm) & (table.n <= nn))
+            for mm, nn in truncations]
 
 
 # --- CSV emission ----------------------------------------------------------

@@ -38,9 +38,8 @@ from scipy.sparse.linalg import splu
 
 from .errors import UnstableConfig
 from .model import FdmConfig, GridSpec, PlateScenario, TemperatureField
-from .modes import build_mode_table
 from .quadrature import QuadratureSpec
-from .series import assemble_field, mode_coefficients, resolve_truncation
+from .series import solve_series
 from .trajectory import position, velocity, velocity_bounds
 
 BLOWUP_SENTINEL = 1e12
@@ -114,8 +113,8 @@ def solve_fdm(s: PlateScenario, cfg: FdmConfig, *, initial=None):
         raise ValueError(
             f"smoothing radius {sigma!r} under-resolved: need at least "
             f"2 * max(hx, hy) = {2.0 * max(hx, hy)!r}")
-    if cfg.dt <= 0.0 or cfg.t_end <= 0.0:
-        raise ValueError("dt and t_end must be positive")
+    if not (0.0 < cfg.dt < math.inf and 0.0 < cfg.t_end < math.inf):
+        raise ValueError("dt and t_end must be positive and finite")
     if cfg.store_every < 1:
         raise ValueError(f"store_every must be >= 1, got {cfg.store_every}")
     _jury_scan(s, cfg.dt, hx, hy)
@@ -147,54 +146,44 @@ def solve_fdm(s: PlateScenario, cfg: FdmConfig, *, initial=None):
 
     stored = [snapshot(u_prev, 0.0)]
 
+    ident = eye(m, format="csc")
     if s.tau_q > 0.0:
         sc = 1.0 / (2.0 * s.alpha * dt)
         p = s.tau_q / (s.alpha * dt * dt)
-        ident = eye(m, format="csc")
         mat_a = ((sc + p) * ident - (0.25 + s.tau_T / (2.0 * dt)) * lap).tocsc()
         mat_b = (2.0 * p * ident + 0.5 * lap).tocsr()
         mat_c = ((sc - p) * ident + (0.25 - s.tau_T / (2.0 * dt)) * lap).tocsr()
-        solve_a = splu(mat_a)
         # Quiescent start: the ghost level u[-1] = u[1] collapses the first
         # step to (A - C) u[1] = B u[0] + S[0].
         solve_first = splu((mat_a - mat_c).tocsc())
-        src0 = _source_grid(s, xi, yi, sigma, 0.0)
-        u_curr = solve_first.solve(mat_b @ u_prev + src0)
-        step0 = 1
-        if 1 % cfg.store_every == 0 and nsteps > 1:
-            stored.append(snapshot(u_curr, dt))
-
-        for n in range(step0, nsteps):
-            src = _source_grid(s, xi, yi, sigma, n * dt)
-            u_next = solve_a.solve(mat_b @ u_curr + mat_c @ u_prev + src)
-            if not np.isfinite(u_next).all() or np.abs(u_next).max() > BLOWUP_SENTINEL:
-                raise UnstableConfig(
-                    f"solution exceeded {BLOWUP_SENTINEL:.0e} at step {n + 1}; "
-                    "the configuration is numerically unusable")
-            u_prev, u_curr = u_curr, u_next
-            step = n + 1
-            if step % cfg.store_every == 0 and step != nsteps:
-                stored.append(snapshot(u_curr, step * dt))
-        stored.append(snapshot(u_curr, cfg.t_end))
+        shift = 0.0
     else:
-        ident = eye(m, format="csc")
+        # Two-level Crank-Nicolson: no u[n-1] term, source at mid-step.
         r = 1.0 / (s.alpha * dt)
         mat_a = (r * ident - (0.5 + s.tau_T / dt) * lap).tocsc()
         mat_b = (r * ident + (0.5 - s.tau_T / dt) * lap).tocsr()
-        solve_a = splu(mat_a)
-        u_curr = u_prev
-        for n in range(nsteps):
-            src = _source_grid(s, xi, yi, sigma, (n + 0.5) * dt)
-            u_next = solve_a.solve(mat_b @ u_curr + src)
-            if not np.isfinite(u_next).all() or np.abs(u_next).max() > BLOWUP_SENTINEL:
-                raise UnstableConfig(
-                    f"solution exceeded {BLOWUP_SENTINEL:.0e} at step {n + 1}; "
-                    "the configuration is numerically unusable")
-            u_curr = u_next
-            step = n + 1
-            if step % cfg.store_every == 0 and step != nsteps:
-                stored.append(snapshot(u_curr, step * dt))
-        stored.append(snapshot(u_curr, cfg.t_end))
+        mat_c = None
+        shift = 0.5
+    solve_a = splu(mat_a)
+    if mat_c is None:
+        solve_first = solve_a
+
+    u_curr = u_prev
+    for n in range(nsteps):
+        rhs = mat_b @ u_curr
+        if mat_c is not None and n > 0:
+            rhs += mat_c @ u_prev
+        rhs += _source_grid(s, xi, yi, sigma, (n + shift) * dt)
+        u_next = (solve_first if n == 0 else solve_a).solve(rhs)
+        if not np.isfinite(u_next).all() or np.abs(u_next).max() > BLOWUP_SENTINEL:
+            raise UnstableConfig(
+                f"solution exceeded {BLOWUP_SENTINEL:.0e} at step {n + 1}; "
+                "the configuration is numerically unusable")
+        u_prev, u_curr = u_curr, u_next
+        step = n + 1
+        if step % cfg.store_every == 0 and step != nsteps:
+            stored.append(snapshot(u_curr, step * dt))
+    stored.append(snapshot(u_curr, cfg.t_end))
     return stored
 
 
@@ -305,15 +294,12 @@ def project_gaussian_source_series(s: PlateScenario, sigma: float,
     """Series field whose source matches the smoothed FDM source."""
     if sigma <= 0.0:
         raise ValueError(f"sigma must be positive, got {sigma!r}")
-    M, N = resolve_truncation(s, M, N)
-    table = build_mode_table(s, M, N)
 
     def factory(sc, kx, ky):
         return GaussianSourceFactors(sc, kx, ky, sigma)
 
-    coeffs = mode_coefficients(s, table, t, quad, threads=threads,
-                               factors_factory=factory)
-    return assemble_field(s, table, coeffs, grid, t)
+    return solve_series(s, t, M, N, quad, threads=threads,
+                        factors_factory=factory).field(grid)
 
 
 def deviation_report(candidate: TemperatureField, reference: TemperatureField,

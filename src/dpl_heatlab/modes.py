@@ -18,11 +18,9 @@ avoid cancellation for nearly-critical modes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NegativeElapsed
 from .model import PlateScenario
 
 OVERDAMPED = 0
@@ -30,21 +28,6 @@ CRITICAL = 1
 OSCILLATORY = 2
 DIFFUSIVE = 3
 REGIME_NAMES = ("overdamped", "critical", "oscillatory", "diffusive")
-
-
-class ModeEntry(NamedTuple):
-    """Spectral constants of one (m, n) mode."""
-
-    m: int
-    n: int
-    kx: float
-    ky: float
-    k2: float
-    regime: int
-    damping: float
-    splitting: float
-    slow: float
-    gain: float
 
 
 @dataclass(frozen=True)
@@ -82,15 +65,6 @@ class ModeTable:
             raise IndexError(f"mode ({m}, {n}) outside truncation "
                              f"({self.M}, {self.N})")
         return int(self.inv[(m - 1) * self.N + (n - 1)])
-
-    def entry(self, m: int, n: int) -> ModeEntry:
-        i = self.index_of(m, n)
-        return ModeEntry(
-            m=int(self.m[i]), n=int(self.n[i]),
-            kx=float(self.kx[i]), ky=float(self.ky[i]), k2=float(self.k2[i]),
-            regime=int(self.regime[i]), damping=float(self.damping[i]),
-            splitting=float(self.splitting[i]), slow=float(self.slow[i]),
-            gain=float(self.gain[i]))
 
 
 def build_mode_table(s: PlateScenario, M: int, N: int) -> ModeTable:
@@ -148,7 +122,11 @@ def build_mode_table(s: PlateScenario, M: int, N: int) -> ModeTable:
 
 
 def kernel_matrix(regime, damping, splitting, slow, delta) -> np.ndarray:
-    """Kernel values for every (time, mode) pair; delta (Q,) -> (Q, P)."""
+    """Kernel values for every (time, mode) pair; delta (Q,) -> (Q, P).
+
+    K(0) = 0 in every lagged regime and 1 on the diffusive branch.  delta
+    must be >= 0; the coefficient engine clamps it there.
+    """
     delta = np.asarray(delta, dtype=float)
     d = delta[:, None]
     out = np.empty((delta.size, regime.size))
@@ -170,23 +148,6 @@ def kernel_matrix(regime, damping, splitting, slow, delta) -> np.ndarray:
     if sel.any():
         out[:, sel] = np.exp(-damping[sel][None, :] * d)
     return out
-
-
-def kernel(entry: ModeEntry, delta):
-    """Relaxation kernel K(delta) of one mode; scalar or array delta.
-
-    K(0) = 0 in every lagged regime and 1 on the diffusive branch; finite
-    for all delta >= 0 including extreme rate/elapsed combinations.
-    """
-    arr = np.asarray(delta, dtype=float)
-    if np.any(arr < 0.0):
-        raise NegativeElapsed(f"kernel requested at negative elapsed time {delta!r}")
-    vals = kernel_matrix(np.array([entry.regime]), np.array([entry.damping]),
-                         np.array([entry.splitting]), np.array([entry.slow]),
-                         arr.reshape(-1))[:, 0]
-    if np.ndim(delta) == 0:
-        return float(vals[0])
-    return vals.reshape(np.shape(delta))
 
 
 def kernel_tail_mass(regime, damping, splitting, slow, delta0) -> np.ndarray:

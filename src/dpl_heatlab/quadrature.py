@@ -181,14 +181,3 @@ def integrate_columns(f, a, b, spec: QuadratureSpec, *,
         vals = np.concatenate([vals[~split], cvals])
         errs = np.concatenate([errs[~split], cerrs])
 
-
-def integrate_scalar(f, a, b, spec: QuadratureSpec, *,
-                     abs_tol=None, breakpoints=None) -> float:
-    """Adaptive integral of a scalar integrand (vectorized over samples)."""
-
-    def column(ts):
-        return np.asarray(f(ts), dtype=float).reshape(-1, 1)
-
-    totals, _ = integrate_columns(column, a, b, spec,
-                                  abs_tol=abs_tol, breakpoints=breakpoints)
-    return float(totals[0])

@@ -13,6 +13,13 @@ with that mode's relaxation kernel.  The grid field is then
 with prefactor 4 alpha theta / (L H tau_q k) on the lagged branch and
 4 alpha theta / (L H k) on the diffusive (tau_q = 0) branch.
 
+Every series result takes one route, ``solve_series``: resolve the
+truncation, build the mode table, compute the coefficients P_mn(t) once,
+and return a ``SeriesSolution`` whose ``field`` and ``at`` assemble them
+on a grid or at paired points.  The field, the profiles, the peak search,
+the truncation sweep and the Gaussian-source series of the finite-
+difference cross-check all read such a solution.
+
 Coefficients for a whole mode table are computed by one adaptive pass per
 time segment (segments split at trajectory quarter-periods), processed
 backward from tau = t so that modes whose remaining kernel mass is below
@@ -32,7 +39,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -43,13 +50,12 @@ from .modes import (
     DIFFUSIVE,
     OSCILLATORY,
     OVERDAMPED,
-    ModeEntry,
     ModeTable,
     build_mode_table,
     kernel_matrix,
     kernel_tail_mass,
 )
-from .quadrature import QuadratureSpec, integrate_columns, integrate_scalar
+from .quadrature import QuadratureSpec, integrate_columns
 from .trajectory import position, velocity, velocity_bounds
 
 MODE_CHUNK = 1024
@@ -143,16 +149,6 @@ class PointSourceFactors:
         return 1.0 + self.tau_q * (self.kx * vx_max + self.ky * vy_max)
 
 
-def source_factor(entry: ModeEntry, s: PlateScenario, tau):
-    """The bracketed source factor of one mode at time tau (no kernel)."""
-    factors = PointSourceFactors(s, np.array([entry.kx]), np.array([entry.ky]))
-    taus = np.atleast_1d(np.asarray(tau, dtype=float))
-    vals = factors(taus)[:, 0]
-    if np.ndim(tau) == 0:
-        return float(vals[0])
-    return vals.reshape(np.shape(tau))
-
-
 def _segment_boundaries(s: PlateScenario, t: float) -> np.ndarray:
     """Panel seeds for [0, t]: quarter-periods, or spline knots for custom."""
     pts = [0.0, t]
@@ -164,29 +160,6 @@ def _segment_boundaries(s: PlateScenario, t: float) -> np.ndarray:
         count = int(math.floor(t / quarter))
         pts.extend(j * quarter for j in range(1, count + 1) if j * quarter < t)
     return np.unique(np.asarray(pts, dtype=float))
-
-
-def mode_coefficient(entry: ModeEntry, s: PlateScenario, t: float,
-                     quad: QuadratureSpec | None = None) -> float:
-    """Direct adaptive quadrature of one mode's convolution integral."""
-    if t < 0.0:
-        raise NegativeElapsed(f"coefficient requested at negative time {t!r}")
-    if t == 0.0:
-        return 0.0
-    quad = quad or QuadratureSpec()
-    regime = np.array([entry.regime], dtype=np.int8)
-    damping = np.array([entry.damping])
-    splitting = np.array([entry.splitting])
-    slow = np.array([entry.slow])
-    factors = PointSourceFactors(s, np.array([entry.kx]), np.array([entry.ky]))
-
-    def f(taus):
-        delta = np.maximum(t - taus, 0.0)
-        return factors(taus)[:, 0] * kernel_matrix(
-            regime, damping, splitting, slow, delta)[:, 0]
-
-    bounds = _segment_boundaries(s, t)
-    return integrate_scalar(f, 0.0, t, quad, breakpoints=bounds[1:-1])
 
 
 def _coefficients_chunk(s, table: ModeTable, sel: slice, t: float,
@@ -249,6 +222,8 @@ def mode_coefficients(s: PlateScenario, table: ModeTable, t: float,
     The computation is partitioned into fixed chunks of the table, so the
     numeric result is identical for any worker count.
     """
+    if not math.isfinite(t):
+        raise ValueError(f"coefficients requested at non-finite time {t!r}")
     if t < 0.0:
         raise NegativeElapsed(f"coefficients requested at negative time {t!r}")
     nmodes = table.nmodes
@@ -342,45 +317,46 @@ def assemble_at_points(s: PlateScenario, table: ModeTable, coeffs: np.ndarray,
                        mode_mask, paired=True) + s.T0
 
 
+@dataclass(frozen=True)
+class SeriesSolution:
+    """Mode table and coefficients of one scenario at time t.
+
+    The coefficients are computed once; ``field`` and ``at`` assemble the
+    series from them on a grid or at paired points, optionally over the
+    modes in ``mode_mask`` only.
+    """
+
+    s: PlateScenario
+    table: ModeTable
+    coeffs: np.ndarray
+    t: float
+
+    def field(self, grid: GridSpec, mode_mask=None) -> TemperatureField:
+        return assemble_field(self.s, self.table, self.coeffs, grid, self.t,
+                              mode_mask=mode_mask)
+
+    def at(self, xs, ys, mode_mask=None) -> np.ndarray:
+        return assemble_at_points(self.s, self.table, self.coeffs, xs, ys,
+                                  mode_mask=mode_mask)
+
+
+def solve_series(s: PlateScenario, t: float, M: int | None = None,
+                 N: int | None = None, quad: QuadratureSpec | None = None, *,
+                 threads=None, factors_factory=None) -> SeriesSolution:
+    """Truncated series solution at time t (default truncation if M/N None)."""
+    M, N = resolve_truncation(s, M, N)
+    table = build_mode_table(s, M, N)
+    coeffs = mode_coefficients(s, table, t, quad, threads=threads,
+                               factors_factory=factors_factory)
+    return SeriesSolution(s=s, table=table, coeffs=coeffs, t=float(t))
+
+
 def temperature(s: PlateScenario, grid: GridSpec, t: float,
                 M: int | None = None, N: int | None = None,
                 quad: QuadratureSpec | None = None, *,
                 threads=None) -> TemperatureField:
     """Temperature field on the grid at time t via the truncated series."""
-    if t < 0.0:
-        raise NegativeElapsed(f"temperature requested at negative time {t!r}")
-    M, N = resolve_truncation(s, M, N)
-    if t == 0.0:
-        values = np.full((grid.nx, grid.ny), float(s.T0))
-        return TemperatureField(grid=grid, t=0.0, values=values)
-    table = build_mode_table(s, M, N)
-    coeffs = mode_coefficients(s, table, t, quad, threads=threads)
-    return assemble_field(s, table, coeffs, grid, t)
-
-
-def temperature_at_points(s: PlateScenario, xs, ys, t: float,
-                          M: int | None = None, N: int | None = None,
-                          quad: QuadratureSpec | None = None, *,
-                          threads=None) -> np.ndarray:
-    """Series temperatures at arbitrary paired points at time t."""
-    if t < 0.0:
-        raise NegativeElapsed(f"temperature requested at negative time {t!r}")
-    M, N = resolve_truncation(s, M, N)
-    xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    if t == 0.0:
-        return np.full(xs.size, float(s.T0))
-    table = build_mode_table(s, M, N)
-    coeffs = mode_coefficients(s, table, t, quad, threads=threads)
-    return assemble_at_points(s, table, coeffs, xs, ys)
-
-
-def temperature_at_point(s: PlateScenario, x: float, y: float, t: float,
-                         M: int | None = None, N: int | None = None,
-                         quad: QuadratureSpec | None = None, *,
-                         threads=None) -> float:
-    """Single-sample convenience wrapper around the series sum."""
-    return float(temperature_at_points(s, [x], [y], t, M, N, quad,
-                                       threads=threads)[0])
+    return solve_series(s, t, M, N, quad, threads=threads).field(grid)
 
 
 def switch_on_transient(s: PlateScenario, table: ModeTable, t: float,
@@ -429,12 +405,11 @@ class CoefficientHistory:
     """
 
     def __init__(self, s: PlateScenario, table: ModeTable,
-                 quad: QuadratureSpec | None = None, *, factors_factory=None):
+                 quad: QuadratureSpec | None = None):
         self.s = s
         self.table = table
         self.quad = quad or QuadratureSpec()
-        factory = factors_factory or PointSourceFactors
-        self.factors = factory(s, table.kx, table.ky)
+        self.factors = PointSourceFactors(s, table.kx, table.ky)
         self.t = 0.0
         n = table.nmodes
         self._e_slow = np.zeros(n)   # overdamped slow / critical E0 / diffusive E

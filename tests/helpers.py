@@ -41,16 +41,18 @@ def simpson_mode_coefficient(scenario, m, n, t, panels=250_000):
     from dpl_heatlab.modes import build_mode_table
 
     table = build_mode_table(scenario, m, n)
-    e = table.entry(m, n)
+    i = table.index_of(m, n)
+    kx, ky = table.kx[i], table.ky[i]
     taus = np.linspace(0.0, t, 2 * panels + 1)
     x, y, vx, vy = source_track(scenario, taus)
-    f = np.sin(e.kx * x) * np.sin(e.ky * y)
+    f = np.sin(kx * x) * np.sin(ky * y)
     if scenario.tau_q:
         f = f + scenario.tau_q * (
-            vx * e.kx * np.cos(e.kx * x) * np.sin(e.ky * y)
-            + vy * e.ky * np.sin(e.kx * x) * np.cos(e.ky * y))
-    kern = kernel_matrix(np.array([e.regime]), np.array([e.damping]),
-                         np.array([e.splitting]), np.array([e.slow]),
+            vx * kx * np.cos(kx * x) * np.sin(ky * y)
+            + vy * ky * np.sin(kx * x) * np.cos(ky * y))
+    one = slice(i, i + 1)
+    kern = kernel_matrix(table.regime[one], table.damping[one],
+                         table.splitting[one], table.slow[one],
                          t - taus)[:, 0]
     return simpson(f * kern, t / (2 * panels))
 

@@ -20,7 +20,7 @@ from dpl_heatlab.modes import (CRITICAL, OSCILLATORY, OVERDAMPED,
                                build_mode_table, kernel_matrix)
 from dpl_heatlab.series import (CoefficientHistory, assemble_field,
                                 default_truncation, mode_coefficients,
-                                temperature, temperature_at_points)
+                                solve_series, temperature)
 from dpl_heatlab.trajectory import position, velocity
 
 
@@ -338,9 +338,8 @@ def test_acceptance_10_doubling_source_strength_doubles_excess():
         for t in rng.uniform(0.5, 8.0, size=5):
             xs = rng.uniform(0.02 * s.L, 0.98 * s.L, size=10)
             ys = rng.uniform(0.02 * s.H, 0.98 * s.H, size=10)
-            base = temperature_at_points(s, xs, ys, float(t), 12, 12) - s.T0
-            twice = temperature_at_points(doubled, xs, ys, float(t),
-                                          12, 12) - s.T0
+            base = solve_series(s, float(t), 12, 12).at(xs, ys) - s.T0
+            twice = solve_series(doubled, float(t), 12, 12).at(xs, ys) - s.T0
             scale = np.maximum(np.abs(2.0 * base), 1e-300)
             worst = max(worst, float(np.max(np.abs(twice - 2.0 * base)
                                             / scale)))

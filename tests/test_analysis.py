@@ -8,7 +8,8 @@ from dpl_heatlab.analysis import (line_profile_y, locate_peak,
                                   source_peak_distance_sweep,
                                   trajectory_profile, write_field_csv,
                                   write_profile_csv, write_sweep_csv)
-from dpl_heatlab.errors import PeakOnBoundary, TrajectoryNotClosed
+from dpl_heatlab.errors import (NegativeElapsed, PeakOnBoundary,
+                                TrajectoryNotClosed)
 from helpers import tiny_scenario
 
 
@@ -64,6 +65,24 @@ def test_line_profile_validates_cut():
         line_profile_y(s, 1.0, 0.5, M=2, N=2, nsamples=1)
 
 
+def test_profiles_at_time_zero_are_exactly_ambient():
+    s = tiny_scenario(T0=41.5)
+    line = line_profile_y(s, 0.0, 0.4, M=6, N=6, nsamples=17)
+    ring = trajectory_profile(s, 0.0, M=6, N=6, nangles=12)
+    assert np.array_equal(line.values, np.full(17, 41.5))
+    assert np.array_equal(ring.values, np.full(12, 41.5))
+
+
+def test_negative_time_rejected_by_every_entry_point():
+    s = tiny_scenario()
+    with pytest.raises(NegativeElapsed):
+        line_profile_y(s, -1.0, 0.5, M=2, N=2)
+    with pytest.raises(NegativeElapsed):
+        trajectory_profile(s, -1.0, M=2, N=2)
+    with pytest.raises(NegativeElapsed):
+        locate_peak(s, -1.0, M=2, N=2, grid=dh.GridSpec(9, 9))
+
+
 def test_trajectory_profile_requires_closed_path():
     s, _ = dh.load_bundled("lst_default")
     with pytest.raises(TrajectoryNotClosed):
@@ -81,7 +100,7 @@ def test_trajectory_profile_samples_the_circle():
     phi = prof.parameter[5]
     x = 0.5 + 0.25 * math.cos(phi)
     y = 0.5 + 0.25 * math.sin(phi)
-    direct = dh.temperature_at_point(s, x, y, 5.0, M=8, N=8)
+    direct = dh.solve_series(s, 5.0, M=8, N=8).at([x], [y])[0]
     assert math.isclose(prof.values[5], direct, rel_tol=1e-12)
 
 

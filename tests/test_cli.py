@@ -172,6 +172,19 @@ def test_unstable_stepping_exits_3(tmp_path, monkeypatch, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["field", "--t", "inf", "--modes", "2,2", "--grid", "3,3"],
+    ["field", "--t", "nan", "--modes", "2,2", "--grid", "3,3"],
+    ["oracle", "--fdm-t-end", "inf", "--modes", "2,2"],
+    ["oracle", "--fdm-dt", "inf", "--modes", "2,2"],
+], ids=["field-t-inf", "field-t-nan", "oracle-t-end-inf", "oracle-dt-inf"])
+def test_non_finite_time_exits_2(tmp_path, capsys, argv):
+    rc = main([argv[0], "--scenario", "ct_alpha2_q1_T1", *argv[1:],
+               "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_unwritable_out_dir_exits_4(tmp_path, capsys):
     blocker = tmp_path / "file"
     blocker.write_text("occupied")

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -166,6 +167,20 @@ def test_stability_scan_runs_before_stepping(monkeypatch):
                                                 t_end=1.0))
 
 
+@pytest.mark.parametrize("lagged", [True, False])
+@pytest.mark.parametrize("t_end", [0.1, 0.2])
+def test_blowup_sentinel_checks_the_first_step(monkeypatch, lagged, t_end):
+    import dpl_heatlab.fdm as fdm_mod
+
+    monkeypatch.setattr(fdm_mod, "BLOWUP_SENTINEL", 1e-30)
+    s = tiny_scenario(tau_q=1.0, tau_T=1.0)
+    if not lagged:
+        s = dh.classical(s)
+    cfg = dh.FdmConfig(hx=0.1, hy=0.1, dt=0.1, t_end=t_end, sigma=0.25)
+    with pytest.raises(UnstableConfig, match="at step 1;"):
+        solve_fdm(s, cfg)
+
+
 def test_config_validation():
     s = tiny_scenario()
     with pytest.raises(ValueError):
@@ -173,6 +188,11 @@ def test_config_validation():
                                   sigma=0.05))   # sigma under-resolved
     with pytest.raises(ValueError):
         solve_fdm(s, dh.FdmConfig(hx=0.1, hy=0.1, dt=-0.1, t_end=1.0))
+    for field in ("dt", "t_end"):
+        for value in (math.inf, math.nan):
+            cfg = dh.FdmConfig(hx=0.1, hy=0.1, dt=0.1, t_end=1.0)
+            with pytest.raises(ValueError, match="finite"):
+                solve_fdm(s, dataclasses.replace(cfg, **{field: value}))
     with pytest.raises(ValueError):
         solve_fdm(s, dh.FdmConfig(hx=0.1, hy=0.1, dt=0.1, t_end=1.0,
                                   store_every=0))

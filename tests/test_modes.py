@@ -8,9 +8,10 @@ from hypothesis import given, settings, strategies as st
 import dpl_heatlab as dh
 from dpl_heatlab.errors import NegativeElapsed
 from dpl_heatlab.modes import (CRITICAL, DIFFUSIVE, OSCILLATORY, OVERDAMPED,
-                               build_mode_table, kernel, kernel_matrix,
+                               build_mode_table, kernel_matrix,
                                kernel_tail_mass)
-from dpl_heatlab.quadrature import QuadratureSpec, integrate_scalar
+from dpl_heatlab.quadrature import QuadratureSpec, integrate_columns
+from dpl_heatlab.series import mode_coefficients
 from helpers import tiny_scenario
 
 
@@ -22,18 +23,18 @@ def test_fundamental_eigenvalue_unit_square():
 def test_rate_splitting_against_high_precision():
     # alpha = 1.29e-5, tau_q = tau_T = 1, k2 = 2 pi^2: nearly balanced roots.
     s = tiny_scenario(L=1.0, H=1.0, alpha=1.29e-5, tau_q=1.0, tau_T=1.0)
-    e = build_mode_table(s, 1, 1).entry(1, 1)
+    table = build_mode_table(s, 1, 1)
     with mpmath.workdps(60):
         lam2 = 2 * mpmath.pi ** 2
         a = mpmath.mpf("1.29e-5")
         stiff = 1 + a * lam2
         damping = stiff / 2
         splitting = mpmath.sqrt(stiff ** 2 - 4 * a * lam2) / 2
-        assert abs(e.damping - float(damping)) < 1e-14
-        assert abs(e.splitting - float(splitting)) < 1e-13
-    assert abs(e.damping - 0.5001273) < 1e-7
-    assert abs(e.splitting - 0.4998727) < 1e-7
-    assert e.regime == OVERDAMPED
+        assert abs(table.damping[0] - float(damping)) < 1e-14
+        assert abs(table.splitting[0] - float(splitting)) < 1e-13
+    assert abs(table.damping[0] - 0.5001273) < 1e-7
+    assert abs(table.splitting[0] - 0.4998727) < 1e-7
+    assert table.regime[0] == OVERDAMPED
 
 
 def test_equal_lags_never_oscillate():
@@ -48,16 +49,15 @@ def test_exactly_critical_mode():
     s = dh.PlateScenario(L=math.pi, H=math.pi, theta=1.0, k=1.0, alpha=0.25,
                          tau_q=2.0, tau_T=2.0,
                          trajectory=dh.Trajectory(kind="circle", A=0.5, B=0.5, w=1.0))
-    e = build_mode_table(s, 1, 1).entry(1, 1)
-    assert e.regime == CRITICAL
-    assert e.splitting == 0.0
+    table = build_mode_table(s, 1, 1)
+    assert table.regime[0] == CRITICAL
+    assert table.splitting[0] == 0.0
 
 
 def test_oscillatory_regime_detected():
     s, _ = dh.load_bundled("ct_alpha2_q5_T1")
     table = build_mode_table(s, 12, 12)
-    e = table.entry(1, 1)
-    assert e.regime == OSCILLATORY
+    assert table.regime[table.index_of(1, 1)] == OSCILLATORY
     # gradient-precedence scenarios still relax monotonically at high k2
     assert table.regime[np.argmax(table.k2)] == OVERDAMPED
 
@@ -83,9 +83,8 @@ def test_table_sorted_and_indexable():
     for m, n in [(1, 1), (3, 4), (6, 5), (2, 1)]:
         i = table.index_of(m, n)
         assert (table.m[i], table.n[i]) == (m, n)
-        e = table.entry(m, n)
-        assert math.isclose(e.kx, m * math.pi / 0.5, rel_tol=1e-15)
-        assert math.isclose(e.ky, n * math.pi / 0.4, rel_tol=1e-15)
+        assert math.isclose(table.kx[i], m * math.pi / 0.5, rel_tol=1e-15)
+        assert math.isclose(table.ky[i], n * math.pi / 0.4, rel_tol=1e-15)
 
 
 # --- kernel ----------------------------------------------------------------
@@ -141,24 +140,24 @@ def test_kernel_no_overflow_at_huge_delay():
 
 
 def test_kernel_rejects_negative_delay():
+    """Negative elapsed time is refused where it enters: the coefficients."""
     s = tiny_scenario()
-    e = build_mode_table(s, 1, 1).entry(1, 1)
     with pytest.raises(NegativeElapsed):
-        kernel(e, -0.5)
+        mode_coefficients(s, build_mode_table(s, 1, 1), -0.5)
 
 
 def test_kernel_entry_matches_matrix():
+    """The whole-table kernel equals per-mode calls, column by column."""
     s, _ = dh.load_bundled("ct_alpha2_q1_T5")
     table = build_mode_table(s, 4, 4)
     deltas = np.linspace(0.0, 8.0, 17)
-    for m, n in [(1, 1), (2, 3), (4, 4)]:
-        e = table.entry(m, n)
-        a = kernel(e, deltas)
-        i = table.index_of(m, n)
-        b = kernel_matrix(table.regime[i:i + 1], table.damping[i:i + 1],
-                          table.splitting[i:i + 1], table.slow[i:i + 1],
-                          deltas)[:, 0]
-        assert np.array_equal(a, b)
+    whole = kernel_matrix(table.regime, table.damping, table.splitting,
+                          table.slow, deltas)
+    for i in range(table.nmodes):
+        one = kernel_matrix(table.regime[i:i + 1], table.damping[i:i + 1],
+                            table.splitting[i:i + 1], table.slow[i:i + 1],
+                            deltas)[:, 0]
+        assert np.array_equal(whole[:, i], one)
 
 
 QUAD = QuadratureSpec(abs_tol=1e-13, rel_tol=1e-11)
@@ -172,9 +171,9 @@ QUAD = QuadratureSpec(abs_tol=1e-13, rel_tol=1e-11)
 def test_tail_mass_exact_for_monotone_kernels(regime, damping, splitting, slow):
     delta0 = 1.3
     horizon = delta0 + 200.0 / max(slow if regime == OVERDAMPED else damping, 1e-2)
-    numeric = integrate_scalar(
+    numeric = integrate_columns(
         lambda d: synthetic_kernel(regime, damping, splitting, slow, d),
-        delta0, horizon, QUAD)
+        delta0, horizon, QUAD)[0][0]
     mass = kernel_tail_mass(np.array([regime]), np.array([damping]),
                             np.array([splitting]), np.array([slow]),
                             delta0)[0]
@@ -184,9 +183,9 @@ def test_tail_mass_exact_for_monotone_kernels(regime, damping, splitting, slow):
 def test_tail_mass_bounds_oscillatory_kernel():
     damping, splitting = 0.35, 2.4
     delta0 = 0.9
-    numeric = integrate_scalar(
+    numeric = integrate_columns(
         lambda d: np.abs(synthetic_kernel(OSCILLATORY, damping, splitting, 0.0, d)),
-        delta0, delta0 + 200.0 / damping, QUAD)
+        delta0, delta0 + 200.0 / damping, QUAD)[0][0]
     mass = kernel_tail_mass(np.array([OSCILLATORY]), np.array([damping]),
                             np.array([splitting]), np.array([0.0]), delta0)[0]
     assert numeric <= mass * (1.0 + 1e-9)

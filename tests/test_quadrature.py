@@ -6,8 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from dpl_heatlab.errors import QuadratureNotConverged
 from dpl_heatlab.quadrature import (G7_INDEX, G7_WEIGHTS, K15_WEIGHTS, NODES,
-                                    QuadratureSpec, integrate_columns,
-                                    integrate_scalar)
+                                    QuadratureSpec, integrate_columns)
 
 SPEC = QuadratureSpec()
 
@@ -40,27 +39,28 @@ def test_kronrod_rule_exact_through_degree_22(degree):
 
 
 def test_sine_arch():
-    total = integrate_scalar(np.sin, 0.0, math.pi, SPEC)
+    total = integrate_columns(np.sin, 0.0, math.pi, SPEC)[0][0]
     assert abs(total - 2.0) < 1e-12
 
 
 def test_exponential():
-    total = integrate_scalar(np.exp, 0.0, 1.0, SPEC)
+    total = integrate_columns(np.exp, 0.0, 1.0, SPEC)[0][0]
     assert abs(total - (math.e - 1.0)) < 1e-12
 
 
 def test_endpoint_spike_adaptivity():
     # 1/sqrt(x + eps) concentrates all the action near x = 0.
     eps = 1e-4
-    total = integrate_scalar(lambda x: 1.0 / np.sqrt(x + eps), 0.0, 1.0, SPEC)
+    total = integrate_columns(lambda x: 1.0 / np.sqrt(x + eps), 0.0, 1.0,
+                              SPEC)[0][0]
     exact = 2.0 * (math.sqrt(1.0 + eps) - math.sqrt(eps))
     assert abs(total - exact) < 1e-9 * exact
 
 
 def test_oscillatory_decaying_integrand():
     a, b, T = 0.2, 3.0, 50.0
-    total = integrate_scalar(lambda x: np.exp(-a * x) * np.sin(b * x),
-                             0.0, T, SPEC)
+    total = integrate_columns(lambda x: np.exp(-a * x) * np.sin(b * x),
+                              0.0, T, SPEC)[0][0]
     exact = (b - math.exp(-a * T) * (a * math.sin(b * T)
                                      + b * math.cos(b * T))) / (a * a + b * b)
     assert abs(total - exact) < 1e-10
@@ -80,8 +80,8 @@ def test_columns_share_panels_but_not_tolerances():
 
 
 def test_breakpoint_resolves_kink():
-    total = integrate_scalar(lambda x: np.abs(x - 1.0 / 3.0), 0.0, 1.0, SPEC,
-                             breakpoints=[1.0 / 3.0])
+    total = integrate_columns(lambda x: np.abs(x - 1.0 / 3.0), 0.0, 1.0,
+                              SPEC, breakpoints=[1.0 / 3.0])[0][0]
     assert abs(total - 5.0 / 18.0) < 1e-14
 
 
@@ -90,14 +90,14 @@ def test_degenerate_and_reversed_intervals():
                                        2.0, 2.0, SPEC)
     assert totals.tolist() == [0.0] and errors.tolist() == [0.0]
     with pytest.raises(ValueError):
-        integrate_scalar(np.cos, 1.0, 0.0, SPEC)
+        integrate_columns(np.cos, 1.0, 0.0, SPEC)
 
 
 def test_budget_exhaustion_reports_achieved_error():
     spec = QuadratureSpec(abs_tol=1e-30, rel_tol=0.0, max_subintervals=16)
     rough = lambda x: np.abs(x - 0.37) ** -0.9
     with pytest.raises(QuadratureNotConverged) as err:
-        integrate_scalar(rough, 0.0, 1.0, spec)
+        integrate_columns(rough, 0.0, 1.0, spec)
     assert err.value.achieved > err.value.requested > 0.0
     assert "budget" in str(err.value)
 
@@ -111,7 +111,7 @@ def test_budget_exhaustion_reports_achieved_error():
 def test_polynomials_integrate_exactly(coeffs, a, width):
     poly = np.polynomial.Polynomial(coeffs)
     b = a + width
-    got = integrate_scalar(poly, a, b, SPEC)
+    got = integrate_columns(poly, a, b, SPEC)[0][0]
     integ = poly.integ()
     exact = integ(b) - integ(a)
     assert abs(got - exact) <= 1e-9 * (1.0 + abs(exact))

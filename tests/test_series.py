@@ -13,9 +13,8 @@ from dpl_heatlab.quadrature import QuadratureSpec
 from dpl_heatlab.series import (CoefficientHistory, PointSourceFactors,
                                 amplitudes, assemble_at_points,
                                 assemble_field, default_truncation,
-                                mode_coefficient, mode_coefficients,
-                                prefactor, resolve_threads, resolve_truncation,
-                                source_factor, switch_on_transient)
+                                mode_coefficients, prefactor, resolve_threads,
+                                resolve_truncation, switch_on_transient)
 from helpers import kahan_mode_sum, simpson_mode_coefficient, tiny_scenario
 
 
@@ -25,6 +24,13 @@ def stationary_scenario(**overrides):
     base = dict(tau_q=0.0, tau_T=0.0, alpha=1.29e-2, trajectory=traj)
     base.update(overrides)
     return tiny_scenario(**base)
+
+
+def point_factor(s, table, m, n, taus):
+    """Mode (m, n)'s column of the point-source factors at taus."""
+    factors = PointSourceFactors(s, table.kx, table.ky)
+    return factors(np.atleast_1d(np.asarray(taus, dtype=float)))[
+        :, table.index_of(m, n)]
 
 
 def test_prefactor_branches():
@@ -42,18 +48,19 @@ def test_prefactor_branches():
 def test_source_factor_zero_lag_is_plain_eigenfunction():
     s = dh.classical(tiny_scenario())
     table = build_mode_table(s, 3, 3)
-    e = table.entry(2, 3)
+    i = table.index_of(2, 3)
     taus = np.linspace(0.0, 9.0, 11)
     x, y = dh.position(s.trajectory, taus)
-    expected = np.sin(e.kx * x) * np.sin(e.ky * y)
-    assert np.allclose(source_factor(e, s, taus), expected, rtol=1e-15)
+    expected = np.sin(table.kx[i] * x) * np.sin(table.ky[i] * y)
+    assert np.allclose(point_factor(s, table, 2, 3, taus), expected,
+                       rtol=1e-15)
 
 
 def test_source_factor_even_mode_vanishes_at_center():
     s = stationary_scenario(tau_q=1.0, tau_T=1.0)
-    e = build_mode_table(s, 2, 1).entry(2, 1)
+    table = build_mode_table(s, 2, 1)
     # sin(2 pi / L * L/2) = sin(pi) = 0 and the source never moves
-    assert abs(source_factor(e, s, 5.0)) < 1e-12
+    assert abs(point_factor(s, table, 2, 1, 5.0)[0]) < 1e-12
 
 
 def test_source_factor_at_turning_point_has_no_velocity_term():
@@ -61,9 +68,9 @@ def test_source_factor_at_turning_point_has_no_velocity_term():
     s = dh.with_lags(s, 1.0, 1.0)
     table = build_mode_table(s, 4, 3)
     for m, n in [(1, 1), (4, 3)]:
-        e = table.entry(m, n)
-        got = source_factor(e, s, 365.0)
-        expected = math.sin(e.kx * 0.05) * math.sin(e.ky * 0.2)
+        i = table.index_of(m, n)
+        got = point_factor(s, table, m, n, 365.0)[0]
+        expected = math.sin(table.kx[i] * 0.05) * math.sin(table.ky[i] * 0.2)
         assert math.isclose(got, expected, rel_tol=1e-9, abs_tol=1e-12)
 
 
@@ -77,32 +84,32 @@ def test_coefficients_vanish_at_time_zero():
 def test_stationary_classical_coefficient_closed_form():
     s = stationary_scenario()
     table = build_mode_table(s, 2, 2)
+    i = table.index_of(1, 1)
     for t in (0.5, 5.0, 40.0):
-        e = table.entry(1, 1)
-        rate = s.alpha * e.k2
-        expected = (math.sin(e.kx * 0.5) * math.sin(e.ky * 0.5)
+        rate = s.alpha * table.k2[i]
+        expected = (math.sin(table.kx[i] * 0.5) * math.sin(table.ky[i] * 0.5)
                     * -math.expm1(-rate * t) / rate)
-        got = mode_coefficient(e, s, t)
-        assert math.isclose(got, expected, rel_tol=1e-10)
+        coeffs = mode_coefficients(s, table, t)
+        assert math.isclose(coeffs[i], expected, rel_tol=1e-10)
         # even mode dies by parity
-        assert abs(mode_coefficient(table.entry(2, 1), s, t)) < 1e-12
+        assert abs(coeffs[table.index_of(2, 1)]) < 1e-12
 
 
 def test_coefficient_matches_brute_force_simpson():
     s, _ = dh.load_bundled("ct_default")
     s = dh.with_lags(s, 1.0, 1.0)
-    e = build_mode_table(s, 1, 1).entry(1, 1)
-    got = mode_coefficient(e, s, 10.0)
+    got = mode_coefficients(s, build_mode_table(s, 1, 1), 10.0)[0]
     ref = simpson_mode_coefficient(s, 1, 1, 10.0)
     assert math.isclose(got, ref, rel_tol=1e-8)
 
 
 def test_scalar_and_batch_coefficients_agree():
+    """Entries of a whole-table solve equal single-mode Simpson integrals."""
     s, _ = dh.load_bundled("ct_alpha2_q5_T1")
     table = build_mode_table(s, 5, 5)
     batch = mode_coefficients(s, table, 7.0)
     for m, n in [(1, 1), (3, 2), (5, 5)]:
-        direct = mode_coefficient(table.entry(m, n), s, 7.0)
+        direct = simpson_mode_coefficient(s, m, n, 7.0)
         assert math.isclose(batch[table.index_of(m, n)], direct,
                             rel_tol=1e-9, abs_tol=1e-12)
 
@@ -128,14 +135,21 @@ def test_negative_time_rejected():
         dh.temperature(tiny_scenario(), dh.GridSpec(5, 5), -1.0, M=2, N=2)
 
 
+@pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
+def test_non_finite_time_rejected(t):
+    s = tiny_scenario()
+    with pytest.raises(ValueError, match="non-finite"):
+        mode_coefficients(s, build_mode_table(s, 2, 2), t)
+
+
 def test_point_evaluation_matches_grid_sample():
     s = tiny_scenario()
     grid = dh.GridSpec(11, 9)
     field = dh.temperature(s, grid, 3.0, M=5, N=5)
+    sol = dh.solve_series(s, 3.0, M=5, N=5)
     xs, ys = grid.axes(s.L, s.H)
     for i, j in [(0, 0), (3, 4), (10, 8), (5, 2)]:
-        p = dh.temperature_at_point(s, float(xs[i]), float(ys[j]), 3.0,
-                                    M=5, N=5)
+        p = float(sol.at([xs[i]], [ys[j]])[0])
         assert math.isclose(p, field.values[i, j], rel_tol=1e-13, abs_tol=1e-13)
 
 
@@ -166,13 +180,13 @@ def test_equal_lag_switch_on_transient_identity():
     the two fields themselves still differ by percent.
     """
     s, _ = dh.load_bundled("lst_q1_T1")
-    table = build_mode_table(s, 24, 24)
     xs = np.linspace(0.0, s.L, 41)
     ys = np.full_like(xs, 0.2)
     t = 12.5
-    lagged = dh.temperature_at_points(s, xs, ys, t, M=24, N=24)
-    diffusive = dh.temperature_at_points(dh.classical(s), xs, ys, t, M=24, N=24)
-    correction = switch_on_transient(s, table, t, xs, ys)
+    sol = dh.solve_series(s, t, M=24, N=24)
+    lagged = sol.at(xs, ys)
+    diffusive = dh.solve_series(dh.classical(s), t, M=24, N=24).at(xs, ys)
+    correction = switch_on_transient(s, sol.table, t, xs, ys)
     peak = np.abs(diffusive).max()
     assert np.abs(lagged + correction - diffusive).max() < 1e-6 * peak
     # sanity: the raw fields genuinely disagree, so the identity is doing work
