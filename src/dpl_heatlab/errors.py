@@ -8,6 +8,7 @@ NON_POSITIVE_GEOMETRY = "NonPositiveGeometry"
 NEGATIVE_LAG = "NegativeLag"
 TRAJECTORY_ESCAPES_PLATE = "TrajectoryEscapesPlate"
 ZERO_ANGULAR_VELOCITY = "ZeroAngularVelocity"
+NON_FINITE_VALUE = "NonFiniteValue"
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ config-file format used by the CLI and the bundled scenario library.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from importlib import resources
 
@@ -14,6 +15,7 @@ import numpy as np
 
 from .errors import (
     NEGATIVE_LAG,
+    NON_FINITE_VALUE,
     NON_POSITIVE_GEOMETRY,
     TRAJECTORY_ESCAPES_PLATE,
     ConfigFormatError,
@@ -162,24 +164,36 @@ def validate_scenario(s: PlateScenario) -> PlateScenario:
     config with several mistakes reports them all at once.
     """
     violations: list[Violation] = []
+    traj = s.trajectory
+
+    # A non-finite field gets this code only; the range rules below skip it.
+    finite = {}
+    for name, value in (("L", s.L), ("H", s.H), ("theta", s.theta),
+                        ("k", s.k), ("alpha", s.alpha), ("tau_q", s.tau_q),
+                        ("tau_T", s.tau_T), ("T0", s.T0), ("traj.A", traj.A),
+                        ("traj.B", traj.B), ("traj.w", traj.w),
+                        ("traj.cx", traj.cx), ("traj.cy", traj.cy)):
+        finite[name] = math.isfinite(value)
+        if not finite[name]:
+            violations.append(Violation(
+                NON_FINITE_VALUE, f"{name} must be finite, got {value!r}"))
 
     for name, value in (("L", s.L), ("H", s.H), ("theta", s.theta),
                         ("k", s.k), ("alpha", s.alpha)):
-        if not value > 0.0:
+        if finite[name] and not value > 0.0:
             violations.append(Violation(
                 NON_POSITIVE_GEOMETRY, f"{name} must be positive, got {value!r}"))
     for name, value in (("tau_q", s.tau_q), ("tau_T", s.tau_T)):
-        if value < 0.0:
+        if finite[name] and value < 0.0:
             violations.append(Violation(
                 NEGATIVE_LAG, f"{name} must be nonnegative, got {value!r}"))
 
-    traj = s.trajectory
     if traj.kind not in KINDS:
         violations.append(Violation(
             INCONSISTENT_KIND, f"unknown trajectory kind {traj.kind!r}"))
     elif traj.kind == CUSTOM:
         violations.extend(_check_samples(traj))
-    else:
+    elif finite["traj.A"] and finite["traj.B"]:
         if traj.A < 0.0 or traj.B < 0.0:
             violations.append(Violation(
                 NON_POSITIVE_GEOMETRY,

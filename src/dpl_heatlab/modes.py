@@ -13,6 +13,11 @@ arguments, so the overdamped kernel is evaluated as
 exp(-(b1 - b2) D) (1 - exp(-2 b2 D)) / (2 b2); b1 >= b2 always holds there,
 and the slow rate b1 - b2 is computed as (alpha k2 / tau_q)/(b1 + b2) to
 avoid cancellation for nearly-critical modes.
+
+For a source that repeats with period T, ``kernel_matrix`` also returns
+the folded kernel sum_{i<c} K(D + i T) in closed form, through the
+geometric sums G(r) = sum_{i<c} exp(-r i T) = expm1(-r c T)/expm1(-r T)
+(complex r for oscillatory modes) and their ramp-weighted variants.
 """
 
 from __future__ import annotations
@@ -121,32 +126,98 @@ def build_mode_table(s: PlateScenario, M: int, N: int) -> ModeTable:
                      gain=gain, inv=inv)
 
 
-def kernel_matrix(regime, damping, splitting, slow, delta) -> np.ndarray:
+def _geometric(rate, period, copies):
+    """sum_{i<copies} exp(-rate i period) = expm1(-rate c T) / expm1(-rate T).
+
+    rate may be complex (oscillatory modes use damping - i |splitting|).
+    """
+    return np.expm1(-rate * (copies * period)) / np.expm1(-rate * period)
+
+
+def _ramp_sum(rate, fast, h, period, copies):
+    """sum_{i<copies} q^i h(i period) with q = exp(-rate period), closed form.
+
+    h(x) = (1 - exp(-(fast - rate) x)) / (fast - rate) for overdamped modes
+    (the kernel without its slow exponential), and h(x) = x with
+    fast = rate for critical ones, the limit as the rates meet.
+    """
+    q = np.exp(-rate * period)
+    q_c = np.exp(-rate * (copies * period))
+    one_minus_q = -np.expm1(-rate * period)
+    return ((q * h(period) * -np.expm1(-rate * (copies * period))
+             - one_minus_q * q_c * h(copies * period))
+            / (one_minus_q * -np.expm1(-fast * period)))
+
+
+def kernel_matrix(regime, damping, splitting, slow, delta,
+                  fold=None) -> np.ndarray:
     """Kernel values for every (time, mode) pair; delta (Q,) -> (Q, P).
 
     K(0) = 0 in every lagged regime and 1 on the diffusive branch.  delta
     must be >= 0; the coefficient engine clamps it there.
+
+    ``fold = (period, copies)`` returns the folded kernel
+    sum_{i<copies} K(delta + i period) instead: the history of a periodic
+    source laid over its last period.  With G(r) = sum_{i<c} exp(-r i T),
+    the closed forms are
+
+      overdamped   exp(-slow D) (h(D) G(slow) + exp(-2 b2 D) S),
+                   h(D) = (1 - exp(-2 b2 D)) / (2 b2), S = sum q^i h(i T)
+      critical     exp(-b1 D) (D G(b1) + T sum i q^i)
+      oscillatory  Im(exp(-r D) G(r)) / |b2| with complex r = b1 - i |b2|
+      diffusive    exp(-decay D) G(decay)
+
+    The overdamped form is the slow-rate and fast-rate sums regrouped so
+    that every term is nonnegative; it tends to the critical form as
+    b2 -> 0 without a difference of nearly equal sums.  One copy (or no
+    fold) gives exactly the unfolded values.
     """
     delta = np.asarray(delta, dtype=float)
     d = delta[:, None]
     out = np.empty((delta.size, regime.size))
+    period, copies = fold if fold is not None else (0.0, 1)
+    folded = copies != 1
 
     sel = regime == OVERDAMPED
     if sel.any():
         b2 = splitting[sel][None, :]
-        out[:, sel] = (np.exp(-slow[sel][None, :] * d)
-                       * (-np.expm1(-2.0 * b2 * d)) / (2.0 * b2))
+        expo = np.exp(-slow[sel][None, :] * d)
+        em = np.expm1(-2.0 * b2 * d)
+        if folded:
+            rate, split2 = slow[sel], 2.0 * splitting[sel]
+            ramp = _ramp_sum(rate, rate + split2,
+                             lambda x: -np.expm1(-split2 * x) / split2,
+                             period, copies)
+            weight = ramp - _geometric(rate, period, copies) / split2
+            out[:, sel] = expo * (ramp + em * weight)
+        else:
+            out[:, sel] = expo * (-em) / (2.0 * b2)
     sel = regime == CRITICAL
     if sel.any():
-        out[:, sel] = d * np.exp(-damping[sel][None, :] * d)
+        b1 = damping[sel]
+        if folded:
+            out[:, sel] = np.exp(-b1[None, :] * d) * (
+                d * _geometric(b1, period, copies)
+                + _ramp_sum(b1, b1, lambda x: x, period, copies))
+        else:
+            out[:, sel] = d * np.exp(-b1[None, :] * d)
     sel = regime == OSCILLATORY
     if sel.any():
         ab2 = splitting[sel][None, :]
+        expo = np.exp(-damping[sel][None, :] * d)
         # d * sinc(|b2| d / pi) = sin(|b2| d)/|b2|, continuous through b2 = 0
-        out[:, sel] = np.exp(-damping[sel][None, :] * d) * d * np.sinc(ab2 * d / np.pi)
+        if folded:
+            geo = _geometric(damping[sel] - 1j * splitting[sel], period, copies)
+            out[:, sel] = expo * (d * np.sinc(ab2 * d / np.pi) * geo.real
+                                  + np.cos(ab2 * d) * (geo.imag / splitting[sel]))
+        else:
+            out[:, sel] = expo * d * np.sinc(ab2 * d / np.pi)
     sel = regime == DIFFUSIVE
     if sel.any():
-        out[:, sel] = np.exp(-damping[sel][None, :] * d)
+        expo = np.exp(-damping[sel][None, :] * d)
+        if folded:
+            expo *= _geometric(damping[sel], period, copies)
+        out[:, sel] = expo
     return out
 
 

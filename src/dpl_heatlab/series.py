@@ -21,11 +21,19 @@ the truncation sweep and the Gaussian-source series of the finite-
 difference cross-check all read such a solution.
 
 Coefficients for a whole mode table are computed by one adaptive pass per
-time segment (segments split at trajectory quarter-periods), processed
-backward from tau = t so that modes whose remaining kernel mass is below
-their error budget drop out early; later segments evaluate source factors
-for the still-active modes only.  Modes are handled in fixed chunks in
-ascending-k2 order, so results do not depend on the worker-thread count.
+time segment over a convolution window.  Line, circle and ellipse sources
+repeat with period T = 2 pi / |w|, so for t > T the window is the last
+period [t - T, t]: each sample there stands for itself and its earlier
+copies tau - T, tau - 2T, ... >= 0, and the kernel is the closed-form sum
+over those copies (``kernel_matrix`` with ``fold``).  The copy count is
+constant per segment, n = floor(t / T) below nT and n + 1 from nT on, so
+the cost no longer grows with t.  Custom paths, w = 0 and t <= T use the
+window [0, t] with one copy.  Segments split at trajectory quarter-periods
+(spline knots for custom paths) and are processed backward from tau = t,
+so that modes whose remaining kernel mass is below their error budget drop
+out early; later segments evaluate source factors for the still-active
+modes only.  Modes are handled in fixed chunks in ascending-k2 order, so
+results do not depend on the worker-thread count.
 
 The basis is separable, and both hot paths use that.  Source factors
 evaluate sin/cos once per distinct kx and ky and gather the per-axis values
@@ -56,6 +64,7 @@ from .modes import (
     kernel_tail_mass,
 )
 from .quadrature import QuadratureSpec, integrate_columns
+from .trajectory import period as source_period
 from .trajectory import position, velocity, velocity_bounds
 
 MODE_CHUNK = 1024
@@ -149,23 +158,47 @@ class PointSourceFactors:
         return 1.0 + self.tau_q * (self.kx * vx_max + self.ky * vy_max)
 
 
-def _segment_boundaries(s: PlateScenario, t: float) -> np.ndarray:
-    """Panel seeds for [0, t]: quarter-periods, or spline knots for custom."""
-    pts = [0.0, t]
+def _panel_seeds(s: PlateScenario, a: float, b: float) -> np.ndarray:
+    """a, b and the quarter-periods (spline knots for custom) inside (a, b)."""
+    pts = [a, b]
     traj = s.trajectory
     if traj.kind == CUSTOM:
-        pts.extend(tk for tk in traj.samples[0] if 0.0 < tk < t)
+        pts.extend(tk for tk in traj.samples[0] if a < tk < b)
     elif traj.w != 0.0:
         quarter = 0.5 * math.pi / abs(traj.w)
-        count = int(math.floor(t / quarter))
-        pts.extend(j * quarter for j in range(1, count + 1) if j * quarter < t)
+        first = int(math.floor(a / quarter))
+        last = int(math.floor(b / quarter))
+        pts.extend(j * quarter for j in range(first, last + 1)
+                   if a < j * quarter < b)
     return np.unique(np.asarray(pts, dtype=float))
 
 
+def _segment_window(s: PlateScenario, t: float):
+    """Segment seeds, source period and per-segment kernel copies.
+
+    A line, circle or ellipse source repeats with period T = 2 pi / |w|, so
+    for t > T the whole history folds onto [t - T, t]: a sample tau there
+    stands for tau, tau - T, ... down to 0, that is n = floor(t / T) copies
+    below nT and n + 1 from nT on (nT is a quarter-period, hence a seed).
+    Returns (seeds, T, copies); custom paths, w = 0 and t <= T keep the
+    seeds on [0, t] with period None and one copy per segment.
+    """
+    traj = s.trajectory
+    period = None if traj.kind == CUSTOM or traj.w == 0.0 else source_period(traj)
+    if period is None or t <= period:
+        seeds = _panel_seeds(s, 0.0, t)
+        return seeds, None, np.ones(seeds.size - 1, dtype=int)
+    n = int(math.floor(t / period))
+    seeds = _panel_seeds(s, t - period, t)
+    copies = np.where(seeds[1:] <= n * period, n, n + 1)
+    return seeds, period, copies
+
+
 def _coefficients_chunk(s, table: ModeTable, sel: slice, t: float,
-                        quad: QuadratureSpec, bounds: np.ndarray,
+                        quad: QuadratureSpec, window,
                         factors_factory) -> tuple[np.ndarray, np.ndarray]:
     """Coefficients for one contiguous chunk of the mode table."""
+    bounds, period, copies = window
     kx = table.kx[sel]
     ky = table.ky[sel]
     regime = table.regime[sel]
@@ -189,11 +222,13 @@ def _coefficients_chunk(s, table: ModeTable, sel: slice, t: float,
         idx = np.flatnonzero(active)
         reg_a, dmp_a = regime[idx], damping[idx]
         spl_a, slo_a = splitting[idx], slow[idx]
+        fold = (period, int(copies[j]))
 
-        def f(taus, _idx=idx, _reg=reg_a, _dmp=dmp_a, _spl=spl_a, _slo=slo_a):
+        def f(taus, _idx=idx, _reg=reg_a, _dmp=dmp_a, _spl=spl_a, _slo=slo_a,
+              _fold=fold):
             delta = np.maximum(t - taus, 0.0)
             vals = factors(taus, _idx)
-            vals *= kernel_matrix(_reg, _dmp, _spl, _slo, delta)
+            vals *= kernel_matrix(_reg, _dmp, _spl, _slo, delta, _fold)
             return vals
 
         tol = np.maximum(quad.abs_tol, quad.rel_tol * np.abs(acc[idx])) / nseg
@@ -202,6 +237,7 @@ def _coefficients_chunk(s, table: ModeTable, sel: slice, t: float,
         err[idx] += errors
 
         if j > 0:
+            # The copies still to come cover disjoint delays >= t - a_seg.
             remaining = kernel_tail_mass(reg_a, dmp_a, spl_a, slo_a,
                                          t - a_seg) * fbound[idx]
             budget = 0.5 * np.maximum(quad.abs_tol,
@@ -231,20 +267,20 @@ def mode_coefficients(s: PlateScenario, table: ModeTable, t: float,
         return np.zeros(nmodes)
     quad = quad or QuadratureSpec()
     factory = factors_factory or PointSourceFactors
-    bounds = _segment_boundaries(s, t)
+    window = _segment_window(s, t)
     chunks = [slice(i, min(i + MODE_CHUNK, nmodes))
               for i in range(0, nmodes, MODE_CHUNK)]
 
     out = np.empty(nmodes)
     workers = min(resolve_threads(threads), len(chunks))
     if workers <= 1:
-        results = [_coefficients_chunk(s, table, sel, t, quad, bounds, factory)
+        results = [_coefficients_chunk(s, table, sel, t, quad, window, factory)
                    for sel in chunks]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(
                 lambda sel: _coefficients_chunk(s, table, sel, t, quad,
-                                                bounds, factory),
+                                                window, factory),
                 chunks))
     for sel, (acc, _err) in zip(chunks, results):
         out[sel] = acc
@@ -440,12 +476,11 @@ class CoefficientHistory:
             cols.append(np.where(osc[None, :], cols[0] * np.sin(phase), 0.0))
             return np.concatenate(cols, axis=1)
 
-        bounds = _segment_boundaries(self.s, t_new)
-        inner = bounds[(bounds > self.t) & (bounds < t_new)]
         seg_spec = replace(self.quad, rel_tol=0.0)
         totals, _ = integrate_columns(f, self.t, t_new, seg_spec,
                                       abs_tol=self.quad.abs_tol,
-                                      breakpoints=inner)
+                                      breakpoints=_panel_seeds(self.s, self.t,
+                                                               t_new))
         n = table.nmodes
         return totals[:n], totals[n:2 * n], totals[2 * n:3 * n], totals[3 * n:]
 

@@ -21,8 +21,18 @@ def simpson(values, h):
 
 
 def source_track(scenario, taus):
-    """Source position and velocity along an analytic trajectory."""
+    """Source position and velocity along the trajectory.
+
+    Analytic kinds use the closed forms; the custom kind interpolates its
+    samples with scipy's not-a-knot cubic spline.
+    """
     traj = scenario.trajectory
+    if traj.kind == "custom":
+        from scipy.interpolate import CubicSpline
+
+        ts, xs, ys = (np.asarray(a, dtype=float) for a in traj.samples)
+        sx, sy = CubicSpline(ts, xs), CubicSpline(ts, ys)
+        return sx(taus), sy(taus), sx(taus, 1), sy(taus, 1)
     ph = traj.w * taus
     x = traj.cx + traj.A * np.cos(ph)
     y = traj.cy + traj.B * np.sin(ph)

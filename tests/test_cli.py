@@ -185,6 +185,17 @@ def test_non_finite_time_exits_2(tmp_path, capsys, argv):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("override", [["--w", "inf"], ["--tau-q", "nan"]],
+                         ids=["w-inf", "tau-q-nan"])
+def test_non_finite_sweep_parameter_exits_2(tmp_path, capsys, override):
+    rc = main(["sweep", "--scenario", "ct_alpha2_q1_T1", "--t", "1",
+               *override, "--modes", "2,2", "--samples", "4",
+               "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "must be finite" in err
+
+
 def test_unwritable_out_dir_exits_4(tmp_path, capsys):
     blocker = tmp_path / "file"
     blocker.write_text("occupied")

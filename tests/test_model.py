@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import dpl_heatlab as dh
-from dpl_heatlab.errors import (NEGATIVE_LAG, NON_POSITIVE_GEOMETRY,
+from dpl_heatlab.errors import (NEGATIVE_LAG, NON_FINITE_VALUE,
+                                NON_POSITIVE_GEOMETRY,
                                 TRAJECTORY_ESCAPES_PLATE, ConfigFormatError,
                                 ScenarioValidationError)
 from dpl_heatlab.model import (BAD_SAMPLES, INCONSISTENT_KIND, fdm_from_mapping,
@@ -97,6 +99,25 @@ def test_valid_custom_trajectory_accepted():
     ys = tuple(0.5 + 0.2 * np.sin(0.2 * np.pi * np.asarray(ts)))
     s = tiny_scenario(trajectory=dh.Trajectory(kind="custom", samples=(ts, xs, ys)))
     assert dh.validate_scenario(s) is s
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf],
+                         ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("field", [
+    "L", "H", "theta", "k", "alpha", "tau_q", "tau_T", "T0",
+    "traj.A", "traj.B", "traj.w", "traj.cx", "traj.cy"])
+def test_non_finite_value_rejected(field, value):
+    """Each non-finite field gets the NonFiniteValue code and no other."""
+    s = tiny_scenario()
+    if field.startswith("traj."):
+        traj = dataclasses.replace(s.trajectory, **{field[5:]: value})
+        s = dataclasses.replace(s, trajectory=traj)
+    else:
+        s = dataclasses.replace(s, **{field: value})
+    with pytest.raises(ScenarioValidationError) as err:
+        dh.validate_scenario(s)
+    assert err.value.codes() == {NON_FINITE_VALUE}
+    assert f"{field} must be finite" in str(err.value)
 
 
 # --- config codec ----------------------------------------------------------

@@ -217,3 +217,89 @@ def test_regime_classification_matches_discriminant(alpha, tau_q, tau_T):
             assert table.regime[i] == OSCILLATORY
         else:
             assert table.regime[i] == CRITICAL
+
+
+# --- folded kernel ----------------------------------------------------------
+
+# One mode per regime, plus near-critical overdamped and oscillatory modes.
+FOLD_MODES = {
+    "overdamped": (OVERDAMPED, 0.8, 0.3, 0.5),
+    "near-critical-overdamped": (OVERDAMPED, 0.7, 1e-9, 0.7 - 1e-9),
+    "closer-critical-overdamped": (OVERDAMPED, 0.7, 1e-13, 0.7 - 1e-13),
+    "critical": (CRITICAL, 0.7, 0.0, 0.0),
+    "oscillatory": (OSCILLATORY, 0.3, 2.0, 0.0),
+    "near-critical-oscillatory": (OSCILLATORY, 0.7, 1e-9, 0.0),
+    "diffusive": (DIFFUSIVE, 0.4, 0.0, 0.0),
+    "slow-diffusive": (DIFFUSIVE, 1.3e-3, 0.0, 0.0),
+}
+
+
+def mode_arrays(*modes):
+    return [np.array(col) for col in zip(*modes)]
+
+
+def test_fold_with_one_copy_is_the_plain_kernel_bitwise():
+    args = mode_arrays(*FOLD_MODES.values())
+    deltas = np.linspace(0.0, 9.0, 37)
+    plain = kernel_matrix(*args, deltas)
+    assert np.array_equal(kernel_matrix(*args, deltas, fold=(1.7, 1)), plain)
+    assert np.array_equal(kernel_matrix(*args, deltas, fold=None), plain)
+
+
+@pytest.mark.parametrize("copies", [2, 7, 40])
+@pytest.mark.parametrize("name", list(FOLD_MODES))
+def test_fold_matches_explicit_sum_of_copies(name, copies):
+    args = mode_arrays(FOLD_MODES[name])
+    period = 1.7
+    deltas = np.linspace(0.0, period, 23)
+    folded = kernel_matrix(*args, deltas, fold=(period, copies))[:, 0]
+    explicit = sum(kernel_matrix(*args, deltas + i * period)[:, 0]
+                   for i in range(copies))
+    scale = np.abs(explicit).max()
+    assert np.abs(folded - explicit).max() <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("tau_q,tau_T", [(5.0, 1.0), (2.0, 2.0)])
+def test_fold_is_continuous_across_the_critical_bracket(tau_q, tau_T):
+    """As in acceptance 08: alpha_crit (1 -/+ 1e-12) brackets the branch.
+
+    The three alphas fall in at least two regimes, with splittings of
+    1e-7 and below: overdamped and oscillatory for tau_q = 5, tau_T = 1;
+    oscillatory and critical for equal lags, where the discriminant is a
+    square and its rounding picks the branch.
+    """
+    k2 = 2.0 * math.pi ** 2
+    a, b = tau_T * tau_T * k2 * k2, 2.0 * tau_T * k2 - 4.0 * tau_q * k2
+    alpha_crit = (-b - math.sqrt(b * b - 4.0 * a)) / (2.0 * a)
+    bumps = (1.0 - 1e-12, 1.0, 1.0 + 1e-12)
+    deltas = np.linspace(0.0, 2.0 * math.pi, 25)
+    values, regimes = [], set()
+    for bump in bumps:
+        s = dh.validate_scenario(dh.PlateScenario(
+            L=1.0, H=1.0, T0=0.0, theta=1.0, k=1.0,
+            alpha=alpha_crit * bump, tau_q=tau_q, tau_T=tau_T,
+            trajectory=dh.Trajectory(kind="circle", A=0.2, B=0.2, w=1.0)))
+        tb = build_mode_table(s, 1, 1)
+        regimes.add(int(tb.regime[0]))
+        values.append(kernel_matrix(tb.regime, tb.damping, tb.splitting,
+                                    tb.slow, deltas,
+                                    fold=(2.0 * math.pi, 7))[:, 0])
+    values = np.array(values)
+    jump = (values.max(axis=0) - values.min(axis=0)).max()
+    assert len(regimes) >= 2  # the bracket really changes the branch
+    assert jump <= 1e-10 * np.abs(values).max()
+
+
+def test_fold_with_many_copies_and_large_rates_stays_finite():
+    modes = [(OVERDAMPED, 50.0, 50.0 - 1e-6, 1e-6), (OVERDAMPED, 60.0, 40.0, 20.0),
+             (CRITICAL, 50.0, 0.0, 0.0), (OSCILLATORY, 50.0, 50.0, 0.0),
+             (DIFFUSIVE, 50.0, 0.0, 0.0)]
+    args = mode_arrays(*modes)
+    deltas = np.array([0.0, 0.3, 1.0, 1e4])
+    with np.errstate(over="raise", invalid="raise"):
+        folded = kernel_matrix(*args, deltas, fold=(1.0, 10_000))
+        explicit = kernel_matrix(
+            *args, (deltas[None, :] + np.arange(10_000)[:, None]).ravel())
+    explicit = explicit.reshape(10_000, deltas.size, len(modes)).sum(axis=0)
+    assert np.isfinite(folded).all()
+    assert np.allclose(folded, explicit, rtol=1e-10, atol=1e-300)

@@ -8,7 +8,7 @@ import dpl_heatlab as dh
 from dpl_heatlab import series
 from dpl_heatlab.errors import NegativeElapsed, QuadratureNotConverged
 from dpl_heatlab.fdm import GaussianSourceFactors
-from dpl_heatlab.modes import build_mode_table
+from dpl_heatlab.modes import REGIME_NAMES, build_mode_table
 from dpl_heatlab.quadrature import QuadratureSpec
 from dpl_heatlab.series import (CoefficientHistory, PointSourceFactors,
                                 amplitudes, assemble_at_points,
@@ -366,3 +366,70 @@ def test_masked_assembly_keeps_edges_at_ambient():
     edge = assemble_at_points(s, table, coeffs, [0.0, s.L, 0.3, 0.7],
                               [0.4, 0.6, 0.0, s.H], mode_mask=mask)
     assert (edge == 250.0).all()
+
+
+# --- period-folded history ----------------------------------------------------
+
+
+def _critical_circle():
+    """The critical-mode scenario of the incremental-history test."""
+    return dh.PlateScenario(L=math.pi, H=math.pi, theta=50.0, k=1.0,
+                            alpha=0.25, tau_q=2.0, tau_T=2.0,
+                            trajectory=dh.Trajectory(kind="circle", A=0.7,
+                                                     B=0.7, w=0.5))
+
+
+def _fold_scenario(name):
+    if name == "critical":
+        return _critical_circle()
+    return dh.load_bundled(name)[0]
+
+
+# Elapsed times as multiples of the period T.
+FOLD_TIMES = {
+    "5.3 periods": lambda T: 5.3 * T,
+    "exact multiple": lambda T: 6.0 * T,
+    "just after nT": lambda T: 6.0 * T + 1e-3,
+    "window start off a quarter": lambda T: 5.0 * T + 0.0925 * T + 0.11,
+    "under one period": lambda T: 0.73 * T,
+}
+
+
+@pytest.mark.parametrize("when", list(FOLD_TIMES))
+@pytest.mark.parametrize("name,regime", [
+    ("lst_q1_T1", "overdamped"), ("lst_default", "diffusive"),
+    ("ct_alpha2_q5_T1", "oscillatory"), ("critical", "critical")])
+def test_folded_coefficients_match_brute_force_simpson(name, regime, when):
+    """The one-period window with copied kernels equals the full history."""
+    s = _fold_scenario(name)
+    period = 2.0 * math.pi / abs(s.trajectory.w)
+    t = FOLD_TIMES[when](period)
+    table = build_mode_table(s, 3, 3)
+    assert REGIME_NAMES[table.regime[table.index_of(1, 1)]] == regime
+    coeffs = mode_coefficients(s, table, t)
+    scale = np.abs(coeffs).max()
+    for m, n in [(1, 1), (2, 3)]:
+        ref = simpson_mode_coefficient(s, m, n, t, panels=100_000)
+        assert abs(coeffs[table.index_of(m, n)] - ref) <= 1e-9 * scale
+
+
+@pytest.mark.parametrize("path", ["custom", "w = 0"])
+def test_unfolded_paths_match_brute_force_simpson(path):
+    """Custom paths and a parked source keep the history on [0, t]."""
+    s, _ = dh.load_bundled("ct_alpha2_q5_T1")
+    if path == "custom":
+        ts = np.linspace(0.0, 40.0, 81)
+        ph = 0.3 * ts + 0.1 * np.sin(0.5 * ts)
+        traj = dh.Trajectory(kind="custom", samples=(
+            tuple(ts), tuple(0.5 + 0.25 * np.cos(ph)),
+            tuple(0.5 + 0.2 * np.sin(ph))))
+    else:
+        traj = dataclasses.replace(s.trajectory, w=0.0)
+    s = dh.validate_scenario(dataclasses.replace(s, trajectory=traj))
+    t = 33.0
+    table = build_mode_table(s, 3, 3)
+    coeffs = mode_coefficients(s, table, t)
+    scale = np.abs(coeffs).max()
+    for m, n in [(1, 1), (2, 3)]:
+        ref = simpson_mode_coefficient(s, m, n, t, panels=100_000)
+        assert abs(coeffs[table.index_of(m, n)] - ref) <= 1e-9 * scale
