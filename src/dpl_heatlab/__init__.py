@@ -25,12 +25,6 @@ from .errors import (
     UnstableConfig,
     ZeroAngularVelocity,
 )
-from .fdm import (
-    GaussianSourceFactors,
-    deviation_report,
-    project_gaussian_source_series,
-    solve_fdm,
-)
 from .model import (
     FdmConfig,
     GridSpec,
@@ -78,3 +72,13 @@ __all__ = [
     "source_state", "temperature", "trajectory_profile", "validate_scenario",
     "velocity", "with_lags",
 ]
+
+
+def __getattr__(name):
+    # fdm needs scipy: load it on first use (PEP 562), never on import.
+    if name in ("GaussianSourceFactors", "deviation_report",
+                "project_gaussian_source_series", "solve_fdm"):
+        from . import fdm
+
+        return getattr(fdm, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -1,8 +1,8 @@
 """Command-line front end: scenario files in, CSV + plot scripts out.
 
 Exit codes: 0 success, 2 configuration/usage error, 3 numerical failure
-(quadrature not converged, unstable stepping, degenerate peak), 4 output
-I/O error.
+(quadrature not converged, unstable stepping, degenerate peak, arithmetic
+overflow), 4 output I/O error.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from .errors import (
     TrajectoryNotClosed,
     UnstableConfig,
 )
-from .fdm import deviation_report, project_gaussian_source_series, solve_fdm
 from .model import (
     FdmConfig,
     GridSpec,
@@ -264,6 +263,9 @@ def _cmd_peak_sweep(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    # scipy (sparse LU, Faddeeva) loads only when an oracle runs.
+    from . import fdm
+
     s, fdm_cfg = _load_scenario_arg(args.scenario)
     overrides = {
         "hx": args.fdm_hx, "hy": args.fdm_hy, "dt": args.fdm_dt,
@@ -289,15 +291,15 @@ def _cmd_oracle(args) -> int:
     quad = _quad_from_args(args)
     out = _prepare_out(args.out)
 
-    fields = solve_fdm(s, fdm_cfg)
+    fields = fdm.solve_fdm(s, fdm_cfg)
     for field in fields:
         write_field_csv(field, s, out / f"fdm_t{field.t:g}.csv")
     final = fields[-1]
-    series_field = project_gaussian_source_series(
+    series_field = fdm.project_gaussian_source_series(
         s, fdm_cfg.resolved_sigma(), final.grid, final.t,
         modes[0], modes[1], quad, threads=args.threads)
     write_field_csv(series_field, s, out / f"series_t{final.t:g}.csv")
-    report = deviation_report(final, series_field, s.T0)
+    report = fdm.deviation_report(final, series_field, s.T0)
     with open(out / "report.json", "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -451,6 +453,9 @@ def main(argv=None) -> int:
         return 2
     except (QuadratureNotConverged, UnstableConfig, PeakOnBoundary) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except ArithmeticError as exc:
+        print(f"error: numerical failure: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -20,21 +20,22 @@ Crank-Nicolson step with the gradient-lag term differenced across the
 level pair.
 
 Because a Gaussian source is not what the eigenfunction series solves,
-the like-for-like comparison projects the same Gaussian onto the sine
-basis: per-axis projection integrals are tabulated on a dense grid of
-source centers and splined, then fed through the ordinary convolution
-machinery in place of the point-source sine factors.
+the like-for-like comparison projects the same Gaussian, clipped at the
+walls, onto the sine basis in closed form (``sine_projection``) and feeds
+those per-axis factors through the ordinary convolution machinery in place
+of the point-source sine factors.
 """
 
 from __future__ import annotations
 
 import math
+from functools import partial
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 from scipy.sparse import eye, identity, kron
 from scipy.sparse import diags
 from scipy.sparse.linalg import splu
+from scipy.special import wofz
 
 from .errors import UnstableConfig
 from .model import FdmConfig, GridSpec, PlateScenario, TemperatureField
@@ -190,52 +191,39 @@ def solve_fdm(s: PlateScenario, cfg: FdmConfig, *, initial=None):
 # --- source-matched series -------------------------------------------------
 
 
-def _projection_table(rates: np.ndarray, limit: float, centers: np.ndarray,
-                      sigma: float) -> np.ndarray:
+def sine_projection(rates: np.ndarray, limit: float, centers: np.ndarray,
+                    sigma: float) -> tuple[np.ndarray, np.ndarray]:
     """p_r(c) = integral over [0, limit] of g_sigma(xi - c) sin(r xi) dxi.
 
-    Tabulated for every (center, rate) pair by Gauss-Legendre panels over
-    the +-8 sigma support clipped to the domain.
+    Exact for the wall-clipped Gaussian and r = m pi / limit.  With
+    x = c / (sigma sqrt 2), x' = (limit - c) / (sigma sqrt 2),
+    y = r sigma / sqrt 2 and w the Faddeeva function, the projection onto
+    e^(i r xi) is the whole-line transform minus the tails beyond the walls,
+
+      Z_r(c) = e^(-y^2) e^(i r c) - 1/2 e^(-x^2) w(-y + i x)
+               - 1/2 (-1)^m e^(-x'^2) w(y + i x'),
+
+    so p_r = Im Z_r and, e^(i r limit) = (-1)^m being real,
+    dp_r/dc = r Re Z_r.  Returns the (C, R) tables p and dp/dc.
     """
-    nodes, weights = np.polynomial.legendre.leggauss(96)
-    out = np.empty((centers.size, rates.size))
-    norm = 1.0 / (sigma * math.sqrt(2.0 * math.pi))
-    for start in range(0, centers.size, 256):
-        c = centers[start:start + 256]
-        lo = np.maximum(0.0, c - 8.0 * sigma)
-        hi = np.minimum(limit, c + 8.0 * sigma)
-        mid = 0.5 * (lo + hi)
-        half = 0.5 * (hi - lo)
-        u = mid[:, None] + half[:, None] * nodes[None, :]
-        g = norm * np.exp(-((u - c[:, None]) ** 2) / (2.0 * sigma * sigma))
-        gw = g * (half[:, None] * weights[None, :])
-        out[start:start + 256] = np.einsum(
-            "cg,cgr->cr", gw, np.sin(u[:, :, None] * rates[None, None, :]))
-    return out
-
-
-def _center_range(s: PlateScenario, axis: int, sigma: float):
-    traj = s.trajectory
-    if traj.kind == "custom":
-        ts = np.asarray(traj.samples[0], dtype=float)
-        tt = np.linspace(ts[0], ts[-1], 4096)
-        vals = position(traj, tt)[axis]
-        lo, hi = float(np.min(vals)), float(np.max(vals))
-    else:
-        if axis == 0:
-            lo, hi = traj.cx - traj.A, traj.cx + traj.A
-        else:
-            lo, hi = traj.cy - traj.B, traj.cy + traj.B
-    pad = max(sigma * 0.25, 1e-9)
-    return lo - pad, hi + pad
+    root2 = math.sqrt(2.0)
+    y = rates * (sigma / root2)
+    z = np.exp(1j * np.outer(centers, rates) - y * y)
+    half = 0.5 - np.rint(rates * (limit / math.pi)) % 2.0   # (-1)^m / 2
+    for dist, arg, fac in ((centers, -y, 0.5), (limit - centers, y, half)):
+        x = dist / (sigma * root2)
+        near = x < 27.0   # farther out e^(-x^2) underflows to 0
+        xn = x[near, None]
+        z[near] -= fac * np.exp(-xn * xn) * wofz(arg + 1j * xn)
+    return z.imag, rates * z.real
 
 
 class GaussianSourceFactors:
     """Convolution source factors for the Gaussian-smoothed source.
 
     Drop-in replacement for the point-source factors: sin(k c) becomes the
-    tabulated projection p_k(c), and the advection term uses the spline
-    derivative dp_k/dc.
+    projection p_k(c) of the Gaussian centred on the source, and the
+    advection term uses dp_k/dc (both from ``sine_projection``).
     """
 
     def __init__(self, s: PlateScenario, kx: np.ndarray, ky: np.ndarray,
@@ -243,36 +231,24 @@ class GaussianSourceFactors:
         self.s = s
         self.sigma = sigma
         self.kx = kx
-        self.ky = ky
         self._ux, self._ix = np.unique(kx, return_inverse=True)
         self._uy, self._iy = np.unique(ky, return_inverse=True)
-        self._spl_x, self._dspl_x = self._build(self._ux, s.L, 0)
-        self._spl_y, self._dspl_y = self._build(self._uy, s.H, 1)
-
-    def _build(self, rates, limit, axis):
-        lo, hi = _center_range(self.s, axis, self.sigma)
-        count = int(math.ceil((hi - lo) / (self.sigma / 64.0))) + 1
-        centers = np.linspace(lo, hi, min(max(count, 33), 20001))
-        table = _projection_table(rates, limit, centers, self.sigma)
-        spline = CubicSpline(centers, table, axis=0)
-        return spline, spline.derivative()
 
     def __call__(self, taus: np.ndarray, cols=None) -> np.ndarray:
         """(Q, P) factors at taus for the mode columns ``cols`` (all if None)."""
         cols = slice(None) if cols is None else cols
         ix, iy = self._ix[cols], self._iy[cols]
         x, y = position(self.s.trajectory, taus)
-        px_u, py_u = self._spl_x(x), self._spl_y(y)
-        f = np.take(px_u, ix, axis=1)
-        f *= np.take(py_u, iy, axis=1)
+        px, dpx = sine_projection(self._ux, self.s.L, x, self.sigma)
+        py, dpy = sine_projection(self._uy, self.s.H, y, self.sigma)
+        px, py = np.take(px, ix, axis=1), np.take(py, iy, axis=1)
+        f = px * py
         if self.s.tau_q != 0.0:
             vx, vy = velocity(self.s.trajectory, taus)
-            drift = np.take(self._dspl_x(x), ix, axis=1)
-            drift *= vx[:, None]
-            drift *= np.take(py_u, iy, axis=1)
-            cross = np.take(px_u, ix, axis=1)
-            cross *= vy[:, None]
-            cross *= np.take(self._dspl_y(y), iy, axis=1)
+            drift = np.take(dpx * vx[:, None], ix, axis=1)
+            drift *= py
+            cross = np.take(dpy * vy[:, None], iy, axis=1)
+            cross *= px
             drift += cross
             drift *= self.s.tau_q
             f += drift
@@ -295,9 +271,7 @@ def project_gaussian_source_series(s: PlateScenario, sigma: float,
     if sigma <= 0.0:
         raise ValueError(f"sigma must be positive, got {sigma!r}")
 
-    def factory(sc, kx, ky):
-        return GaussianSourceFactors(sc, kx, ky, sigma)
-
+    factory = partial(GaussianSourceFactors, sigma=sigma)
     return solve_series(s, t, M, N, quad, threads=threads,
                         factors_factory=factory).field(grid)
 

@@ -11,6 +11,7 @@ bit-reproducible for a given integrand.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,6 +61,17 @@ class QuadratureSpec:
     abs_tol: float = 1e-10
     rel_tol: float = 1e-8
     max_subintervals: int = 20000
+
+    def __post_init__(self):
+        if not 0.0 < self.abs_tol < math.inf:
+            raise ValueError(f"quadrature abs_tol must be finite and > 0, "
+                             f"got {self.abs_tol!r}")
+        if not 0.0 <= self.rel_tol < math.inf:
+            raise ValueError(f"quadrature rel_tol must be finite and >= 0, "
+                             f"got {self.rel_tol!r}")
+        if self.max_subintervals < 1:
+            raise ValueError(f"quadrature max_subintervals must be >= 1, "
+                             f"got {self.max_subintervals!r}")
 
 
 def _panel_rule(f, lefts, rights):
@@ -143,10 +155,13 @@ def integrate_columns(f, a, b, spec: QuadratureSpec, *,
         if not bad.any():
             return totals, total_err
 
-        scores = (errs[:, bad] / tol[None, bad]).max(axis=1)
+        with np.errstate(over="ignore"):
+            scores = (errs[:, bad] / tol[None, bad]).max(axis=1)
         smax = scores.max()
         if not np.isfinite(smax):
-            split = ~np.isfinite(errs).all(axis=1)
+            # Non-finite estimates, or a tolerance so small that the ratio
+            # overflows: split exactly those panels.
+            split = ~np.isfinite(errs).all(axis=1) | ~np.isfinite(scores)
         elif smax <= 0.0:
             return totals, total_err
         else:

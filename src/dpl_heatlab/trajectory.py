@@ -7,7 +7,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import ZeroAngularVelocity
 from .model import CUSTOM, Trajectory
@@ -34,6 +33,8 @@ class SourceState:
 
 @lru_cache(maxsize=64)
 def _splines(traj: Trajectory):
+    from scipy.interpolate import CubicSpline
+
     ts, xs, ys = (np.asarray(a, dtype=float) for a in traj.samples)
     sx = CubicSpline(ts, xs)
     sy = CubicSpline(ts, ys)

@@ -1,11 +1,17 @@
+import contextlib
 import importlib.metadata
+import io
 import json
 import math
 import subprocess
 import sys
+import tempfile
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import dpl_heatlab as dh
 from dpl_heatlab.cli import main
@@ -183,6 +189,60 @@ def test_non_finite_time_exits_2(tmp_path, capsys, argv):
                "--out", str(tmp_path / "o")])
     assert rc == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_overflowing_time_exits_3(tmp_path, capsys):
+    rc = main(["field", "--scenario", "ct_alpha2_q1_T1", "--t", "1e300",
+               "--modes", "3,3", "--grid", "5,5", "--out", str(tmp_path / "o")])
+    assert rc == 3
+    assert "error: numerical failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag,value,field", [
+    ("--quad-abs", "-1", "abs_tol"),
+    ("--quad-abs", "0", "abs_tol"),
+    ("--quad-rel", "nan", "rel_tol"),
+], ids=["abs-negative", "abs-zero", "rel-nan"])
+def test_invalid_quadrature_tolerance_exits_2(tmp_path, capsys, flag, value,
+                                              field):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["field", "--scenario", "ct_alpha2_q1_T1", "--t", "2.5",
+                   "--modes", "3,3", "--grid", "3,3", flag, value,
+                   "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and field in err
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(flag=st.sampled_from(["--quad-abs", "--quad-rel"]), value=st.floats())
+def test_any_quadrature_tolerance_gives_a_code_or_finite_output(flag, value):
+    # A tolerance is rejected (2), cannot be met (3, the documented
+    # quadrature failure), or yields a finite field.
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "o"
+        with warnings.catch_warnings(), contextlib.redirect_stderr(err):
+            warnings.simplefilter("error")
+            rc = main(["field", "--scenario", "ct_alpha2_q1_T1", "--t", "2.5",
+                       "--modes", "3,3", "--grid", "3,3", flag, repr(value),
+                       "--out", str(out)])
+        if rc == 0:
+            _header, data = read_csv(out / "field_t2.5.csv")
+            assert np.isfinite(data).all()
+        else:
+            assert rc in (2, 3) and "error:" in err.getvalue()
+
+
+def test_cli_import_loads_no_scipy():
+    code = ("import sys, dpl_heatlab.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    src = str(Path(dh.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True, cwd=src)
+    assert proc.stdout.strip() == "[]"
+    assert callable(dh.solve_fdm)
 
 
 @pytest.mark.parametrize("override", [["--w", "inf"], ["--tau-q", "nan"]],

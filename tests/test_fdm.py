@@ -6,10 +6,11 @@ import pytest
 
 import dpl_heatlab as dh
 from dpl_heatlab.errors import UnstableConfig
-from dpl_heatlab.fdm import (GaussianSourceFactors, _projection_table,
-                             deviation_report, project_gaussian_source_series,
+from dpl_heatlab.fdm import (GaussianSourceFactors, deviation_report,
+                             project_gaussian_source_series, sine_projection,
                              solve_fdm)
-from dpl_heatlab.series import PointSourceFactors
+from dpl_heatlab.modes import build_mode_table
+from dpl_heatlab.series import PointSourceFactors, mode_coefficients
 from helpers import simpson, tiny_scenario
 
 
@@ -111,7 +112,7 @@ def test_stationary_classical_run_reaches_analytic_steady_state():
 def test_projection_matches_brute_force_quadrature():
     sigma = 0.05
     rate = math.pi
-    got = _projection_table(np.array([rate]), 1.0, np.array([0.5]), sigma)[0, 0]
+    got = sine_projection(np.array([rate]), 1.0, np.array([0.5]), sigma)[0][0, 0]
     xi = np.linspace(0.0, 1.0, 400_001)
     gauss = np.exp(-((xi - 0.5) ** 2) / (2.0 * sigma ** 2)) / (
         sigma * math.sqrt(2.0 * math.pi))
@@ -126,13 +127,52 @@ def test_projection_attenuates_but_never_amplifies():
     sigma = 0.04
     rates = np.pi * np.arange(1, 30)
     centers = np.linspace(0.2, 0.8, 31)
-    table = _projection_table(rates, 1.0, centers, sigma)
+    table, _ = sine_projection(rates, 1.0, centers, sigma)
     assert (np.abs(table) <= 1.0 + 1e-12).all()
     # rows follow centers: the fundamental tracks sin(pi c) up to attenuation
     mid = len(centers) // 2
     assert table[mid, 0] > 0.99
     ref = np.sin(np.pi * centers) * math.exp(-(np.pi * sigma) ** 2 / 2.0)
     assert np.max(np.abs(table[:, 0] - ref)) < 1e-6
+
+
+@pytest.mark.parametrize("sigma", [0.0375, 0.1, 0.15])
+def test_projection_near_the_walls_matches_brute_force(sigma):
+    # Centres on, and 0.3, 1 and 2.5 sigma inside, each wall: the clipped
+    # tails carry up to half the mass there.  Both walls, odd and even m.
+    rates = np.pi * np.arange(1, 81)
+    offsets = sigma * np.array([0.0, 0.3, 1.0, 2.5])
+    centers = np.concatenate([offsets, 1.0 - offsets])
+    value, slope = sine_projection(rates, 1.0, centers, sigma)
+    xi = np.linspace(0.0, 1.0, 100_001)   # Simpson error <= 4e-14 here
+    basis = np.sin(np.outer(xi, rates))
+    for i, c in enumerate(centers):
+        gauss = np.exp(-((xi - c) ** 2) / (2.0 * sigma ** 2)) / (
+            sigma * math.sqrt(2.0 * math.pi))
+        ref = simpson(gauss[:, None] * basis, xi[1])
+        # d/dc of g(xi - c) is g(xi - c) (xi - c) / sigma^2
+        dref = simpson((gauss * (xi - c) / sigma ** 2)[:, None] * basis, xi[1])
+        assert np.max(np.abs(value[i] - ref)) <= 1e-12 * np.max(np.abs(ref))
+        assert np.max(np.abs(slope[i] - dref)) <= 1e-12 * np.max(np.abs(dref))
+        # the whole-line gain alone misses the clipped tails
+        whole_line = np.exp(-(rates * sigma) ** 2 / 2.0) * np.sin(rates * c)
+        assert np.max(np.abs(whole_line - ref)) >= 1e-3 * np.max(np.abs(ref))
+
+
+def test_ring_far_from_walls_scales_point_coefficients_by_the_gain():
+    # At sigma = 0.005 the ring (0.25 from every wall) sits 35 sigma*sqrt 2
+    # inside, so no wall term fires and the Gaussian factors are exactly
+    # the point factors times exp(-k^2 sigma^2 / 2); t = 12.5 is folded.
+    s, _ = dh.load_bundled("ct_alpha2_q5_T1")
+    sigma = 0.005
+    table = build_mode_table(s, 16, 16)
+    point = mode_coefficients(s, table, 12.5)
+    gauss = mode_coefficients(
+        s, table, 12.5,
+        factors_factory=lambda sc, kx, ky: GaussianSourceFactors(sc, kx, ky,
+                                                                 sigma))
+    gain = np.exp(-table.k2 * sigma ** 2 / 2.0)
+    assert np.max(np.abs(gauss - gain * point)) <= 1e-9 * np.max(np.abs(point))
 
 
 def test_vanishing_sigma_recovers_point_source_factors():

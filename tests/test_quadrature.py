@@ -102,6 +102,24 @@ def test_budget_exhaustion_reports_achieved_error():
     assert "budget" in str(err.value)
 
 
+def test_overflowing_error_ratio_still_splits_to_the_budget():
+    # 5e-324 is subnormal: error / tolerance overflows to inf on every panel.
+    spec = QuadratureSpec(abs_tol=5e-324, rel_tol=0.0, max_subintervals=16)
+    rough = lambda x: np.abs(x - 0.37) ** -0.9
+    with pytest.raises(QuadratureNotConverged, match="budget"):
+        integrate_columns(rough, 0.0, 1.0, spec)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("abs_tol", 0.0), ("abs_tol", -1.0), ("abs_tol", math.inf),
+    ("abs_tol", math.nan), ("rel_tol", -1e-3), ("rel_tol", math.inf),
+    ("rel_tol", math.nan), ("max_subintervals", 0),
+])
+def test_spec_rejects_out_of_domain_values(field, value):
+    with pytest.raises(ValueError, match=field):
+        QuadratureSpec(**{field: value})
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     coeffs=st.lists(st.floats(-5, 5), min_size=1, max_size=9),
