@@ -379,12 +379,14 @@ def build_parser() -> argparse.ArgumentParser:
                        help="series truncation (default per scenario)")
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--quad-abs", type=float, default=None,
-                       help="absolute quadrature tolerance")
+                       help="absolute quadrature tolerance (custom paths "
+                            "only)")
         p.add_argument("--quad-rel", type=float, default=None,
-                       help="relative quadrature tolerance")
+                       help="relative quadrature tolerance (custom paths "
+                            "only)")
         p.add_argument("--threads", type=int, default=None,
-                       help="worker threads (0 = auto, default "
-                            "DPL_HEATLAB_THREADS or auto)")
+                       help="quadrature worker threads, custom paths only "
+                            "(0 = auto, default DPL_HEATLAB_THREADS or auto)")
 
     p_field = sub.add_parser("field", help="grid temperature field CSV")
     common(p_field)

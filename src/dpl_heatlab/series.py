@@ -20,20 +20,17 @@ on a grid or at paired points.  The field, the profiles, the peak search,
 the truncation sweep and the Gaussian-source series of the finite-
 difference cross-check all read such a solution.
 
-Coefficients for a whole mode table are computed by one adaptive pass per
-time segment over a convolution window.  Line, circle and ellipse sources
-repeat with period T = 2 pi / |w|, so for t > T the window is the last
-period [t - T, t]: each sample there stands for itself and its earlier
-copies tau - T, tau - 2T, ... >= 0, and the kernel is the closed-form sum
-over those copies (``kernel_matrix`` with ``fold``).  The copy count is
-constant per segment, n = floor(t / T) below nT and n + 1 from nT on, so
-the cost no longer grows with t.  Custom paths, w = 0 and t <= T use the
-window [0, t] with one copy.  Segments split at trajectory quarter-periods
-(spline knots for custom paths) and are processed backward from tau = t,
-so that modes whose remaining kernel mass is below their error budget drop
-out early; later segments evaluate source factors for the still-active
-modes only.  Modes are handled in fixed chunks in ascending-k2 order, so
-results do not depend on the worker-thread count.
+Line, circle and ellipse sources repeat with period T = 2 pi / |w|, so
+their coefficients come from the source's harmonics: one FFT of the
+factors over a period, then a closed-form convolution of each harmonic
+with the kernel's exponentials, with the phase taken from fmod(t, T).  Its
+cost and accuracy do not depend on t.  Custom paths take one adaptive pass
+per time segment over [0, t]: segments split at the spline knots and are
+processed backward from tau = t, so that modes whose remaining kernel mass
+is below their error budget drop out early; later segments evaluate source
+factors for the still-active modes only.  Both engines handle modes in
+fixed chunks in ascending-k2 order; only the quadrature runs in worker
+threads, and its results do not depend on the thread count.
 
 The basis is separable, and both hot paths use that.  Source factors
 evaluate sin/cos once per distinct kx and ky and gather the per-axis values
@@ -68,6 +65,7 @@ from .trajectory import period as source_period
 from .trajectory import position, velocity, velocity_bounds
 
 MODE_CHUNK = 1024
+HARMONIC_CHUNK = 256
 
 
 def default_truncation(s: PlateScenario) -> tuple[int, int]:
@@ -173,32 +171,10 @@ def _panel_seeds(s: PlateScenario, a: float, b: float) -> np.ndarray:
     return np.unique(np.asarray(pts, dtype=float))
 
 
-def _segment_window(s: PlateScenario, t: float):
-    """Segment seeds, source period and per-segment kernel copies.
-
-    A line, circle or ellipse source repeats with period T = 2 pi / |w|, so
-    for t > T the whole history folds onto [t - T, t]: a sample tau there
-    stands for tau, tau - T, ... down to 0, that is n = floor(t / T) copies
-    below nT and n + 1 from nT on (nT is a quarter-period, hence a seed).
-    Returns (seeds, T, copies); custom paths, w = 0 and t <= T keep the
-    seeds on [0, t] with period None and one copy per segment.
-    """
-    traj = s.trajectory
-    period = None if traj.kind == CUSTOM or traj.w == 0.0 else source_period(traj)
-    if period is None or t <= period:
-        seeds = _panel_seeds(s, 0.0, t)
-        return seeds, None, np.ones(seeds.size - 1, dtype=int)
-    n = int(math.floor(t / period))
-    seeds = _panel_seeds(s, t - period, t)
-    copies = np.where(seeds[1:] <= n * period, n, n + 1)
-    return seeds, period, copies
-
-
 def _coefficients_chunk(s, table: ModeTable, sel: slice, t: float,
-                        quad: QuadratureSpec, window,
+                        quad: QuadratureSpec, seeds,
                         factors_factory) -> tuple[np.ndarray, np.ndarray]:
     """Coefficients for one contiguous chunk of the mode table."""
-    bounds, period, copies = window
     kx = table.kx[sel]
     ky = table.ky[sel]
     regime = table.regime[sel]
@@ -209,7 +185,7 @@ def _coefficients_chunk(s, table: ModeTable, sel: slice, t: float,
     fbound = factors.bound()
 
     nmodes = kx.size
-    nseg = bounds.size - 1
+    nseg = seeds.size - 1
     acc = np.zeros(nmodes)
     err = np.zeros(nmodes)
     active = np.ones(nmodes, dtype=bool)
@@ -218,17 +194,15 @@ def _coefficients_chunk(s, table: ModeTable, sel: slice, t: float,
     for j in range(nseg - 1, -1, -1):
         if not active.any():
             break
-        a_seg, b_seg = bounds[j], bounds[j + 1]
+        a_seg, b_seg = seeds[j], seeds[j + 1]
         idx = np.flatnonzero(active)
         reg_a, dmp_a = regime[idx], damping[idx]
         spl_a, slo_a = splitting[idx], slow[idx]
-        fold = (period, int(copies[j]))
 
-        def f(taus, _idx=idx, _reg=reg_a, _dmp=dmp_a, _spl=spl_a, _slo=slo_a,
-              _fold=fold):
+        def f(taus, _idx=idx, _reg=reg_a, _dmp=dmp_a, _spl=spl_a, _slo=slo_a):
             delta = np.maximum(t - taus, 0.0)
             vals = factors(taus, _idx)
-            vals *= kernel_matrix(_reg, _dmp, _spl, _slo, delta, _fold)
+            vals *= kernel_matrix(_reg, _dmp, _spl, _slo, delta)
             return vals
 
         tol = np.maximum(quad.abs_tol, quad.rel_tol * np.abs(acc[idx])) / nseg
@@ -237,7 +211,6 @@ def _coefficients_chunk(s, table: ModeTable, sel: slice, t: float,
         err[idx] += errors
 
         if j > 0:
-            # The copies still to come cover disjoint delays >= t - a_seg.
             remaining = kernel_tail_mass(reg_a, dmp_a, spl_a, slo_a,
                                          t - a_seg) * fbound[idx]
             budget = 0.5 * np.maximum(quad.abs_tol,
@@ -249,13 +222,85 @@ def _coefficients_chunk(s, table: ModeTable, sel: slice, t: float,
     return acc, err
 
 
+def _harmonic_samples(s: PlateScenario, table: ModeTable) -> int:
+    """Samples Q per source period for the harmonic engine.
+
+    The factor sin(kx (cx + A cos(w tau))) has the harmonics J_j(kx A)
+    (Jacobi-Anger), and |J_j(z)| < 1e-19 for j >= z + 12 z^(1/3) + 8.  The
+    x-y product has the tail of one such series with z = rho = max kx |A|
+    + max ky |B|, so Q / 2 >= rho + 12 rho^(1/3) + 8 leaves the aliased
+    tail at rounding level.
+    """
+    traj = s.trajectory
+    rho = table.kx.max() * abs(traj.A) + table.ky.max() * abs(traj.B)
+    return 1 << math.ceil(math.log2(2.0 * (rho + 12.0 * rho ** (1 / 3) + 8.0)))
+
+
+def _harmonic_coefficients(s: PlateScenario, table: ModeTable, t: float,
+                           factory) -> np.ndarray:
+    """Closed-form coefficients of a periodic (or parked, w = 0) source.
+
+    One FFT of Q samples over a period gives f = Re sum_j F_j e^(i w_j tau).
+    Every lagged kernel is (e^(-r1 D) - e^(-r2 D)) / g with g = r2 - r1:
+    r1 = slow and g = 2 b2 when overdamped, r1 = b1 - i |b2| and g = 2 i |b2|
+    when oscillatory, r1 = b1 and g -> 0 when critical.  Each harmonic then
+    convolves exactly; with s1 = r1 + i w_j, h = -expm1(-g t) / g (t when
+    g = 0) and t' = fmod(t, T):
+
+      diffusive  (e^(i w_j t') - e^(-r1 t)) / s1
+      lagged     (e^(i w_j t') - e^(-r1 t) (1 + s1 h)) / (s1 (s1 + g))
+    """
+    traj = s.trajectory
+    if traj.w == 0.0:
+        q, taus, base, phase = 1, np.zeros(1), 0.0, 0.0
+    else:
+        q = _harmonic_samples(s, table)
+        period = source_period(traj)
+        taus = np.arange(q) * (period / q)
+        base, phase = 2.0 * math.pi / period, math.fmod(t, period)
+    omega = 1j * base * np.arange(q // 2 + 1)[:, None]
+    wave = np.exp(omega * phase)
+    out = np.empty(table.nmodes)
+    for i in range(0, table.nmodes, HARMONIC_CHUNK):
+        sel = slice(i, min(i + HARMONIC_CHUNK, table.nmodes))
+        spec = np.fft.rfft(factory(s, table.kx[sel], table.ky[sel])(taus),
+                           axis=0) / q
+        spec[1:(q + 1) // 2] *= 2.0   # the real signal's negative harmonics
+        regime, splitting = table.regime[sel], table.splitting[sel]
+        osc = regime == OSCILLATORY
+        rate = np.where(regime == OVERDAMPED, table.slow[sel],
+                        table.damping[sel]).astype(complex)
+        rate[osc] -= 1j * splitting[osc]
+        # e^(-r1 t) is exactly 0 once Re(r1) t > 800; skipping those modes
+        # keeps r1 t finite for any finite t (|Im r1| < Re r1).
+        with np.errstate(over="ignore"):
+            live = rate.real * t < 800.0
+        decay = np.zeros(rate.shape, dtype=complex)
+        decay[live] = np.exp(-rate[live] * t)
+        s1 = rate + omega
+        if table.classical:
+            resp = (wave - decay) / s1
+        else:
+            gap = np.where(regime == OVERDAMPED, 2.0 * splitting,
+                           0.0).astype(complex)
+            gap[osc] = 2j * splitting[osc]
+            ramp = np.full(gap.shape, t, dtype=complex)
+            split = live & (gap != 0.0)
+            ramp[split] = -np.expm1(-gap[split] * t) / gap[split]
+            resp = (wave - (decay + s1 * (decay * ramp))) / (s1 * (s1 + gap))
+        out[sel] = np.einsum("jp,jp->p", spec, resp).real
+    return out
+
+
 def mode_coefficients(s: PlateScenario, table: ModeTable, t: float,
                       quad: QuadratureSpec | None = None, *,
                       threads=None, factors_factory=None) -> np.ndarray:
     """Convolution coefficients P_mn(t) for every mode of the table.
 
     Returns an array aligned with the table's (ascending-k2) mode order.
-    The computation is partitioned into fixed chunks of the table, so the
+    Line, circle and ellipse sources take the harmonic engine in one
+    thread.  Custom paths take the adaptive quadrature under ``quad`` and
+    ``threads``; it is partitioned into fixed chunks of the table, so the
     numeric result is identical for any worker count.
     """
     if not math.isfinite(t):
@@ -265,22 +310,25 @@ def mode_coefficients(s: PlateScenario, table: ModeTable, t: float,
     nmodes = table.nmodes
     if t == 0.0:
         return np.zeros(nmodes)
-    quad = quad or QuadratureSpec()
+    workers = resolve_threads(threads)
     factory = factors_factory or PointSourceFactors
-    window = _segment_window(s, t)
+    if s.trajectory.kind != CUSTOM:
+        return _harmonic_coefficients(s, table, t, factory)
+    quad = quad or QuadratureSpec()
+    seeds = _panel_seeds(s, 0.0, t)
     chunks = [slice(i, min(i + MODE_CHUNK, nmodes))
               for i in range(0, nmodes, MODE_CHUNK)]
 
     out = np.empty(nmodes)
-    workers = min(resolve_threads(threads), len(chunks))
+    workers = min(workers, len(chunks))
     if workers <= 1:
-        results = [_coefficients_chunk(s, table, sel, t, quad, window, factory)
+        results = [_coefficients_chunk(s, table, sel, t, quad, seeds, factory)
                    for sel in chunks]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(
                 lambda sel: _coefficients_chunk(s, table, sel, t, quad,
-                                                window, factory),
+                                                seeds, factory),
                 chunks))
     for sel, (acc, _err) in zip(chunks, results):
         out[sel] = acc

@@ -41,16 +41,18 @@ def source_track(scenario, taus):
     return x, y, vx, vy
 
 
-def simpson_mode_coefficient(scenario, m, n, t, panels=250_000):
+def simpson_mode_coefficient(scenario, m, n, t, panels=250_000, table=None):
     """Brute-force convolution coefficient on a fixed Simpson grid.
 
     Only the kernel evaluation is borrowed from the package; the time
     integral itself, the eigenfunction factor and the lagged-source term
-    are written out longhand.
+    are written out longhand.  ``table`` replaces the scenario's own mode
+    table, so that tests can pin a mode's rates.
     """
     from dpl_heatlab.modes import build_mode_table
 
-    table = build_mode_table(scenario, m, n)
+    if table is None:
+        table = build_mode_table(scenario, m, n)
     i = table.index_of(m, n)
     kx, ky = table.kx[i], table.ky[i]
     taus = np.linspace(0.0, t, 2 * panels + 1)
@@ -77,6 +79,23 @@ def tiny_scenario(**overrides):
                                            w=0.2 * np.pi))
     fields.update(overrides)
     return dh.PlateScenario(**fields)
+
+
+def custom_path_scenario(base):
+    """``base`` with its source on a sampled (custom) near-circular path.
+
+    Custom paths are the only input that takes the adaptive quadrature.
+    """
+    import dataclasses
+
+    import dpl_heatlab as dh
+
+    ts = np.linspace(0.0, 40.0, 81)
+    ph = 0.3 * ts + 0.1 * np.sin(0.5 * ts)
+    traj = dh.Trajectory(kind="custom", samples=(
+        tuple(ts), tuple(0.5 + 0.25 * np.cos(ph)),
+        tuple(0.5 + 0.2 * np.sin(ph))))
+    return dh.validate_scenario(dataclasses.replace(base, trajectory=traj))
 
 
 def kahan_mode_sum(amps, sinx, siny, mask=None, paired=False):

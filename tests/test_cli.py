@@ -14,8 +14,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import dpl_heatlab as dh
+from dpl_heatlab import cli
 from dpl_heatlab.cli import main
-from helpers import tiny_scenario
+from helpers import custom_path_scenario, tiny_scenario
+
+
+def load_custom_path(monkeypatch):
+    """Make every ``--scenario`` load ct_alpha2_q1_T1 on a custom path.
+
+    Config files cannot describe custom paths, and only custom paths take
+    the adaptive quadrature that the tolerance flags control.
+    """
+    custom = custom_path_scenario(dh.load_bundled("ct_alpha2_q1_T1")[0])
+    monkeypatch.setattr(cli, "_load_scenario_arg", lambda _arg: (custom, None))
 
 
 def read_csv(path):
@@ -155,7 +166,8 @@ def test_empty_truncation_list_exits_2(tmp_path):
     assert rc == 2
 
 
-def test_quadrature_failure_exits_3(tmp_path, capsys):
+def test_quadrature_failure_exits_3(tmp_path, monkeypatch, capsys):
+    load_custom_path(monkeypatch)
     rc = main(["field", "--scenario", "ct_alpha2_q1_T1", "--t", "2.5",
                "--modes", "4,4", "--grid", "3,3",
                "--quad-abs", "1e-300", "--quad-rel", "1e-300",
@@ -191,11 +203,36 @@ def test_non_finite_time_exits_2(tmp_path, capsys, argv):
     assert "error:" in capsys.readouterr().err
 
 
-def test_overflowing_time_exits_3(tmp_path, capsys):
+def test_overflowing_time_exits_3(tmp_path, monkeypatch, capsys):
+    from dpl_heatlab import series
+
+    # --t 1e300 itself now has an exact answer (the periodic state); an
+    # overflow inside the engine must still map to exit 3.
+    def overflow(*args, **kwargs):
+        raise OverflowError("synthetic overflow")
+
+    monkeypatch.setattr(series, "_harmonic_coefficients", overflow)
     rc = main(["field", "--scenario", "ct_alpha2_q1_T1", "--t", "1e300",
                "--modes", "3,3", "--grid", "5,5", "--out", str(tmp_path / "o")])
     assert rc == 3
     assert "error: numerical failure" in capsys.readouterr().err
+
+
+def test_huge_time_writes_the_periodic_state(tmp_path):
+    s, _ = dh.load_bundled("ct_alpha2_q1_T1")
+    period = 2.0 * math.pi / abs(s.trajectory.w)
+    # 40 periods: the start-up transient has decayed below 1e-17
+    times = ["1e20", repr(math.fmod(1e20, period) + 40 * period)]
+    fields = []
+    for t in times:
+        out = tmp_path / t
+        rc = main(["field", "--scenario", "ct_alpha2_q1_T1", "--t", t,
+                   "--modes", "3,3", "--grid", "5,5", "--out", str(out)])
+        assert rc == 0
+        fields.append(read_csv(out / f"field_t{float(t):g}.csv")[1][:, 2])
+    peak = np.abs(fields[1] - s.T0).max()
+    assert peak > 1.0
+    assert np.abs(fields[0] - fields[1]).max() <= 1e-12 * peak
 
 
 @pytest.mark.parametrize("flag,value,field", [
@@ -221,7 +258,8 @@ def test_any_quadrature_tolerance_gives_a_code_or_finite_output(flag, value):
     # A tolerance is rejected (2), cannot be met (3, the documented
     # quadrature failure), or yields a finite field.
     err = io.StringIO()
-    with tempfile.TemporaryDirectory() as tmp:
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        load_custom_path(mp)
         out = Path(tmp) / "o"
         with warnings.catch_warnings(), contextlib.redirect_stderr(err):
             warnings.simplefilter("error")

@@ -8,14 +8,16 @@ import dpl_heatlab as dh
 from dpl_heatlab import series
 from dpl_heatlab.errors import NegativeElapsed, QuadratureNotConverged
 from dpl_heatlab.fdm import GaussianSourceFactors
-from dpl_heatlab.modes import REGIME_NAMES, build_mode_table
+from dpl_heatlab.modes import (CRITICAL, DIFFUSIVE, OSCILLATORY, OVERDAMPED,
+                               REGIME_NAMES, build_mode_table)
 from dpl_heatlab.quadrature import QuadratureSpec
 from dpl_heatlab.series import (CoefficientHistory, PointSourceFactors,
                                 amplitudes, assemble_at_points,
                                 assemble_field, default_truncation,
                                 mode_coefficients, prefactor, resolve_threads,
                                 resolve_truncation, switch_on_transient)
-from helpers import kahan_mode_sum, simpson_mode_coefficient, tiny_scenario
+from helpers import (custom_path_scenario, kahan_mode_sum,
+                     simpson_mode_coefficient, tiny_scenario)
 
 
 def stationary_scenario(**overrides):
@@ -228,7 +230,8 @@ def test_history_rejects_backward_steps():
 
 
 def test_thread_count_does_not_change_bits(monkeypatch):
-    s, _ = dh.load_bundled("ct_alpha2_q1_T5")
+    # Only custom paths run the worker pool.
+    s = custom_path_scenario(dh.load_bundled("ct_alpha2_q1_T5")[0])
     table = build_mode_table(s, 10, 10)
     # Small chunks, so that the 100 modes keep several workers busy.
     monkeypatch.setattr(series, "MODE_CHUNK", 16)
@@ -238,7 +241,7 @@ def test_thread_count_does_not_change_bits(monkeypatch):
 
 
 def test_unreachable_tolerance_surfaces_quadrature_failure():
-    s = tiny_scenario()
+    s = custom_path_scenario(tiny_scenario())
     table = build_mode_table(s, 2, 2)
     strict = QuadratureSpec(abs_tol=1e-300, rel_tol=0.0, max_subintervals=64)
     with pytest.raises(QuadratureNotConverged) as err:
@@ -368,7 +371,7 @@ def test_masked_assembly_keeps_edges_at_ambient():
     assert (edge == 250.0).all()
 
 
-# --- period-folded history ----------------------------------------------------
+# --- harmonic engine ---------------------------------------------------------
 
 
 def _critical_circle():
@@ -379,14 +382,14 @@ def _critical_circle():
                                                      B=0.7, w=0.5))
 
 
-def _fold_scenario(name):
+def _periodic_scenario(name):
     if name == "critical":
         return _critical_circle()
     return dh.load_bundled(name)[0]
 
 
 # Elapsed times as multiples of the period T.
-FOLD_TIMES = {
+SIMPSON_TIMES = {
     "5.3 periods": lambda T: 5.3 * T,
     "exact multiple": lambda T: 6.0 * T,
     "just after nT": lambda T: 6.0 * T + 1e-3,
@@ -395,15 +398,15 @@ FOLD_TIMES = {
 }
 
 
-@pytest.mark.parametrize("when", list(FOLD_TIMES))
+@pytest.mark.parametrize("when", list(SIMPSON_TIMES))
 @pytest.mark.parametrize("name,regime", [
     ("lst_q1_T1", "overdamped"), ("lst_default", "diffusive"),
     ("ct_alpha2_q5_T1", "oscillatory"), ("critical", "critical")])
-def test_folded_coefficients_match_brute_force_simpson(name, regime, when):
-    """The one-period window with copied kernels equals the full history."""
-    s = _fold_scenario(name)
+def test_periodic_coefficients_match_simpson(name, regime, when):
+    """The closed-form harmonic sums equal the full-history integral."""
+    s = _periodic_scenario(name)
     period = 2.0 * math.pi / abs(s.trajectory.w)
-    t = FOLD_TIMES[when](period)
+    t = SIMPSON_TIMES[when](period)
     table = build_mode_table(s, 3, 3)
     assert REGIME_NAMES[table.regime[table.index_of(1, 1)]] == regime
     coeffs = mode_coefficients(s, table, t)
@@ -414,18 +417,14 @@ def test_folded_coefficients_match_brute_force_simpson(name, regime, when):
 
 
 @pytest.mark.parametrize("path", ["custom", "w = 0"])
-def test_unfolded_paths_match_brute_force_simpson(path):
-    """Custom paths and a parked source keep the history on [0, t]."""
+def test_custom_and_parked_sources_match_simpson(path):
+    """The quadrature (custom path) and the one-harmonic case (w = 0)."""
     s, _ = dh.load_bundled("ct_alpha2_q5_T1")
     if path == "custom":
-        ts = np.linspace(0.0, 40.0, 81)
-        ph = 0.3 * ts + 0.1 * np.sin(0.5 * ts)
-        traj = dh.Trajectory(kind="custom", samples=(
-            tuple(ts), tuple(0.5 + 0.25 * np.cos(ph)),
-            tuple(0.5 + 0.2 * np.sin(ph))))
+        s = custom_path_scenario(s)
     else:
-        traj = dataclasses.replace(s.trajectory, w=0.0)
-    s = dh.validate_scenario(dataclasses.replace(s, trajectory=traj))
+        s = dh.validate_scenario(dataclasses.replace(
+            s, trajectory=dataclasses.replace(s.trajectory, w=0.0)))
     t = 33.0
     table = build_mode_table(s, 3, 3)
     coeffs = mode_coefficients(s, table, t)
@@ -433,3 +432,103 @@ def test_unfolded_paths_match_brute_force_simpson(path):
     for m, n in [(1, 1), (2, 3)]:
         ref = simpson_mode_coefficient(s, m, n, t, panels=100_000)
         assert abs(coeffs[table.index_of(m, n)] - ref) <= 1e-9 * scale
+
+
+# (regime, damping b1, splitting b2, slow rate) of one mode, with b2 down
+# to 1e-13 on either side of the critical branch.
+PINNED_MODES = {
+    "overdamped": (OVERDAMPED, 0.8, 0.3, 0.5),
+    "near-critical-overdamped": (OVERDAMPED, 0.7, 1e-9, 0.7 - 1e-9),
+    "closer-critical-overdamped": (OVERDAMPED, 0.7, 1e-13, 0.7 - 1e-13),
+    "critical": (CRITICAL, 0.7, 0.0, 0.7),
+    "oscillatory": (OSCILLATORY, 0.3, 2.0, 0.3),
+    "near-critical-oscillatory": (OSCILLATORY, 0.7, 1e-9, 0.7),
+    "slow-diffusive": (DIFFUSIVE, 1.3e-3, 0.0, 1.3e-3),
+}
+
+
+@pytest.mark.parametrize("periods", [0.73, 6.3])
+@pytest.mark.parametrize("name", list(PINNED_MODES))
+def test_pinned_mode_rates_match_brute_force_simpson(name, periods):
+    regime, damping, splitting, slow = PINNED_MODES[name]
+    s = tiny_scenario(tau_q=0.0 if regime == DIFFUSIVE else 1.0)
+    table = dataclasses.replace(
+        build_mode_table(s, 1, 1), regime=np.array([regime], dtype=np.int8),
+        damping=np.array([damping]), splitting=np.array([splitting]),
+        slow=np.array([slow]))
+    t = periods * 2.0 * math.pi / abs(s.trajectory.w)
+    got = mode_coefficients(s, table, t)[0]
+    ref = simpson_mode_coefficient(s, 1, 1, t, panels=100_000, table=table)
+    assert abs(got - ref) <= 1e-9 * abs(ref)
+
+
+@pytest.mark.parametrize("tau_q,tau_T", [(5.0, 1.0), (2.0, 2.0)])
+def test_coefficients_are_continuous_across_the_critical_bracket(tau_q, tau_T):
+    """As in acceptance 08: alpha_crit (1 -/+ 1e-12) brackets the branch.
+
+    The three alphas fall in at least two regimes, with splittings of
+    1e-7 and below: overdamped and oscillatory for tau_q = 5, tau_T = 1;
+    oscillatory and critical for equal lags, where the discriminant is a
+    square and its rounding picks the branch.
+    """
+    k2 = 2.0 * math.pi ** 2
+    a, b = tau_T * tau_T * k2 * k2, 2.0 * tau_T * k2 - 4.0 * tau_q * k2
+    alpha_crit = (-b - math.sqrt(b * b - 4.0 * a)) / (2.0 * a)
+    values, regimes = [], set()
+    for bump in (1.0 - 1e-12, 1.0, 1.0 + 1e-12):
+        s = dh.validate_scenario(dh.PlateScenario(
+            L=1.0, H=1.0, T0=0.0, theta=1.0, k=1.0,
+            alpha=alpha_crit * bump, tau_q=tau_q, tau_T=tau_T,
+            trajectory=dh.Trajectory(kind="circle", A=0.2, B=0.2, w=1.0)))
+        tb = build_mode_table(s, 1, 1)
+        regimes.add(int(tb.regime[0]))
+        values.append([mode_coefficients(s, tb, t)[0]
+                       for t in (0.4, 2.0 * math.pi, 7.3 * math.pi)])
+    values = np.array(values)
+    assert len(regimes) >= 2  # the bracket really changes the branch
+    jump = (values.max(axis=0) - values.min(axis=0)).max()
+    assert jump <= 1e-10 * np.abs(values).max()
+
+
+@pytest.mark.parametrize("name,modes,t,boundary", [
+    ("ct_default", (80, 80), 360.0, None),
+    # rho lies just below a power-of-two boundary of Q: the next truncation
+    # doubles Q, so Q / 2 has the least margin over rho.
+    ("lst_q1_T1", (143, 4), 365.0, (144, 4)),
+    ("ct_default", (114, 114), 360.0, (115, 115)),
+], ids=["ct_default-80x80", "line-143x4-boundary", "circle-114x114-boundary"])
+def test_doubling_the_samples_moves_coefficients_within_the_aliasing_estimate(
+        monkeypatch, name, modes, t, boundary):
+    s, _ = dh.load_bundled(name)
+    table = build_mode_table(s, *modes)
+    q = series._harmonic_samples(s, table)
+    if boundary is not None:
+        assert series._harmonic_samples(s, build_mode_table(s, *boundary)) == 2 * q
+    taus = np.arange(q) * (2.0 * math.pi / abs(s.trajectory.w) / q)
+    spectrum = np.abs(np.fft.rfft(PointSourceFactors(s, table.kx, table.ky)(taus),
+                                  axis=0))
+    aliasing = spectrum[-1].max() / spectrum.max()   # |F| at Nyquist
+    coarse = mode_coefficients(s, table, t)
+    monkeypatch.setattr(series, "_harmonic_samples", lambda *_: 2 * q)
+    fine = mode_coefficients(s, table, t)
+    assert aliasing <= 1e-13
+    assert np.abs(fine - coarse).max() <= aliasing * np.abs(fine).max()
+
+
+@pytest.mark.parametrize("name", ["ct_alpha2_q1_T1", "lst_default",
+                                  "ct_alpha2_q5_T1"])
+@pytest.mark.parametrize("t", [1e20, 1e300])
+def test_huge_times_give_the_periodic_state(name, t):
+    """Phase from fmod(t, T); the start-up transient has died out."""
+    s, _ = dh.load_bundled(name)
+    table = build_mode_table(s, 3, 3)
+    period = 2.0 * math.pi / abs(s.trajectory.w)
+    # e^(-slow t) < 1e-17 from n periods on
+    n = math.ceil(40.0 / (table.slow.min() * period))
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        huge = mode_coefficients(s, table, t)
+        ref = mode_coefficients(s, table, math.fmod(t, period) + n * period)
+    assert np.isfinite(huge).all()
+    scale = np.abs(ref).max()
+    assert scale > 0.0
+    assert np.abs(huge - ref).max() <= 1e-12 * scale
