@@ -402,8 +402,11 @@ SIMPSON_TIMES = {
 @pytest.mark.parametrize("name,regime", [
     ("lst_q1_T1", "overdamped"), ("lst_default", "diffusive"),
     ("ct_alpha2_q5_T1", "oscillatory"), ("critical", "critical")])
-def test_periodic_coefficients_match_simpson(name, regime, when):
-    """The closed-form harmonic sums equal the full-history integral."""
+def test_folded_coefficients_match_brute_force_simpson(name, regime, when):
+    """The closed-form harmonic sums equal the full-history integral.
+
+    The name dates from the period-fold engine this test first pinned.
+    """
     s = _periodic_scenario(name)
     period = 2.0 * math.pi / abs(s.trajectory.w)
     t = SIMPSON_TIMES[when](period)
@@ -417,7 +420,7 @@ def test_periodic_coefficients_match_simpson(name, regime, when):
 
 
 @pytest.mark.parametrize("path", ["custom", "w = 0"])
-def test_custom_and_parked_sources_match_simpson(path):
+def test_unfolded_paths_match_brute_force_simpson(path):
     """The quadrature (custom path) and the one-harmonic case (w = 0)."""
     s, _ = dh.load_bundled("ct_alpha2_q5_T1")
     if path == "custom":
