@@ -263,7 +263,7 @@ def _cmd_peak_sweep(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    # scipy (sparse LU, Faddeeva) loads only when an oracle runs.
+    # scipy (the Faddeeva function) loads only when an oracle runs.
     from . import fdm
 
     s, fdm_cfg = _load_scenario_arg(args.scenario)

@@ -338,16 +338,19 @@ def mode_coefficients(s: PlateScenario, table: ModeTable, t: float,
 # --- field assembly --------------------------------------------------------
 
 
-def _sin_table(coords: np.ndarray, rates: np.ndarray, limit: float) -> np.ndarray:
+def _sin_table(coords: np.ndarray, rates: np.ndarray, limit: float,
+               axis: str) -> np.ndarray:
     """sin(coord * rate) with rows on the plate edge zeroed exactly.
 
     Every series term vanishes on the boundary analytically; zeroing the
     basis rows keeps that exact in floating point instead of leaving
-    sin(m pi) roundoff.
+    sin(m pi) roundoff.  Points off the plate (or not finite) raise.
     """
+    bad = coords[~((coords >= 0.0) & (coords <= limit))]
+    if bad.size:
+        raise ValueError(f"sample {axis} = {bad[0]} lies outside [0, {limit}]")
     tab = np.sin(np.outer(coords, rates))
-    edge = (coords <= 0.0) | (coords >= limit)
-    tab[edge, :] = 0.0
+    tab[(coords == 0.0) | (coords == limit), :] = 0.0
     return tab
 
 
@@ -377,8 +380,8 @@ def _series_sum(s: PlateScenario, table: ModeTable, amps: np.ndarray,
     amp = amps[table.inv].reshape(table.M, table.N)[:M, :N]
     kx = table.kx[table.inv[:M * table.N:table.N]]   # modes (m, 1)
     ky = table.ky[table.inv[:N]]                     # modes (1, n)
-    sxa = _sin_table(xs, kx, s.L) @ amp
-    sy = _sin_table(ys, ky, s.H)
+    sxa = _sin_table(xs, kx, s.L, "x") @ amp
+    sy = _sin_table(ys, ky, s.H, "y")
     if paired:
         return np.einsum("ij,ij->i", sxa, sy)
     return sxa @ sy.T

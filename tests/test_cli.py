@@ -283,6 +283,16 @@ def test_cli_import_loads_no_scipy():
     assert callable(dh.solve_fdm)
 
 
+def test_fdm_import_loads_no_scipy_sparse():
+    code = ("import sys, dpl_heatlab.fdm; "
+            "print(sorted(m for m in sys.modules "
+            "if m.startswith('scipy.sparse')))")
+    src = str(Path(dh.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True, cwd=src)
+    assert proc.stdout.strip() == "[]"
+
+
 @pytest.mark.parametrize("override", [["--w", "inf"], ["--tau-q", "nan"]],
                          ids=["w-inf", "tau-q-nan"])
 def test_non_finite_sweep_parameter_exits_2(tmp_path, capsys, override):

@@ -11,7 +11,7 @@ from dpl_heatlab.fdm import (GaussianSourceFactors, deviation_report,
                              solve_fdm)
 from dpl_heatlab.modes import build_mode_table
 from dpl_heatlab.series import PointSourceFactors, mode_coefficients
-from helpers import simpson, tiny_scenario
+from helpers import simpson, sparse_lu_fdm, tiny_scenario
 
 
 def unit_mode(xx, yy):
@@ -104,6 +104,24 @@ def test_stationary_classical_run_reaches_analytic_steady_state():
                                      np.sin(n * math.pi * xs))
     err = np.abs(final.values - steady).max()
     assert err < 5e-3 * steady.max()
+
+
+@pytest.mark.parametrize("tau_q", [1.0, 0.0], ids=["lagged", "crank-nicolson"])
+def test_fast_diagonalization_matches_sparse_lu_steps(tau_q):
+    # Non-square plate, hx != hy and nx != ny, so a transposed axis or a
+    # swapped eigenbasis shows.  Lagged: first step A - C, then A.
+    traj = dh.Trajectory(kind="ellipse", A=0.3, B=0.15, w=0.8)
+    s = tiny_scenario(L=1.0, H=0.7, alpha=0.05, tau_q=tau_q, tau_T=0.5,
+                      T0=20.0, trajectory=traj)
+    cfg = dh.FdmConfig(hx=0.04, hy=0.05, dt=0.05, t_end=2.0, sigma=0.12,
+                       store_every=7)
+    got = [f.values for f in solve_fdm(s, cfg)]
+    ref = sparse_lu_fdm(s, cfg)
+    assert got[0].shape == (26, 15) and len(got) == len(ref) == 7
+    peak = max(np.abs(v - s.T0).max() for v in ref)
+    assert peak > 0.0
+    for g, r in zip(got, ref):
+        assert np.abs(g - r).max() <= 1e-12 * peak
 
 
 # --- Gaussian-matched series source ----------------------------------------

@@ -371,6 +371,16 @@ def test_masked_assembly_keeps_edges_at_ambient():
     assert (edge == 250.0).all()
 
 
+@pytest.mark.parametrize("x", [-0.1, 1.1, math.nan], ids=["below", "above", "nan"])
+def test_sample_points_off_the_plate_are_rejected(x):
+    s, table, coeffs = _assembly_case()   # L = H = 1
+    sol = dh.SeriesSolution(s, table, coeffs, 4.0)
+    with pytest.raises(ValueError, match=rf"sample x = {x} lies outside \[0, 1"):
+        sol.at([0.5, x], [0.5, 0.5])
+    with pytest.raises(ValueError, match=rf"sample y = {x} lies outside \[0, 1"):
+        sol.at([0.5], [x])
+
+
 # --- harmonic engine ---------------------------------------------------------
 
 
