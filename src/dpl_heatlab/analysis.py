@@ -203,9 +203,14 @@ def write_sweep_csv(reports, path) -> None:
 
 
 def write_field_csv(field, s: PlateScenario, path) -> None:
-    xs, ys = field.grid.axes(s.L, s.H)
+    # Same text as _fmt per value: tolist() yields Python floats, whose
+    # repr is the shortest round-trip form.  One x-row at a time keeps
+    # the Python floats of only that row alive.
+    xs, ys = (a.tolist() for a in field.grid.axes(s.L, s.H))
+    ys = [f"{y!r}," for y in ys]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("x,y,T\n")
-        for i, x in enumerate(xs):
-            for j, y in enumerate(ys):
-                fh.write(f"{_fmt(x)},{_fmt(y)},{_fmt(field.values[i, j])}\n")
+        for x, row in zip(xs, np.asarray(field.values, dtype=float)):
+            px = f"{x!r},"
+            fh.write("".join([f"{px}{y}{v!r}\n"
+                              for y, v in zip(ys, row.tolist())]))

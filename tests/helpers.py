@@ -121,18 +121,38 @@ def kahan_mode_sum(amps, sinx, siny, mask=None, paired=False):
     return total
 
 
+def outer_product_source(s, xi, yi, sigma, t):
+    """FDM source (Q + tau_q dQ/dt) / k on the grid (xi, yi) at time t.
+
+    Written out on the full grid: the 2-D Gaussian times
+    1 + tau_q (dx vx + dy vy) / sigma^2, with the source state from
+    ``source_track``.  The reference for ``fdm._source_grid``.
+    """
+    x_src, y_src, vx, vy = source_track(s, t)
+    dx = xi - x_src
+    dy = yi - y_src
+    amp = s.theta / (2.0 * np.pi * sigma * sigma)
+    q = amp * np.outer(np.exp(-dx * dx / (2.0 * sigma * sigma)),
+                       np.exp(-dy * dy / (2.0 * sigma * sigma)))
+    if s.tau_q != 0.0:
+        drift = (dx[:, None] * vx + dy[None, :] * vy) / (sigma * sigma)
+        q = q + s.tau_q * q * drift
+    return q / s.k
+
+
 def sparse_lu_fdm(s, cfg):
     """Reference FDM run with assembled sparse operators and SuperLU solves.
 
     The same scheme as ``fdm.solve_fdm`` (quiescent start, first step
     (A - C) u[1] = B u[0] + S[0], Crank-Nicolson at tau_q = 0), with the
-    interior 5-point Laplacian assembled as kron(Dxx, I) + kron(I, Dyy).
-    Returns the stored (nx, ny) value arrays.
+    interior 5-point Laplacian assembled as kron(Dxx, I) + kron(I, Dyy)
+    and the source from ``outer_product_source``.  Returns the stored
+    (nx, ny) value arrays.
     """
     from scipy.sparse import diags, identity, kron
     from scipy.sparse.linalg import splu
 
-    from dpl_heatlab.fdm import _axis_counts, _source_grid
+    from dpl_heatlab.fdm import _axis_counts
 
     nx, ny, hx, hy = _axis_counts(cfg, s.L, s.H)
     mx, my = nx - 2, ny - 2
@@ -174,7 +194,7 @@ def sparse_lu_fdm(s, cfg):
         rhs = mat_b @ u_curr
         if mat_c is not None and n > 0:
             rhs += mat_c @ u_prev
-        rhs += _source_grid(s, xi, yi, sigma, (n + shift) * dt).reshape(-1)
+        rhs += outer_product_source(s, xi, yi, sigma, (n + shift) * dt).ravel()
         u_prev, u_curr = u_curr, (solve_first if n == 0 else solve_a).solve(rhs)
         if (n + 1) % cfg.store_every == 0 and n + 1 != nsteps:
             stored.append(full(u_curr))

@@ -172,3 +172,21 @@ def test_field_csv_layout(tmp_path):
     # x varies slowest
     xs = [float(r.split(",")[0]) for r in lines[1:]]
     assert xs == [0.0, 0.0, 0.5, 0.5, 1.0, 1.0]
+
+
+def test_field_csv_matches_value_by_value_repr(tmp_path):
+    s = tiny_scenario(H=0.7)
+    grid = dh.GridSpec(3, 4)
+    xs, ys = grid.axes(s.L, s.H)
+    floats = np.array([[-0.0, 1e-300, 0.1 + 0.2, 20.0],
+                       [3.0, -7.0, 1e300, 5e-324],
+                       [0.0, 1.0 / 3.0, -2.5, 1e16]])
+    ints = np.arange(12).reshape(3, 4) - 5
+    for values in (floats, ints):
+        path = tmp_path / "field.csv"
+        field = dh.TemperatureField(grid=grid, t=1.0, values=values)
+        write_field_csv(field, s, path)
+        ref = "x,y,T\n" + "".join(
+            f"{repr(float(x))},{repr(float(y))},{repr(float(values[i, j]))}\n"
+            for i, x in enumerate(xs) for j, y in enumerate(ys))
+        assert path.read_bytes() == ref.encode()

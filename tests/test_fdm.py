@@ -11,7 +11,8 @@ from dpl_heatlab.fdm import (GaussianSourceFactors, deviation_report,
                              solve_fdm)
 from dpl_heatlab.modes import build_mode_table
 from dpl_heatlab.series import PointSourceFactors, mode_coefficients
-from helpers import simpson, sparse_lu_fdm, tiny_scenario
+from helpers import (outer_product_source, simpson, source_track,
+                     sparse_lu_fdm, tiny_scenario)
 
 
 def unit_mode(xx, yy):
@@ -106,12 +107,15 @@ def test_stationary_classical_run_reaches_analytic_steady_state():
     assert err < 5e-3 * steady.max()
 
 
-@pytest.mark.parametrize("tau_q", [1.0, 0.0], ids=["lagged", "crank-nicolson"])
-def test_fast_diagonalization_matches_sparse_lu_steps(tau_q):
+@pytest.mark.parametrize("tau_q,tau_T", [(1.0, 0.5), (0.0, 0.5), (1.0, 0.0)],
+                         ids=["lagged", "crank-nicolson", "lagged-tau_T-0"])
+def test_fast_diagonalization_matches_sparse_lu_steps(tau_q, tau_T):
     # Non-square plate, hx != hy and nx != ny, so a transposed axis or a
-    # swapped eigenbasis shows.  Lagged: first step A - C, then A.
+    # swapped eigenbasis shows.  Lagged: first step A - C, then A.  At
+    # tau_T = 0 the Laplacian weight of A is -1/4, so the ratios that
+    # split B and C against A take other values.
     traj = dh.Trajectory(kind="ellipse", A=0.3, B=0.15, w=0.8)
-    s = tiny_scenario(L=1.0, H=0.7, alpha=0.05, tau_q=tau_q, tau_T=0.5,
+    s = tiny_scenario(L=1.0, H=0.7, alpha=0.05, tau_q=tau_q, tau_T=tau_T,
                       T0=20.0, trajectory=traj)
     cfg = dh.FdmConfig(hx=0.04, hy=0.05, dt=0.05, t_end=2.0, sigma=0.12,
                        store_every=7)
@@ -122,6 +126,61 @@ def test_fast_diagonalization_matches_sparse_lu_steps(tau_q):
     assert peak > 0.0
     for g, r in zip(got, ref):
         assert np.abs(g - r).max() <= 1e-12 * peak
+
+
+@pytest.mark.parametrize("tau_q", [1.0, 0.0], ids=["lagged", "classical"])
+def test_rank2_source_matches_outer_product_form(tau_q):
+    import dpl_heatlab.fdm as fdm_mod
+
+    traj = dh.Trajectory(kind="ellipse", A=0.3, B=0.15, w=0.8)
+    s = tiny_scenario(L=1.0, H=0.7, tau_q=tau_q, trajectory=traj)
+    xi = np.linspace(0.0, 1.0, 26)[1:-1]
+    yi = np.linspace(0.0, 0.7, 15)[1:-1]
+    for t in (0.0, 0.37, 2.9, 6.1):
+        got = fdm_mod._source_grid(s, xi, yi, 0.12, source_track(s, t))
+        ref = outer_product_source(s, xi, yi, 0.12, t)
+        assert got.shape == (24, 13)
+        assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+def _wrap_source_grid(monkeypatch, poison=None):
+    """Count fdm._source_grid calls; ``poison`` replaces the third result."""
+    import dpl_heatlab.fdm as fdm_mod
+
+    real, calls = fdm_mod._source_grid, []
+
+    def counted(*args):
+        calls.append(args)
+        q = real(*args)
+        return np.full_like(q, poison) if poison and len(calls) == 3 else q
+
+    monkeypatch.setattr(fdm_mod, "_source_grid", counted)
+    return calls
+
+
+@pytest.mark.parametrize("lagged", [True, False],
+                         ids=["lagged", "crank-nicolson"])
+def test_source_grid_runs_once_per_step(monkeypatch, lagged):
+    s = tiny_scenario()
+    if not lagged:
+        s = dh.classical(s)
+    calls = _wrap_source_grid(monkeypatch)
+    solve_fdm(s, dh.FdmConfig(hx=0.1, hy=0.1, dt=0.1, t_end=1.3, sigma=0.25,
+                              store_every=4))
+    assert len(calls) == 13
+
+
+@pytest.mark.parametrize("lagged", [True, False],
+                         ids=["lagged", "crank-nicolson"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+def test_blowup_sentinel_catches_non_finite_steps(monkeypatch, lagged, bad):
+    s = tiny_scenario()
+    if not lagged:
+        s = dh.classical(s)
+    _wrap_source_grid(monkeypatch, poison=bad)
+    with pytest.raises(UnstableConfig, match="at step 3;"):
+        solve_fdm(s, dh.FdmConfig(hx=0.1, hy=0.1, dt=0.1, t_end=1.0,
+                                  sigma=0.25))
 
 
 # --- Gaussian-matched series source ----------------------------------------
