@@ -23,7 +23,6 @@ def main() -> int:
                     help="output directory (default out/classical_study)")
     ap.add_argument("--truncations", default="10,20,40,80",
                     help="comma list of M (=N) values")
-    ap.add_argument("--threads", type=int, default=None)
     args = ap.parse_args()
 
     out = Path(args.out)
@@ -36,8 +35,7 @@ def main() -> int:
         base, _ = dh.load_bundled(name)
         for alpha in ALPHAS:
             s = dh.validate_scenario(replace(base, alpha=alpha))
-            reports = source_peak_distance_sweep(s, t, truncs,
-                                                 threads=args.threads)
+            reports = source_peak_distance_sweep(s, t, truncs)
             write_sweep_csv(reports, out / f"{name}_alpha{alpha:g}.csv")
             print(f"{name:>12s} {alpha:10.3g} " +
                   " ".join(f"{r.distance:12.5f}" for r in reports))

@@ -27,7 +27,6 @@ def main() -> int:
     ap.add_argument("--out", default="out/phase_lag_study")
     ap.add_argument("--modes", type=int, default=40, help="truncation M = N")
     ap.add_argument("--samples", type=int, default=360)
-    ap.add_argument("--threads", type=int, default=None)
     args = ap.parse_args()
 
     out = Path(args.out)
@@ -36,7 +35,7 @@ def main() -> int:
     for name in sorted(set(GRADIENT_LAG_LADDER + FLUX_LAG_LADDER)):
         s, _ = dh.load_bundled(name)
         prof = trajectory_profile(s, args.t, args.modes, args.modes,
-                                  args.samples, threads=args.threads)
+                                  args.samples)
         write_profile_csv(prof, out / f"{name}_t{args.t:g}.csv")
         peaks[name] = float(np.max(prof.values))
 

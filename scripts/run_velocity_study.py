@@ -29,7 +29,6 @@ def main() -> int:
     ap.add_argument("--out", default="out/velocity_study")
     ap.add_argument("--modes", type=int, default=40, help="truncation M = N")
     ap.add_argument("--samples", type=int, default=360)
-    ap.add_argument("--threads", type=int, default=None)
     args = ap.parse_args()
 
     out = Path(args.out)
@@ -42,7 +41,7 @@ def main() -> int:
         for name in names:
             s, _ = dh.load_bundled(name)
             prof = trajectory_profile(s, args.t, args.modes, args.modes,
-                                      args.samples, threads=args.threads)
+                                      args.samples)
             write_profile_csv(prof, out / f"{name}_t{args.t:g}.csv")
             peaks.append(float(np.max(prof.values)))
         print(f"{label:>18s} " + " ".join(f"{p:10.2f}" for p in peaks))

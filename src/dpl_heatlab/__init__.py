@@ -32,7 +32,6 @@ from .model import (
     TemperatureField,
     Trajectory,
     bundled_scenario_names,
-    classical,
     default_peak_grid,
     format_scenario,
     load_bundled,
@@ -40,37 +39,34 @@ from .model import (
     load_scenario_file,
     save_scenario,
     validate_scenario,
-    with_lags,
 )
 from .modes import ModeTable, build_mode_table
 from .quadrature import QuadratureSpec, integrate_columns
 from .series import (
-    CoefficientHistory,
     SeriesSolution,
     default_truncation,
     mode_coefficients,
     solve_series,
     temperature,
 )
-from .trajectory import SourceState, period, position, source_state, velocity
+from .trajectory import period, position, velocity
 
 __all__ = [
     "__version__",
-    "CoefficientHistory", "ConfigFormatError", "FdmConfig",
+    "ConfigFormatError", "FdmConfig",
     "GaussianSourceFactors", "GridSpec", "LineProfile", "ModeTable",
     "NegativeElapsed", "PeakOnBoundary", "PeakReport", "PlateScenario",
     "QuadratureNotConverged", "QuadratureSpec", "ScenarioValidationError",
-    "SeriesSolution", "SourceState", "TemperatureField",
+    "SeriesSolution", "TemperatureField",
     "Trajectory", "TrajectoryNotClosed", "UnstableConfig",
     "ZeroAngularVelocity", "build_mode_table", "bundled_scenario_names",
-    "classical", "default_peak_grid", "default_truncation",
+    "default_peak_grid", "default_truncation",
     "deviation_report", "format_scenario", "integrate_columns",
     "line_profile_y", "load_bundled", "load_scenario", "load_scenario_file",
     "locate_peak", "mode_coefficients", "period",
     "position", "project_gaussian_source_series", "save_scenario",
     "solve_fdm", "solve_series", "source_peak_distance_sweep",
-    "source_state", "temperature", "trajectory_profile", "validate_scenario",
-    "velocity", "with_lags",
+    "temperature", "trajectory_profile", "validate_scenario", "velocity",
 ]
 
 

@@ -44,7 +44,7 @@ from .model import (
     validate_scenario,
 )
 from .quadrature import QuadratureSpec
-from .series import resolve_truncation, temperature
+from .series import resolve_threads, resolve_truncation, temperature
 from .trajectory import position
 
 _FIELD_PLOT = '''"""Render {csv} as a heat map with the source path overlay."""
@@ -197,8 +197,7 @@ def _cmd_field(args) -> int:
     out = _prepare_out(args.out)
     traj = s.trajectory
     for t in args.t:
-        field = temperature(s, grid, t, modes[0], modes[1], quad,
-                            threads=args.threads)
+        field = temperature(s, grid, t, modes[0], modes[1], quad)
         stem = f"field_t{t:g}"
         write_field_csv(field, s, out / f"{stem}.csv")
         x_src, y_src = position(traj, t)
@@ -225,12 +224,11 @@ def _cmd_profile(args) -> int:
             if args.y0 is None:
                 raise ValueError("--y0 is required for --kind line-y")
             prof = line_profile_y(s, t, args.y0, modes[0], modes[1],
-                                  args.samples, quad, threads=args.threads)
+                                  args.samples, quad)
             name = f"profile_line_y{args.y0:g}_t{t:g}.csv"
         else:
             prof = trajectory_profile(s, t, modes[0], modes[1],
-                                      args.samples, quad,
-                                      threads=args.threads)
+                                      args.samples, quad)
             name = f"profile_trajectory_t{t:g}.csv"
         write_profile_csv(prof, out / name)
         files.append(name)
@@ -251,8 +249,7 @@ def _cmd_peak_sweep(args) -> int:
     quad = _quad_from_args(args)
     out = _prepare_out(args.out)
     t = args.t[0]
-    reports = source_peak_distance_sweep(s, t, truncations, grid,
-                                         quad=quad, threads=args.threads)
+    reports = source_peak_distance_sweep(s, t, truncations, grid, quad=quad)
     write_sweep_csv(reports, out / "peak_sweep.csv")
     (out / "plot_peak_sweep.py").write_text(
         _SWEEP_PLOT.format(csv="peak_sweep.csv"), encoding="utf-8")
@@ -297,7 +294,7 @@ def _cmd_oracle(args) -> int:
     final = fields[-1]
     series_field = fdm.project_gaussian_source_series(
         s, fdm_cfg.resolved_sigma(), final.grid, final.t,
-        modes[0], modes[1], quad, threads=args.threads)
+        modes[0], modes[1], quad)
     write_field_csv(series_field, s, out / f"series_t{final.t:g}.csv")
     report = fdm.deviation_report(final, series_field, s.T0)
     with open(out / "report.json", "w", encoding="utf-8") as fh:
@@ -336,12 +333,11 @@ def _cmd_sweep(args) -> int:
                     if closed:
                         prof = trajectory_profile(
                             variant, t, modes[0], modes[1], args.samples,
-                            quad, threads=args.threads)
+                            quad)
                     else:
                         prof = line_profile_y(
                             variant, t, variant.trajectory.cy, modes[0],
-                            modes[1], args.samples, quad,
-                            threads=args.threads)
+                            modes[1], args.samples, quad)
                     name = f"sweep_q{q:g}_T{lag_t:g}_w{w:g}_t{t:g}.csv"
                     write_profile_csv(prof, out / name)
                     files.append(name)
@@ -379,14 +375,17 @@ def build_parser() -> argparse.ArgumentParser:
                        help="series truncation (default per scenario)")
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--quad-abs", type=float, default=None,
-                       help="absolute quadrature tolerance (custom paths "
-                            "only)")
+                       help="absolute quadrature tolerance; acts only on "
+                            "custom paths, which config files cannot "
+                            "describe, and is recorded in manifest.json")
         p.add_argument("--quad-rel", type=float, default=None,
-                       help="relative quadrature tolerance (custom paths "
-                            "only)")
+                       help="relative quadrature tolerance; acts only on "
+                            "custom paths, which config files cannot "
+                            "describe, and is recorded in manifest.json")
         p.add_argument("--threads", type=int, default=None,
-                       help="quadrature worker threads, custom paths only "
-                            "(0 = auto, default DPL_HEATLAB_THREADS or auto)")
+                       help="accepted (>= 0) and recorded in manifest.json "
+                            "for compatibility; the solvers run in one "
+                            "thread")
 
     p_field = sub.add_parser("field", help="grid temperature field CSV")
     common(p_field)
@@ -448,6 +447,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        resolve_threads(args.threads)
         return _DISPATCH[args.command](args)
     except (ConfigFormatError, ScenarioValidationError, TrajectoryNotClosed,
             FileNotFoundError, ValueError) as exc:

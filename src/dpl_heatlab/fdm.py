@@ -293,14 +293,14 @@ def project_gaussian_source_series(s: PlateScenario, sigma: float,
                                    grid: GridSpec, t: float,
                                    M: int | None = None,
                                    N: int | None = None,
-                                   quad: QuadratureSpec | None = None, *,
-                                   threads=None) -> TemperatureField:
+                                   quad: QuadratureSpec | None = None
+                                   ) -> TemperatureField:
     """Series field whose source matches the smoothed FDM source."""
     if sigma <= 0.0:
         raise ValueError(f"sigma must be positive, got {sigma!r}")
 
     factory = partial(GaussianSourceFactors, sigma=sigma)
-    return solve_series(s, t, M, N, quad, threads=threads,
+    return solve_series(s, t, M, N, quad,
                         factors_factory=factory).field(grid)
 
 

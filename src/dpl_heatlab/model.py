@@ -147,15 +147,6 @@ def default_peak_grid(s: PlateScenario) -> GridSpec:
     return GridSpec(201, max(ny, 2))
 
 
-def with_lags(s: PlateScenario, tau_q: float, tau_T: float) -> PlateScenario:
-    return replace(s, tau_q=tau_q, tau_T=tau_T)
-
-
-def classical(s: PlateScenario) -> PlateScenario:
-    """The zero-lag variant of a scenario (parabolic branch)."""
-    return replace(s, tau_q=0.0, tau_T=0.0)
-
-
 def validate_scenario(s: PlateScenario) -> PlateScenario:
     """Check every scenario invariant, collecting all failures.
 

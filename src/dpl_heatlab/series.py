@@ -29,8 +29,7 @@ per time segment over [0, t]: segments split at the spline knots and are
 processed backward from tau = t, so that modes whose remaining kernel mass
 is below their error budget drop out early; later segments evaluate source
 factors for the still-active modes only.  Both engines handle modes in
-fixed chunks in ascending-k2 order; only the quadrature runs in worker
-threads, and its results do not depend on the thread count.
+fixed chunks in ascending-k2 order, in one thread.
 
 The basis is separable, and both hot paths use that.  Source factors
 evaluate sin/cos once per distinct kx and ky and gather the per-axis values
@@ -42,8 +41,6 @@ and sums the series as SX @ A @ SY.T on a grid, or as the row sums of
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -51,8 +48,6 @@ import numpy as np
 from .errors import NegativeElapsed
 from .model import CUSTOM, GridSpec, PlateScenario, TemperatureField
 from .modes import (
-    CRITICAL,
-    DIFFUSIVE,
     OSCILLATORY,
     OVERDAMPED,
     ModeTable,
@@ -98,16 +93,14 @@ def prefactor(s: PlateScenario, classical: bool | None = None) -> float:
 
 
 def resolve_threads(threads=None) -> int:
-    """Worker count: explicit arg, else DPL_HEATLAB_THREADS, else auto."""
-    if threads is None:
-        env = os.environ.get("DPL_HEATLAB_THREADS", "").strip()
-        threads = int(env) if env else 0
-    threads = int(threads)
-    if threads < 0:
+    """Validate a ``--threads`` value and return 1, the engines' worker count.
+
+    The engines run in one thread.  The value is still accepted, and
+    rejected below 0, so that existing command lines keep working.
+    """
+    if threads is not None and int(threads) < 0:
         raise ValueError(f"thread count must be >= 0, got {threads}")
-    if threads == 0:
-        return os.cpu_count() or 1
-    return threads
+    return 1
 
 
 class PointSourceFactors:
@@ -156,18 +149,9 @@ class PointSourceFactors:
         return 1.0 + self.tau_q * (self.kx * vx_max + self.ky * vy_max)
 
 
-def _panel_seeds(s: PlateScenario, a: float, b: float) -> np.ndarray:
-    """a, b and the quarter-periods (spline knots for custom) inside (a, b)."""
-    pts = [a, b]
-    traj = s.trajectory
-    if traj.kind == CUSTOM:
-        pts.extend(tk for tk in traj.samples[0] if a < tk < b)
-    elif traj.w != 0.0:
-        quarter = 0.5 * math.pi / abs(traj.w)
-        first = int(math.floor(a / quarter))
-        last = int(math.floor(b / quarter))
-        pts.extend(j * quarter for j in range(first, last + 1)
-                   if a < j * quarter < b)
+def _panel_seeds(s: PlateScenario, t: float) -> np.ndarray:
+    """0, t and the custom path's spline knots inside (0, t)."""
+    pts = [0.0, t, *(tk for tk in s.trajectory.samples[0] if 0.0 < tk < t)]
     return np.unique(np.asarray(pts, dtype=float))
 
 
@@ -294,14 +278,13 @@ def _harmonic_coefficients(s: PlateScenario, table: ModeTable, t: float,
 
 def mode_coefficients(s: PlateScenario, table: ModeTable, t: float,
                       quad: QuadratureSpec | None = None, *,
-                      threads=None, factors_factory=None) -> np.ndarray:
+                      factors_factory=None) -> np.ndarray:
     """Convolution coefficients P_mn(t) for every mode of the table.
 
     Returns an array aligned with the table's (ascending-k2) mode order.
-    Line, circle and ellipse sources take the harmonic engine in one
-    thread.  Custom paths take the adaptive quadrature under ``quad`` and
-    ``threads``; it is partitioned into fixed chunks of the table, so the
-    numeric result is identical for any worker count.
+    Line, circle and ellipse sources take the harmonic engine.  Custom
+    paths take the adaptive quadrature under ``quad``, one fixed chunk of
+    ``MODE_CHUNK`` modes of the table at a time.
     """
     if not math.isfinite(t):
         raise ValueError(f"coefficients requested at non-finite time {t!r}")
@@ -310,28 +293,16 @@ def mode_coefficients(s: PlateScenario, table: ModeTable, t: float,
     nmodes = table.nmodes
     if t == 0.0:
         return np.zeros(nmodes)
-    workers = resolve_threads(threads)
     factory = factors_factory or PointSourceFactors
     if s.trajectory.kind != CUSTOM:
         return _harmonic_coefficients(s, table, t, factory)
     quad = quad or QuadratureSpec()
-    seeds = _panel_seeds(s, 0.0, t)
-    chunks = [slice(i, min(i + MODE_CHUNK, nmodes))
-              for i in range(0, nmodes, MODE_CHUNK)]
-
+    seeds = _panel_seeds(s, t)
     out = np.empty(nmodes)
-    workers = min(workers, len(chunks))
-    if workers <= 1:
-        results = [_coefficients_chunk(s, table, sel, t, quad, seeds, factory)
-                   for sel in chunks]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(
-                lambda sel: _coefficients_chunk(s, table, sel, t, quad,
-                                                seeds, factory),
-                chunks))
-    for sel, (acc, _err) in zip(chunks, results):
-        out[sel] = acc
+    for i in range(0, nmodes, MODE_CHUNK):
+        sel = slice(i, min(i + MODE_CHUNK, nmodes))
+        out[sel] = _coefficients_chunk(s, table, sel, t, quad, seeds,
+                                       factory)[0]
     return out
 
 
@@ -429,164 +400,18 @@ class SeriesSolution:
 
 def solve_series(s: PlateScenario, t: float, M: int | None = None,
                  N: int | None = None, quad: QuadratureSpec | None = None, *,
-                 threads=None, factors_factory=None) -> SeriesSolution:
+                 factors_factory=None) -> SeriesSolution:
     """Truncated series solution at time t (default truncation if M/N None)."""
     M, N = resolve_truncation(s, M, N)
     table = build_mode_table(s, M, N)
-    coeffs = mode_coefficients(s, table, t, quad, threads=threads,
+    coeffs = mode_coefficients(s, table, t, quad,
                                factors_factory=factors_factory)
     return SeriesSolution(s=s, table=table, coeffs=coeffs, t=float(t))
 
 
 def temperature(s: PlateScenario, grid: GridSpec, t: float,
                 M: int | None = None, N: int | None = None,
-                quad: QuadratureSpec | None = None, *,
-                threads=None) -> TemperatureField:
+                quad: QuadratureSpec | None = None) -> TemperatureField:
     """Temperature field on the grid at time t via the truncated series."""
-    return solve_series(s, t, M, N, quad, threads=threads).field(grid)
+    return solve_series(s, t, M, N, quad).field(grid)
 
-
-def switch_on_transient(s: PlateScenario, table: ModeTable, t: float,
-                        xs, ys) -> np.ndarray:
-    """Start-up correction separating equal-lag and diffusive solutions.
-
-    For tau_q = tau_T = tau the diffusive-branch solution satisfies the
-    lagged equation exactly but with initial rate c * f(0) instead of 0;
-    the two fields therefore differ by the homogeneous relaxation
-    sum c * f_mn(0) * K_mn(t) * sin(kx x) sin(ky y), with c the diffusive
-    prefactor and K the lagged kernel.  Returns that correction at the
-    given points: diffusive field = lagged field + correction.
-    """
-    if not (s.tau_q == s.tau_T and s.tau_q > 0.0):
-        raise ValueError("start-up correction applies to equal positive lags")
-    x0, y0 = position(s.trajectory, 0.0)
-    f0 = np.sin(table.kx * x0) * np.sin(table.ky * y0)
-    kern = kernel_matrix(table.regime, table.damping, table.splitting,
-                         table.slow, np.array([t]))[0]
-    pseudo = f0 * kern  # plays the role of P_mn for the correction
-    c = 4.0 * s.alpha * s.theta / (s.L * s.H * s.k)
-    return _series_sum(s, table, c * pseudo, xs, ys, paired=True)
-
-
-# --- incremental evaluation ------------------------------------------------
-
-
-class CoefficientHistory:
-    """Incremental P_mn evaluation by exponential-state recurrences.
-
-    Each mode's kernel is a combination of exponentials in elapsed time,
-    so the convolution state advances from t to t + h by damping the
-    stored state and adding a local integral over [t, t + h]:
-
-      overdamped   E_s, E_f with rates slow and damping + splitting;
-                   P = (E_s - E_f) / (2 splitting)
-      oscillatory  complex state with rate damping - i |splitting|;
-                   P = Im / |splitting|
-      critical     E0 (plain) and E1 (ramp-weighted); E1 gains h * E0
-                   on each shift; P = E1
-      diffusive    single E with the decay rate; P = E
-
-    Local integrals reuse the adaptive engine, so a long time series costs
-    one short quadrature per step instead of one full-history integral per
-    query.  States start at the quiescent initial condition, P_mn(0) = 0.
-    """
-
-    def __init__(self, s: PlateScenario, table: ModeTable,
-                 quad: QuadratureSpec | None = None):
-        self.s = s
-        self.table = table
-        self.quad = quad or QuadratureSpec()
-        self.factors = PointSourceFactors(s, table.kx, table.ky)
-        self.t = 0.0
-        n = table.nmodes
-        self._e_slow = np.zeros(n)   # overdamped slow / critical E0 / diffusive E
-        self._e_fast = np.zeros(n)   # overdamped fast / critical E1
-        self._e_cos = np.zeros(n)    # oscillatory real part
-        self._e_sin = np.zeros(n)    # oscillatory imag part
-
-    def _local_integrals(self, t_new: float):
-        """Segment integrals with kernels anchored at t_new, per state."""
-        table = self.table
-        reg = table.regime
-        over = reg == OVERDAMPED
-        crit = reg == CRITICAL
-        osc = reg == OSCILLATORY
-        diff = reg == DIFFUSIVE
-        rate_slow = np.where(over, table.slow, table.damping)  # crit/diff reuse
-        rate_fast = table.damping + table.splitting
-
-        def f(taus):
-            delta = np.maximum(t_new - taus, 0.0)[:, None]
-            base = self.factors(taus)
-            cols = [base * np.exp(-rate_slow[None, :] * delta)]
-            cols.append(np.where(over[None, :],
-                                 base * np.exp(-rate_fast[None, :] * delta),
-                                 np.where(crit[None, :], cols[0] * delta, 0.0)))
-            phase = table.splitting[None, :] * delta
-            cols.append(np.where(osc[None, :], cols[0] * np.cos(phase), 0.0))
-            cols.append(np.where(osc[None, :], cols[0] * np.sin(phase), 0.0))
-            return np.concatenate(cols, axis=1)
-
-        seg_spec = replace(self.quad, rel_tol=0.0)
-        totals, _ = integrate_columns(f, self.t, t_new, seg_spec,
-                                      abs_tol=self.quad.abs_tol,
-                                      breakpoints=_panel_seeds(self.s, self.t,
-                                                               t_new))
-        n = table.nmodes
-        return totals[:n], totals[n:2 * n], totals[2 * n:3 * n], totals[3 * n:]
-
-    def advance(self, t_new: float) -> None:
-        """Move the state from the current time to t_new > t."""
-        if t_new < self.t:
-            raise NegativeElapsed(
-                f"cannot step backward from {self.t!r} to {t_new!r}")
-        if t_new == self.t:
-            return
-        h = t_new - self.t
-        table = self.table
-        loc_slow, loc_mix, loc_cos, loc_sin = self._local_integrals(t_new)
-
-        reg = table.regime
-        over = reg == OVERDAMPED
-        crit = reg == CRITICAL
-        osc = reg == OSCILLATORY
-        diff = reg == DIFFUSIVE
-
-        decay_slow = np.exp(-np.where(over, table.slow, table.damping) * h)
-        decay_fast = np.exp(-(table.damping + table.splitting) * h)
-
-        e_slow_new = decay_slow * self._e_slow
-        e_fast_new = np.where(
-            over, decay_fast * self._e_fast,
-            # critical: ramp state picks up h * E0 when the anchor shifts
-            decay_slow * (self._e_fast + h * self._e_slow))
-        e_slow_new[over | crit | diff] += loc_slow[over | crit | diff]
-        e_fast_new[over | crit] += loc_mix[over | crit]
-
-        if osc.any():
-            rot_c = np.cos(table.splitting * h) * decay_slow
-            rot_s = np.sin(table.splitting * h) * decay_slow
-            e_cos_new = rot_c * self._e_cos - rot_s * self._e_sin + loc_cos
-            e_sin_new = rot_s * self._e_cos + rot_c * self._e_sin + loc_sin
-            self._e_cos = np.where(osc, e_cos_new, 0.0)
-            self._e_sin = np.where(osc, e_sin_new, 0.0)
-
-        self._e_slow = e_slow_new
-        self._e_fast = e_fast_new
-        self.t = t_new
-
-    def values(self) -> np.ndarray:
-        """Current P_mn array, aligned with the table's mode order."""
-        table = self.table
-        reg = table.regime
-        out = np.zeros(table.nmodes)
-        over = reg == OVERDAMPED
-        out[over] = ((self._e_slow[over] - self._e_fast[over])
-                     / (2.0 * table.splitting[over]))
-        crit = reg == CRITICAL
-        out[crit] = self._e_fast[crit]
-        osc = reg == OSCILLATORY
-        out[osc] = self._e_sin[osc] / table.splitting[osc]
-        diff = reg == DIFFUSIVE
-        out[diff] = self._e_slow[diff]
-        return out

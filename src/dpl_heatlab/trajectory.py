@@ -3,32 +3,12 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import ZeroAngularVelocity
 from .model import CUSTOM, Trajectory
-
-
-@dataclass(frozen=True)
-class SourceState:
-    """Position and velocity of the source at one instant."""
-
-    x: float
-    y: float
-    vx: float
-    vy: float
-    t: float
-
-    @property
-    def position(self):
-        return (self.x, self.y)
-
-    @property
-    def velocity(self):
-        return (self.vx, self.vy)
 
 
 @lru_cache(maxsize=64)
@@ -65,12 +45,6 @@ def velocity(traj: Trajectory, t):
     if np.ndim(t) == 0:
         return float(vx), float(vy)
     return vx, vy
-
-
-def source_state(traj: Trajectory, t: float) -> SourceState:
-    x, y = position(traj, t)
-    vx, vy = velocity(traj, t)
-    return SourceState(x=x, y=y, vx=vx, vy=vy, t=t)
 
 
 def period(traj: Trajectory) -> float:

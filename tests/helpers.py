@@ -5,6 +5,8 @@ and direct formula evaluation, with no code shared with the adaptive
 quadrature or the kernel recurrences under test.
 """
 
+import dataclasses
+
 import numpy as np
 
 from dpl_heatlab.modes import kernel_matrix
@@ -81,13 +83,21 @@ def tiny_scenario(**overrides):
     return dh.PlateScenario(**fields)
 
 
+def with_lags(s, tau_q, tau_T):
+    """``s`` with the flux lag tau_q and the gradient lag tau_T."""
+    return dataclasses.replace(s, tau_q=tau_q, tau_T=tau_T)
+
+
+def classical(s):
+    """The zero-lag variant of a scenario (parabolic branch)."""
+    return with_lags(s, 0.0, 0.0)
+
+
 def custom_path_scenario(base):
     """``base`` with its source on a sampled (custom) near-circular path.
 
     Custom paths are the only input that takes the adaptive quadrature.
     """
-    import dataclasses
-
     import dpl_heatlab as dh
 
     ts = np.linspace(0.0, 40.0, 81)

@@ -18,10 +18,10 @@ from dpl_heatlab.fdm import (deviation_report, project_gaussian_source_series,
                              solve_fdm)
 from dpl_heatlab.modes import (CRITICAL, OSCILLATORY, OVERDAMPED,
                                build_mode_table, kernel_matrix)
-from dpl_heatlab.series import (CoefficientHistory, assemble_field,
-                                default_truncation, mode_coefficients,
-                                solve_series, temperature)
+from dpl_heatlab.series import (assemble_field, default_truncation,
+                                mode_coefficients, solve_series, temperature)
 from dpl_heatlab.trajectory import position, velocity
+from coefficient_history import CoefficientHistory
 
 
 def _report(num, name, ok, detail):

@@ -1,0 +1,33 @@
+"""The package's public names."""
+
+import importlib
+
+import dpl_heatlab as dh
+
+# Loaded from fdm on first access, so that importing the package needs no
+# scipy.
+LAZY = ("GaussianSourceFactors", "deviation_report",
+        "project_gaussian_source_series", "solve_fdm")
+
+# Test-only code that moved into tests/, with the module it left.
+MOVED = {"CoefficientHistory": "series", "switch_on_transient": "series",
+         "SourceState": "trajectory", "source_state": "trajectory",
+         "with_lags": "model", "classical": "model"}
+
+
+def test_every_exported_name_resolves():
+    assert len(set(dh.__all__)) == len(dh.__all__)
+    for name in dh.__all__:
+        getattr(dh, name)
+    fdm = importlib.import_module("dpl_heatlab.fdm")
+    for name in LAZY:
+        assert name in dh.__all__
+        assert getattr(dh, name) is getattr(fdm, name)
+
+
+def test_test_only_names_left_the_package():
+    for name, module in MOVED.items():
+        assert name not in dh.__all__
+        assert not hasattr(dh, name)
+        assert not hasattr(importlib.import_module(f"dpl_heatlab.{module}"),
+                           name)

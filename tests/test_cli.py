@@ -63,7 +63,8 @@ def test_console_script_is_installed():
 def test_field_run_writes_csv_plot_and_manifest(tmp_path):
     out = tmp_path / "run"
     rc = main(["field", "--scenario", "ct_alpha2_q1_T1", "--t", "0.0",
-               "--modes", "4,4", "--grid", "5,4", "--out", str(out)])
+               "--modes", "4,4", "--grid", "5,4", "--threads", "3",
+               "--out", str(out)])
     assert rc == 0
     header, data = read_csv(out / "field_t0.csv")
     assert header == "x,y,T"
@@ -78,6 +79,7 @@ def test_field_run_writes_csv_plot_and_manifest(tmp_path):
     assert manifest["subcommand"] == "field"
     assert manifest["grid"] == [5, 4]
     assert manifest["truncation"] == [4, 4]
+    assert manifest["threads"] == 3
     assert manifest["tool_version"] == dh.__version__
 
 
@@ -337,6 +339,15 @@ def test_oracle_requires_fdm_parameters(tmp_path, capsys):
                "--out", str(tmp_path / "o")])
     assert rc == 2
     assert "fdm" in capsys.readouterr().err
+
+
+def test_negative_threads_exit_2_before_any_output(tmp_path, capsys):
+    out = tmp_path / "o"
+    rc = main(["oracle", "--scenario", "ct_alpha2_q1_T1", "--threads", "-1",
+               "--out", str(out)])
+    assert rc == 2
+    assert "error: thread count must be >= 0" in capsys.readouterr().err
+    assert list(out.glob("*.csv")) == []
 
 
 def test_oracle_smoke_run_agrees_with_series(tmp_path):

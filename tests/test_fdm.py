@@ -11,7 +11,7 @@ from dpl_heatlab.fdm import (GaussianSourceFactors, deviation_report,
                              solve_fdm)
 from dpl_heatlab.modes import build_mode_table
 from dpl_heatlab.series import PointSourceFactors, mode_coefficients
-from helpers import (outer_product_source, simpson, source_track,
+from helpers import (classical, outer_product_source, simpson, source_track,
                      sparse_lu_fdm, tiny_scenario)
 
 
@@ -163,7 +163,7 @@ def _wrap_source_grid(monkeypatch, poison=None):
 def test_source_grid_runs_once_per_step(monkeypatch, lagged):
     s = tiny_scenario()
     if not lagged:
-        s = dh.classical(s)
+        s = classical(s)
     calls = _wrap_source_grid(monkeypatch)
     solve_fdm(s, dh.FdmConfig(hx=0.1, hy=0.1, dt=0.1, t_end=1.3, sigma=0.25,
                               store_every=4))
@@ -176,7 +176,7 @@ def test_source_grid_runs_once_per_step(monkeypatch, lagged):
 def test_blowup_sentinel_catches_non_finite_steps(monkeypatch, lagged, bad):
     s = tiny_scenario()
     if not lagged:
-        s = dh.classical(s)
+        s = classical(s)
     _wrap_source_grid(monkeypatch, poison=bad)
     with pytest.raises(UnstableConfig, match="at step 3;"):
         solve_fdm(s, dh.FdmConfig(hx=0.1, hy=0.1, dt=0.1, t_end=1.0,
@@ -292,7 +292,7 @@ def test_blowup_sentinel_checks_the_first_step(monkeypatch, lagged, t_end):
     monkeypatch.setattr(fdm_mod, "BLOWUP_SENTINEL", 1e-30)
     s = tiny_scenario(tau_q=1.0, tau_T=1.0)
     if not lagged:
-        s = dh.classical(s)
+        s = classical(s)
     cfg = dh.FdmConfig(hx=0.1, hy=0.1, dt=0.1, t_end=t_end, sigma=0.25)
     with pytest.raises(UnstableConfig, match="at step 1;"):
         solve_fdm(s, cfg)

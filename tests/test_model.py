@@ -12,7 +12,7 @@ from dpl_heatlab.errors import (NEGATIVE_LAG, NON_FINITE_VALUE,
                                 ScenarioValidationError)
 from dpl_heatlab.model import (BAD_SAMPLES, INCONSISTENT_KIND, fdm_from_mapping,
                                parse_config_text, scenario_from_mapping)
-from helpers import tiny_scenario
+from helpers import classical, tiny_scenario, with_lags
 
 
 def test_trajectory_center_defaults_to_plate_center():
@@ -250,6 +250,6 @@ def test_default_peak_grid_follows_aspect():
 
 def test_lag_helpers():
     s = tiny_scenario(tau_q=3.0, tau_T=4.0)
-    assert dh.classical(s).tau_q == 0.0 and dh.classical(s).tau_T == 0.0
-    relagged = dh.with_lags(dh.classical(s), 5.0, 1.0)
+    assert classical(s).tau_q == 0.0 and classical(s).tau_T == 0.0
+    relagged = with_lags(classical(s), 5.0, 1.0)
     assert (relagged.tau_q, relagged.tau_T) == (5.0, 1.0)

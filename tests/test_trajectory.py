@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,8 +8,14 @@ from hypothesis import given, settings, strategies as st
 import dpl_heatlab as dh
 from dpl_heatlab.errors import ZeroAngularVelocity
 from dpl_heatlab.trajectory import (earliest_escape_time, period, position,
-                                    source_state, velocity, velocity_bounds)
+                                    velocity, velocity_bounds)
 from helpers import tiny_scenario
+
+
+def source_state(traj, t):
+    """Position and velocity of the source at one instant."""
+    (x, y), (vx, vy) = position(traj, t), velocity(traj, t)
+    return SimpleNamespace(x=x, y=y, vx=vx, vy=vy)
 
 
 def lst_traj():
