@@ -39,16 +39,18 @@ Because a Gaussian source is not what the eigenfunction series solves,
 the like-for-like comparison projects the same Gaussian, clipped at the
 walls, onto the sine basis in closed form (``sine_projection``) and feeds
 those per-axis factors through the ordinary convolution machinery in place
-of the point-source sine factors.
+of the point-source sine factors.  The Faddeeva function of that closed
+form is evaluated with numpy alone, by Weideman's rational approximation
+(J. A. C. Weideman, "Computation of the complex error function", SIAM J.
+Numer. Anal. 31 (1994) 1497-1518; ``_faddeeva``).
 """
 
 from __future__ import annotations
 
 import math
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
-from scipy.special import wofz
 
 from .errors import UnstableConfig
 from .model import FdmConfig, GridSpec, PlateScenario, TemperatureField
@@ -219,14 +221,51 @@ def solve_fdm(s: PlateScenario, cfg: FdmConfig, *, initial=None):
 # --- source-matched series -------------------------------------------------
 
 
+@cache
+def _weideman_coefficients():
+    """(L, a): the N = 48 Taylor coefficients of Weideman's expansion,
+    highest degree first.
+
+    They are the Fourier coefficients of exp(-t^2) (L^2 + t^2) under the map
+    t = L tan(theta / 2), sampled at theta = k pi / (2N), |k| < 2N (k = 2N is
+    t = infinity, where the function vanishes).  Built on the first call, so
+    importing the module costs no FFT.
+    """
+    n = 48
+    L = math.sqrt(n / math.sqrt(2.0))
+    t = L * np.tan(np.arange(1 - 2 * n, 2 * n) * (math.pi / (4 * n)))
+    f = np.concatenate(([0.0], np.exp(-t * t) * (L * L + t * t)))
+    a = np.fft.fft(np.fft.ifftshift(f)).real / (4 * n)
+    return L, a[n:0:-1]
+
+
+def _faddeeva(z: np.ndarray) -> np.ndarray:
+    """w(z) = e^(-z^2) erfc(-i z) for Im z >= 0 (Weideman 1994, N = 48).
+
+    w = 2 p(Z) / (L - i z)^2 + 1 / (sqrt(pi) (L - i z)) with
+    Z = (L + i z) / (L - i z) and p the degree-47 polynomial of
+    ``_weideman_coefficients``; the relative error is below 2e-14 over the
+    arguments of ``sine_projection``.
+    """
+    L, coef = _weideman_coefficients()
+    d = L - 1j * z
+    Z = (L + 1j * z) / d
+    p = np.full_like(Z, coef[0])
+    for c in coef[1:]:
+        p *= Z
+        p += c
+    return 2.0 * p / (d * d) + 1.0 / (math.sqrt(math.pi) * d)
+
+
 def sine_projection(rates: np.ndarray, limit: float, centers: np.ndarray,
                     sigma: float) -> tuple[np.ndarray, np.ndarray]:
     """p_r(c) = integral over [0, limit] of g_sigma(xi - c) sin(r xi) dxi.
 
     Exact for the wall-clipped Gaussian and r = m pi / limit.  With
     x = c / (sigma sqrt 2), x' = (limit - c) / (sigma sqrt 2),
-    y = r sigma / sqrt 2 and w the Faddeeva function, the projection onto
-    e^(i r xi) is the whole-line transform minus the tails beyond the walls,
+    y = r sigma / sqrt 2 and w the Faddeeva function (``_faddeeva``, numpy
+    only, after Weideman 1994), the projection onto e^(i r xi) is the
+    whole-line transform minus the tails beyond the walls,
 
       Z_r(c) = e^(-y^2) e^(i r c) - 1/2 e^(-x^2) w(-y + i x)
                - 1/2 (-1)^m e^(-x'^2) w(y + i x'),
@@ -242,7 +281,7 @@ def sine_projection(rates: np.ndarray, limit: float, centers: np.ndarray,
         x = dist / (sigma * root2)
         near = x < 27.0   # farther out e^(-x^2) underflows to 0
         xn = x[near, None]
-        z[near] -= fac * np.exp(-xn * xn) * wofz(arg + 1j * xn)
+        z[near] -= fac * np.exp(-xn * xn) * _faddeeva(arg + 1j * xn)
     return z.imag, rates * z.real
 
 

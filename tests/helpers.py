@@ -150,6 +150,27 @@ def outer_product_source(s, xi, yi, sigma, t):
     return q / s.k
 
 
+def wofz_sine_projection(rates, limit, centers, sigma):
+    """``fdm.sine_projection`` as it was with scipy's ``wofz``.
+
+    The reference for the numpy Faddeeva evaluation: the same closed form,
+    with w(z) from ``scipy.special.wofz``.  Returns the (C, R) tables p and
+    dp/dc.
+    """
+    from scipy.special import wofz
+
+    root2 = np.sqrt(2.0)
+    y = rates * (sigma / root2)
+    z = np.exp(1j * np.outer(centers, rates) - y * y)
+    half = 0.5 - np.rint(rates * (limit / np.pi)) % 2.0   # (-1)^m / 2
+    for dist, arg, fac in ((centers, -y, 0.5), (limit - centers, y, half)):
+        x = dist / (sigma * root2)
+        near = x < 27.0
+        xn = x[near, None]
+        z[near] -= fac * np.exp(-xn * xn) * wofz(arg + 1j * xn)
+    return z.imag, rates * z.real
+
+
 def sparse_lu_fdm(s, cfg):
     """Reference FDM run with assembled sparse operators and SuperLU solves.
 

@@ -295,6 +295,27 @@ def test_fdm_import_loads_no_scipy_sparse():
     assert proc.stdout.strip() == "[]"
 
 
+def test_oracle_run_loads_no_scipy(tmp_path):
+    # The Faddeeva function of the Gaussian projection is numpy-only, so an
+    # oracle run (FDM and matched series) at the benchmark smoke size
+    # imports no scipy module at all.
+    code = (
+        "import sys, dpl_heatlab.fdm\n"
+        "from dpl_heatlab.cli import main\n"
+        "rc = main(['oracle', '--scenario', 'ct_alpha2_q5_T1',"
+        " '--modes', '8,8', '--fdm-hx', '0.05', '--fdm-hy', '0.05',"
+        " '--fdm-dt', '0.05', '--fdm-sigma', '0.1', '--fdm-t-end', '5',"
+        " '--fdm-store-every', '40', '--out', sys.argv[1]])\n"
+        "print(rc, sorted(m for m in sys.modules"
+        " if m.split('.')[0] == 'scipy'))\n")
+    src = str(Path(dh.__file__).resolve().parents[1])
+    out = tmp_path / "o"
+    proc = subprocess.run([sys.executable, "-c", code, str(out)],
+                          capture_output=True, text=True, check=True, cwd=src)
+    assert proc.stdout.strip().splitlines()[-1] == "0 []"
+    assert (out / "series_t5.csv").is_file()
+
+
 @pytest.mark.parametrize("override", [["--w", "inf"], ["--tau-q", "nan"]],
                          ids=["w-inf", "tau-q-nan"])
 def test_non_finite_sweep_parameter_exits_2(tmp_path, capsys, override):

@@ -6,13 +6,13 @@ import pytest
 
 import dpl_heatlab as dh
 from dpl_heatlab.errors import UnstableConfig
-from dpl_heatlab.fdm import (GaussianSourceFactors, deviation_report,
-                             project_gaussian_source_series, sine_projection,
-                             solve_fdm)
+from dpl_heatlab.fdm import (GaussianSourceFactors, _faddeeva,
+                             deviation_report, project_gaussian_source_series,
+                             sine_projection, solve_fdm)
 from dpl_heatlab.modes import build_mode_table
 from dpl_heatlab.series import PointSourceFactors, mode_coefficients
 from helpers import (classical, outer_product_source, simpson, source_track,
-                     sparse_lu_fdm, tiny_scenario)
+                     sparse_lu_fdm, tiny_scenario, wofz_sine_projection)
 
 
 def unit_mode(xx, yy):
@@ -184,6 +184,43 @@ def test_blowup_sentinel_catches_non_finite_steps(monkeypatch, lagged, bad):
 
 
 # --- Gaussian-matched series source ----------------------------------------
+
+
+def test_faddeeva_matches_scipy_wofz():
+    # sine_projection evaluates w at +-y + ix with x = distance to a wall /
+    # (sigma sqrt 2) in [0, 27) and y = rate sigma / sqrt 2.  Sample that
+    # half-strip with |y| up to 1e4, x = 0 and both signs of y included.
+    from scipy.special import wofz
+
+    rng = np.random.default_rng(11)
+    ys = np.geomspace(1e-8, 1e4, 241)
+    grid = (np.concatenate((-ys, [0.0], ys))[:, None]
+            + 1j * np.linspace(0.0, 27.0, 271, endpoint=False)).ravel()
+    x = rng.uniform(0.0, 27.0, 100_000)
+    x[:1000] = 0.0
+    y = np.where(rng.random(x.size) < 0.5, -1.0, 1.0) * np.concatenate(
+        (rng.uniform(0.0, 1e4, 50_000), rng.uniform(0.0, 30.0, 50_000)))
+    for z in (grid, y + 1j * x):
+        ref = wofz(z)
+        assert np.max(np.abs(_faddeeva(z) - ref) / np.abs(ref)) <= 5e-14
+
+
+def test_projection_tables_match_wofz_reference():
+    # The oracle's scenario: rates m pi for m <= 80 on the unit plate, sigma
+    # from its fdm block, and 3999 source centres along one period of its
+    # ring.  The ring stays 4.7 sigma sqrt 2 from the walls, where the
+    # Faddeeva terms are damped by e^(-x^2) < 3e-10, so centres across the
+    # whole plate, walls included, are checked as well.
+    s, cfg = dh.load_bundled("ct_alpha2_q5_T1")
+    rates = np.pi * np.arange(1, 81)
+    taus = np.linspace(0.0, 2.0 * math.pi / s.trajectory.w, 3999)
+    x, y, _, _ = source_track(s, taus)
+    sigma = cfg.resolved_sigma()
+    for centers in (x, y, np.linspace(0.0, s.L, 3999)):
+        value, slope = sine_projection(rates, s.L, centers, sigma)
+        ref, dref = wofz_sine_projection(rates, s.L, centers, sigma)
+        assert np.max(np.abs(value - ref)) <= 1e-14 * np.max(np.abs(ref))
+        assert np.max(np.abs(slope - dref)) <= 1e-14 * np.max(np.abs(dref))
 
 
 def test_projection_matches_brute_force_quadrature():
