@@ -19,7 +19,6 @@ from .errors import (
     ConfigFormatError,
     NegativeElapsed,
     PeakOnBoundary,
-    QuadratureNotConverged,
     ScenarioValidationError,
     TrajectoryNotClosed,
     UnstableConfig,
@@ -41,7 +40,6 @@ from .model import (
     validate_scenario,
 )
 from .modes import ModeTable, build_mode_table
-from .quadrature import QuadratureSpec, integrate_columns
 from .series import (
     SeriesSolution,
     default_truncation,
@@ -56,12 +54,11 @@ __all__ = [
     "ConfigFormatError", "FdmConfig",
     "GaussianSourceFactors", "GridSpec", "LineProfile", "ModeTable",
     "NegativeElapsed", "PeakOnBoundary", "PeakReport", "PlateScenario",
-    "QuadratureNotConverged", "QuadratureSpec", "ScenarioValidationError",
-    "SeriesSolution", "TemperatureField",
+    "ScenarioValidationError", "SeriesSolution", "TemperatureField",
     "Trajectory", "TrajectoryNotClosed", "UnstableConfig",
     "ZeroAngularVelocity", "build_mode_table", "bundled_scenario_names",
     "default_peak_grid", "default_truncation",
-    "deviation_report", "format_scenario", "integrate_columns",
+    "deviation_report", "format_scenario",
     "line_profile_y", "load_bundled", "load_scenario", "load_scenario_file",
     "locate_peak", "mode_coefficients", "period",
     "position", "project_gaussian_source_series", "save_scenario",

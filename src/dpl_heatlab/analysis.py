@@ -9,7 +9,6 @@ import numpy as np
 
 from .errors import PeakOnBoundary, TrajectoryNotClosed
 from .model import CIRCLE, ELLIPSE, GridSpec, PlateScenario, default_peak_grid
-from .quadrature import QuadratureSpec
 from .series import SeriesSolution, solve_series
 from .trajectory import position
 
@@ -104,32 +103,29 @@ def _peak(sol: SeriesSolution, grid: GridSpec, truncation, refine,
 
 def locate_peak(s: PlateScenario, t: float, M: int | None = None,
                 N: int | None = None, grid: GridSpec | None = None,
-                refine: bool = True,
-                quad: QuadratureSpec | None = None) -> PeakReport:
+                refine: bool = True) -> PeakReport:
     """Grid argmax of the series field, optionally refined inside the cell."""
-    sol = solve_series(s, t, M, N, quad)
+    sol = solve_series(s, t, M, N)
     return _peak(sol, grid or default_peak_grid(s),
                  (sol.table.M, sol.table.N), refine)
 
 
 def line_profile_y(s: PlateScenario, t: float, y0: float,
                    M: int | None = None, N: int | None = None,
-                   nsamples: int = 201,
-                   quad: QuadratureSpec | None = None) -> LineProfile:
+                   nsamples: int = 201) -> LineProfile:
     """Temperatures on nsamples uniform points along the cut y = y0."""
     if not 0.0 < y0 < s.H:
         raise ValueError(f"cut must be interior: 0 < y0 < {s.H}, got {y0!r}")
     if nsamples < 2:
         raise ValueError(f"need at least 2 samples, got {nsamples}")
     xs = np.linspace(0.0, s.L, nsamples)
-    vals = solve_series(s, t, M, N, quad).at(xs, np.full(nsamples, y0))
+    vals = solve_series(s, t, M, N).at(xs, np.full(nsamples, y0))
     return LineProfile(parameter=xs, values=vals, t=float(t), label="x")
 
 
 def trajectory_profile(s: PlateScenario, t: float,
                        M: int | None = None, N: int | None = None,
-                       nangles: int = 360,
-                       quad: QuadratureSpec | None = None) -> LineProfile:
+                       nangles: int = 360) -> LineProfile:
     """Temperatures along the closed trajectory vs. central angle.
 
     Samples nangles positions (cx + A cos phi, cy + B sin phi) with phi
@@ -145,15 +141,13 @@ def trajectory_profile(s: PlateScenario, t: float,
     phi = np.linspace(0.0, 2.0 * math.pi, nangles, endpoint=False)
     xs = traj.cx + traj.A * np.cos(phi)
     ys = traj.cy + traj.B * np.sin(phi)
-    vals = solve_series(s, t, M, N, quad).at(xs, ys)
+    vals = solve_series(s, t, M, N).at(xs, ys)
     return LineProfile(parameter=phi, values=vals, t=float(t), label="phi")
 
 
 def source_peak_distance_sweep(s: PlateScenario, t: float,
                                truncations, grid: GridSpec | None = None,
-                               refine: bool = True,
-                               quad: QuadratureSpec | None = None
-                               ) -> list[PeakReport]:
+                               refine: bool = True) -> list[PeakReport]:
     """Peak reports across truncations, sharing one coefficient table.
 
     Coefficients are computed once at the largest requested truncation;
@@ -166,7 +160,7 @@ def source_peak_distance_sweep(s: PlateScenario, t: float,
     grid = grid or default_peak_grid(s)
     m_max = max(mm for mm, _ in truncations)
     n_max = max(nn for _, nn in truncations)
-    sol = solve_series(s, t, m_max, n_max, quad)
+    sol = solve_series(s, t, m_max, n_max)
     table = sol.table
     return [_peak(sol, grid, (mm, nn), refine,
                   mode_mask=(table.m <= mm) & (table.n <= nn))

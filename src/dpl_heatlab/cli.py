@@ -1,8 +1,8 @@
 """Command-line front end: scenario files in, CSV + plot scripts out.
 
 Exit codes: 0 success, 2 configuration/usage error, 3 numerical failure
-(quadrature not converged, unstable stepping, degenerate peak, arithmetic
-overflow), 4 output I/O error.
+(unstable stepping, degenerate peak, arithmetic overflow), 4 output I/O
+error.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from .analysis import (
 from .errors import (
     ConfigFormatError,
     PeakOnBoundary,
-    QuadratureNotConverged,
     ScenarioValidationError,
     TrajectoryNotClosed,
     UnstableConfig,
@@ -43,7 +42,6 @@ from .model import (
     load_scenario_file,
     validate_scenario,
 )
-from .quadrature import QuadratureSpec
 from .series import resolve_threads, resolve_truncation, temperature
 from .trajectory import position
 
@@ -151,15 +149,6 @@ def _load_scenario_arg(arg: str):
         f"(bundled: {', '.join(bundled_scenario_names())})")
 
 
-def _quad_from_args(args) -> QuadratureSpec:
-    spec = QuadratureSpec()
-    if args.quad_abs is not None:
-        spec = replace(spec, abs_tol=args.quad_abs)
-    if args.quad_rel is not None:
-        spec = replace(spec, rel_tol=args.quad_rel)
-    return spec
-
-
 def _prepare_out(path_str: str) -> Path:
     out = Path(path_str)
     out.mkdir(parents=True, exist_ok=True)
@@ -171,7 +160,6 @@ def _write_manifest(out: Path, args, subcommand: str, extra: dict) -> None:
         "scenario": args.scenario,
         "subcommand": subcommand,
         "out_dir": str(out),
-        "quadrature": {"abs_tol": args.quad_abs, "rel_tol": args.quad_rel},
         "threads": args.threads,
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "tool_version": __version__,
@@ -193,11 +181,10 @@ def _cmd_field(args) -> int:
     modes = _resolve_modes(args, s)
     grid = (default_peak_grid(s) if args.grid is None
             else GridSpec(*_parse_pair(args.grid, "--grid")))
-    quad = _quad_from_args(args)
     out = _prepare_out(args.out)
     traj = s.trajectory
     for t in args.t:
-        field = temperature(s, grid, t, modes[0], modes[1], quad)
+        field = temperature(s, grid, t, modes[0], modes[1])
         stem = f"field_t{t:g}"
         write_field_csv(field, s, out / f"{stem}.csv")
         x_src, y_src = position(traj, t)
@@ -216,7 +203,6 @@ def _cmd_field(args) -> int:
 def _cmd_profile(args) -> int:
     s, _fdm = _load_scenario_arg(args.scenario)
     modes = _resolve_modes(args, s)
-    quad = _quad_from_args(args)
     out = _prepare_out(args.out)
     files = []
     for t in args.t:
@@ -224,11 +210,11 @@ def _cmd_profile(args) -> int:
             if args.y0 is None:
                 raise ValueError("--y0 is required for --kind line-y")
             prof = line_profile_y(s, t, args.y0, modes[0], modes[1],
-                                  args.samples, quad)
+                                  args.samples)
             name = f"profile_line_y{args.y0:g}_t{t:g}.csv"
         else:
             prof = trajectory_profile(s, t, modes[0], modes[1],
-                                      args.samples, quad)
+                                      args.samples)
             name = f"profile_trajectory_t{t:g}.csv"
         write_profile_csv(prof, out / name)
         files.append(name)
@@ -246,10 +232,9 @@ def _cmd_peak_sweep(args) -> int:
     truncations = _parse_truncations(args.truncations)
     grid = (default_peak_grid(s) if args.grid is None
             else GridSpec(*_parse_pair(args.grid, "--grid")))
-    quad = _quad_from_args(args)
     out = _prepare_out(args.out)
     t = args.t[0]
-    reports = source_peak_distance_sweep(s, t, truncations, grid, quad=quad)
+    reports = source_peak_distance_sweep(s, t, truncations, grid)
     write_sweep_csv(reports, out / "peak_sweep.csv")
     (out / "plot_peak_sweep.py").write_text(
         _SWEEP_PLOT.format(csv="peak_sweep.csv"), encoding="utf-8")
@@ -286,7 +271,6 @@ def _cmd_oracle(args) -> int:
         fdm_cfg = replace(fdm_cfg, **updates)
 
     modes = _resolve_modes(args, s)
-    quad = _quad_from_args(args)
     out = _prepare_out(args.out)
 
     fields = fdm.solve_fdm(s, fdm_cfg)
@@ -295,7 +279,7 @@ def _cmd_oracle(args) -> int:
     final = fields[-1]
     series_field = fdm.project_gaussian_source_series(
         s, fdm_cfg.resolved_sigma(), final.grid, final.t,
-        modes[0], modes[1], quad)
+        modes[0], modes[1])
     write_field_csv(series_field, s, out / f"series_t{final.t:g}.csv")
     report = fdm.deviation_report(final, series_field, s.T0)
     with open(out / "report.json", "w", encoding="utf-8") as fh:
@@ -313,7 +297,6 @@ def _cmd_oracle(args) -> int:
 def _cmd_sweep(args) -> int:
     s, _fdm = _load_scenario_arg(args.scenario)
     modes = _resolve_modes(args, s)
-    quad = _quad_from_args(args)
     out = _prepare_out(args.out)
     qs = (_parse_float_list(args.tau_q, "--tau-q")
           if args.tau_q else [s.tau_q])
@@ -333,12 +316,11 @@ def _cmd_sweep(args) -> int:
                 for t in args.t:
                     if closed:
                         prof = trajectory_profile(
-                            variant, t, modes[0], modes[1], args.samples,
-                            quad)
+                            variant, t, modes[0], modes[1], args.samples)
                     else:
                         prof = line_profile_y(
                             variant, t, variant.trajectory.cy, modes[0],
-                            modes[1], args.samples, quad)
+                            modes[1], args.samples)
                     name = f"sweep_q{q:g}_T{lag_t:g}_w{w:g}_t{t:g}.csv"
                     write_profile_csv(prof, out / name)
                     files.append(name)
@@ -375,14 +357,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--modes", default=None, metavar="M,N",
                        help="series truncation (default per scenario)")
         p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--quad-abs", type=float, default=None,
-                       help="absolute quadrature tolerance; acts only on "
-                            "custom paths, which config files cannot "
-                            "describe, and is recorded in manifest.json")
-        p.add_argument("--quad-rel", type=float, default=None,
-                       help="relative quadrature tolerance; acts only on "
-                            "custom paths, which config files cannot "
-                            "describe, and is recorded in manifest.json")
         p.add_argument("--threads", type=int, default=None,
                        help="accepted (>= 0) and recorded in manifest.json "
                             "for compatibility; the solvers run in one "
@@ -454,7 +428,7 @@ def main(argv=None) -> int:
             FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (QuadratureNotConverged, UnstableConfig, PeakOnBoundary) as exc:
+    except (UnstableConfig, PeakOnBoundary) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except ArithmeticError as exc:

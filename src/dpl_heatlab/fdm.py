@@ -54,9 +54,8 @@ import numpy as np
 
 from .errors import UnstableConfig
 from .model import FdmConfig, GridSpec, PlateScenario, TemperatureField
-from .quadrature import QuadratureSpec
 from .series import solve_series
-from .trajectory import position, velocity, velocity_bounds
+from .trajectory import position, velocity
 
 BLOWUP_SENTINEL = 1e12
 
@@ -297,14 +296,12 @@ class GaussianSourceFactors:
                  sigma: float):
         self.s = s
         self.sigma = sigma
-        self.kx = kx
         self._ux, self._ix = np.unique(kx, return_inverse=True)
         self._uy, self._iy = np.unique(ky, return_inverse=True)
 
-    def __call__(self, taus: np.ndarray, cols=None) -> np.ndarray:
-        """(Q, P) factors at taus for the mode columns ``cols`` (all if None)."""
-        cols = slice(None) if cols is None else cols
-        ix, iy = self._ix[cols], self._iy[cols]
+    def __call__(self, taus: np.ndarray) -> np.ndarray:
+        """(Q, P) factors at taus for every mode column."""
+        ix, iy = self._ix, self._iy
         x, y = position(self.s.trajectory, taus)
         px, dpx = sine_projection(self._ux, self.s.L, x, self.sigma)
         py, dpy = sine_projection(self._uy, self.s.H, y, self.sigma)
@@ -321,26 +318,18 @@ class GaussianSourceFactors:
             f += drift
         return f
 
-    def bound(self) -> np.ndarray:
-        vx_max, vy_max = velocity_bounds(self.s.trajectory)
-        slope = math.sqrt(2.0 / math.pi) / self.sigma
-        cap = 1.0 + self.s.tau_q * (vx_max + vy_max) * slope
-        return np.full(self.kx.size, cap)
-
 
 def project_gaussian_source_series(s: PlateScenario, sigma: float,
                                    grid: GridSpec, t: float,
                                    M: int | None = None,
-                                   N: int | None = None,
-                                   quad: QuadratureSpec | None = None
+                                   N: int | None = None
                                    ) -> TemperatureField:
     """Series field whose source matches the smoothed FDM source."""
     if sigma <= 0.0:
         raise ValueError(f"sigma must be positive, got {sigma!r}")
 
     factory = partial(GaussianSourceFactors, sigma=sigma)
-    return solve_series(s, t, M, N, quad,
-                        factors_factory=factory).field(grid)
+    return solve_series(s, t, M, N, factors_factory=factory).field(grid)
 
 
 def deviation_report(candidate: TemperatureField, reference: TemperatureField,

@@ -26,21 +26,19 @@ from .errors import (
 LINE = "line"
 CIRCLE = "circle"
 ELLIPSE = "ellipse"
-CUSTOM = "custom"
-KINDS = (LINE, CIRCLE, ELLIPSE, CUSTOM)
+KINDS = (LINE, CIRCLE, ELLIPSE)
 
 INCONSISTENT_KIND = "InconsistentTrajectoryKind"
-BAD_SAMPLES = "BadTrajectorySamples"
 
 
 @dataclass(frozen=True)
 class Trajectory:
     """Parametric path of the moving point source.
 
-    The analytic kinds trace x(t) = cx + A cos(w t), y(t) = cy + B sin(w t):
+    Every kind traces x(t) = cx + A cos(w t), y(t) = cy + B sin(w t):
     ``line`` sweeps the horizontal segment (B = 0, A > 0), ``circle`` has
-    A = B > 0, ``ellipse`` has distinct positive semi-axes.  ``custom``
-    interpolates user-supplied samples with a cubic spline and ignores A, B.
+    A = B > 0, ``ellipse`` has distinct positive semi-axes.  These are the
+    paper's three source paths; any other kind fails validation.
 
     cx, cy may be left as None; they resolve to the plate center when the
     trajectory is attached to a PlateScenario.
@@ -48,16 +46,13 @@ class Trajectory:
     Parameters
     ----------
     kind : str
-        One of ``line``, ``circle``, ``ellipse``, ``custom``.
+        One of ``line``, ``circle``, ``ellipse``.
     A, B : float
         Semi-axes of the sweep in x and y.
     w : float
         Angular rate in radians per unit time.  Sign sets orientation.
     cx, cy : float or None
         Sweep center.
-    samples : tuple of three tuples, optional
-        (times, xs, ys) for the ``custom`` kind; times strictly increasing,
-        at least four points.
     """
 
     kind: str
@@ -66,7 +61,6 @@ class Trajectory:
     w: float = 0.0
     cx: float | None = None
     cy: float | None = None
-    samples: tuple[tuple[float, ...], tuple[float, ...], tuple[float, ...]] | None = None
 
 
 @dataclass(frozen=True)
@@ -104,6 +98,11 @@ class GridSpec:
 
     nx: int
     ny: int
+
+    def __post_init__(self):
+        if not (self.nx >= 2 and self.ny >= 2):
+            raise ValueError(f"grid needs at least 2 samples per axis, "
+                             f"got {self.nx}x{self.ny}")
 
     def axes(self, L: float, H: float):
         """Coordinate vectors (xs, ys) for a plate of the given extents."""
@@ -182,8 +181,6 @@ def validate_scenario(s: PlateScenario) -> PlateScenario:
     if traj.kind not in KINDS:
         violations.append(Violation(
             INCONSISTENT_KIND, f"unknown trajectory kind {traj.kind!r}"))
-    elif traj.kind == CUSTOM:
-        violations.extend(_check_samples(traj))
     elif finite["traj.A"] and finite["traj.B"]:
         if traj.A < 0.0 or traj.B < 0.0:
             violations.append(Violation(
@@ -217,24 +214,6 @@ def validate_scenario(s: PlateScenario) -> PlateScenario:
     if violations:
         raise ScenarioValidationError(violations)
     return s
-
-
-def _check_samples(traj: Trajectory) -> list[Violation]:
-    if traj.samples is None:
-        return [Violation(BAD_SAMPLES, "custom trajectory requires samples")]
-    try:
-        ts, xs, ys = traj.samples
-    except (TypeError, ValueError):
-        return [Violation(BAD_SAMPLES, "samples must be (times, xs, ys)")]
-    out = []
-    if not (len(ts) == len(xs) == len(ys)):
-        out.append(Violation(BAD_SAMPLES, "sample arrays differ in length"))
-    if len(ts) < 4:
-        out.append(Violation(BAD_SAMPLES,
-                             f"need at least 4 samples for a cubic spline, got {len(ts)}"))
-    if len(ts) >= 2 and not all(a < b for a, b in zip(ts, ts[1:])):
-        out.append(Violation(BAD_SAMPLES, "sample times must be strictly increasing"))
-    return out
 
 
 # --- scenario config files -------------------------------------------------
@@ -283,10 +262,6 @@ def scenario_from_mapping(mapping: dict) -> PlateScenario:
     if missing:
         raise ConfigFormatError(f"missing required keys: {', '.join(missing)}")
     kind = mapping["traj.kind"]
-    if kind == CUSTOM:
-        raise ConfigFormatError(
-            "custom trajectories carry sample arrays and cannot be described "
-            "by a config file; build them through the library API")
     if kind not in KINDS:
         raise ConfigFormatError(f"unknown traj.kind {kind!r}")
     traj = Trajectory(
@@ -336,8 +311,6 @@ def fdm_from_mapping(mapping: dict) -> FdmConfig | None:
 
 def format_scenario(s: PlateScenario, fdm: FdmConfig | None = None) -> str:
     """Render a scenario (and optional fdm block) in the config format."""
-    if s.trajectory.kind == CUSTOM:
-        raise ConfigFormatError("custom trajectories are not serializable")
     traj = s.trajectory
     lines = [
         f"L = {s.L!r}",

@@ -132,7 +132,7 @@ def kernel_matrix(regime, damping, splitting, slow, delta) -> np.ndarray:
     """Kernel values for every (time, mode) pair; delta (Q,) -> (Q, P).
 
     K(0) = 0 in every lagged regime and 1 on the diffusive branch.  delta
-    must be >= 0; the coefficient engine clamps it there.
+    must be >= 0.
     """
     delta = np.asarray(delta, dtype=float)
     d = delta[:, None]
@@ -155,34 +155,4 @@ def kernel_matrix(regime, damping, splitting, slow, delta) -> np.ndarray:
     sel = regime == DIFFUSIVE
     if sel.any():
         out[:, sel] = np.exp(-damping[sel][None, :] * d)
-    return out
-
-
-def kernel_tail_mass(regime, damping, splitting, slow, delta0) -> np.ndarray:
-    """Upper bound on integral of |K| over [delta0, infinity) per mode.
-
-    Used to deactivate modes whose remaining convolution mass cannot move
-    the result beyond the error budget.
-    """
-    d0 = float(delta0)
-    out = np.empty(regime.shape)
-
-    sel = regime == OVERDAMPED
-    if sel.any():
-        b1b2 = damping[sel] + splitting[sel]
-        out[sel] = (np.exp(-slow[sel] * d0) / slow[sel]
-                    - np.exp(-b1b2 * d0) / b1b2) / (2.0 * splitting[sel])
-    sel = regime == CRITICAL
-    if sel.any():
-        b1 = damping[sel]
-        out[sel] = np.exp(-b1 * d0) * (d0 + 1.0 / b1) / b1
-    sel = regime == OSCILLATORY
-    if sel.any():
-        b1 = damping[sel]
-        ramp = np.exp(-b1 * d0) * (d0 + 1.0 / b1) / b1  # |sin x| <= x
-        flat = np.exp(-b1 * d0) / (b1 * splitting[sel])  # |sin x| <= 1
-        out[sel] = np.minimum(ramp, flat)
-    sel = regime == DIFFUSIVE
-    if sel.any():
-        out[sel] = np.exp(-damping[sel] * d0) / damping[sel]
     return out

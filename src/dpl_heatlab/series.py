@@ -20,16 +20,13 @@ on a grid or at paired points.  The field, the profiles, the peak search,
 the truncation sweep and the Gaussian-source series of the finite-
 difference cross-check all read such a solution.
 
-Line, circle and ellipse sources repeat with period T = 2 pi / |w|, so
-their coefficients come from the source's harmonics: one FFT of the
-factors over a period, then a closed-form convolution of each harmonic
-with the kernel's exponentials, with the phase taken from fmod(t, T).  Its
-cost and accuracy do not depend on t.  Custom paths take one adaptive pass
-per time segment over [0, t]: segments split at the spline knots and are
-processed backward from tau = t, so that modes whose remaining kernel mass
-is below their error budget drop out early; later segments evaluate source
-factors for the still-active modes only.  Both engines handle modes in
-fixed chunks in ascending-k2 order, in one thread.
+Every source the model describes runs along a line, circle or ellipse
+with period T = 2 pi / |w|, or is parked (w = 0), so the coefficients come
+from the source's harmonics: one FFT of the factors over a period, then a
+closed-form convolution of each harmonic with the kernel's exponentials,
+with the phase taken from fmod(t, T).  Its cost and accuracy do not depend
+on t.  The engine handles modes in fixed chunks in ascending-k2 order, in
+one thread.
 
 The basis is separable, and both hot paths use that.  Source factors
 evaluate sin/cos once per distinct kx and ky and gather the per-axis values
@@ -41,25 +38,16 @@ and sums the series as SX @ A @ SY.T on a grid, or as the row sums of
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NegativeElapsed
-from .model import CUSTOM, GridSpec, PlateScenario, TemperatureField
-from .modes import (
-    OSCILLATORY,
-    OVERDAMPED,
-    ModeTable,
-    build_mode_table,
-    kernel_matrix,
-    kernel_tail_mass,
-)
-from .quadrature import QuadratureSpec, integrate_columns
+from .model import GridSpec, PlateScenario, TemperatureField
+from .modes import OSCILLATORY, OVERDAMPED, ModeTable, build_mode_table
 from .trajectory import period as source_period
-from .trajectory import position, velocity, velocity_bounds
+from .trajectory import position, velocity
 
-MODE_CHUNK = 1024
 HARMONIC_CHUNK = 256
 
 
@@ -70,11 +58,11 @@ def default_truncation(s: PlateScenario) -> tuple[int, int]:
 
 def resolve_truncation(s: PlateScenario, M: int | None = None,
                        N: int | None = None) -> tuple[int, int]:
-    """(M, N) with any missing count taken from ``default_truncation``."""
+    """(M, N) with any count left as None taken from ``default_truncation``."""
     if M is None or N is None:
         dm, dn = default_truncation(s)
-        M = M or dm
-        N = N or dn
+        M = dm if M is None else M
+        N = dn if N is None else N
     return M, N
 
 
@@ -118,10 +106,9 @@ class PointSourceFactors:
         self._ux, self._ix = np.unique(kx, return_inverse=True)
         self._uy, self._iy = np.unique(ky, return_inverse=True)
 
-    def __call__(self, taus: np.ndarray, cols=None) -> np.ndarray:
-        """(Q, P) factors at taus for the mode columns ``cols`` (all if None)."""
-        cols = slice(None) if cols is None else cols
-        ix, iy = self._ix[cols], self._iy[cols]
+    def __call__(self, taus: np.ndarray) -> np.ndarray:
+        """(Q, P) factors at taus for every mode column."""
+        ix, iy = self._ix, self._iy
         x, y = position(self.traj, taus)
         argx = np.outer(x, self._ux)
         argy = np.outer(y, self._uy)
@@ -132,78 +119,16 @@ class PointSourceFactors:
             vx, vy = velocity(self.traj, taus)
             # Same association as the per-mode formula, so the values are
             # bitwise those of evaluating every (sample, mode) pair.
-            drift = np.multiply.outer(vx, self.kx[cols])
+            drift = np.multiply.outer(vx, self.kx)
             drift *= np.take(np.cos(argx), ix, axis=1)
             drift *= np.take(siny, iy, axis=1)
-            cross = np.multiply.outer(vy, self.ky[cols])
+            cross = np.multiply.outer(vy, self.ky)
             cross *= np.take(sinx, ix, axis=1)
             cross *= np.take(np.cos(argy), iy, axis=1)
             drift += cross
             drift *= self.tau_q
             f += drift
         return f
-
-    def bound(self) -> np.ndarray:
-        """Per-mode upper bound on |f| over all tau."""
-        vx_max, vy_max = velocity_bounds(self.traj)
-        return 1.0 + self.tau_q * (self.kx * vx_max + self.ky * vy_max)
-
-
-def _panel_seeds(s: PlateScenario, t: float) -> np.ndarray:
-    """0, t and the custom path's spline knots inside (0, t)."""
-    pts = [0.0, t, *(tk for tk in s.trajectory.samples[0] if 0.0 < tk < t)]
-    return np.unique(np.asarray(pts, dtype=float))
-
-
-def _coefficients_chunk(s, table: ModeTable, sel: slice, t: float,
-                        quad: QuadratureSpec, seeds,
-                        factors_factory) -> tuple[np.ndarray, np.ndarray]:
-    """Coefficients for one contiguous chunk of the mode table."""
-    kx = table.kx[sel]
-    ky = table.ky[sel]
-    regime = table.regime[sel]
-    damping = table.damping[sel]
-    splitting = table.splitting[sel]
-    slow = table.slow[sel]
-    factors = factors_factory(s, kx, ky)
-    fbound = factors.bound()
-
-    nmodes = kx.size
-    nseg = seeds.size - 1
-    acc = np.zeros(nmodes)
-    err = np.zeros(nmodes)
-    active = np.ones(nmodes, dtype=bool)
-    seg_spec = replace(quad, rel_tol=0.0)
-
-    for j in range(nseg - 1, -1, -1):
-        if not active.any():
-            break
-        a_seg, b_seg = seeds[j], seeds[j + 1]
-        idx = np.flatnonzero(active)
-        reg_a, dmp_a = regime[idx], damping[idx]
-        spl_a, slo_a = splitting[idx], slow[idx]
-
-        def f(taus, _idx=idx, _reg=reg_a, _dmp=dmp_a, _spl=spl_a, _slo=slo_a):
-            delta = np.maximum(t - taus, 0.0)
-            vals = factors(taus, _idx)
-            vals *= kernel_matrix(_reg, _dmp, _spl, _slo, delta)
-            return vals
-
-        tol = np.maximum(quad.abs_tol, quad.rel_tol * np.abs(acc[idx])) / nseg
-        totals, errors = integrate_columns(f, a_seg, b_seg, seg_spec, abs_tol=tol)
-        acc[idx] += totals
-        err[idx] += errors
-
-        if j > 0:
-            remaining = kernel_tail_mass(reg_a, dmp_a, spl_a, slo_a,
-                                         t - a_seg) * fbound[idx]
-            budget = 0.5 * np.maximum(quad.abs_tol,
-                                      quad.rel_tol * np.abs(acc[idx]))
-            done = remaining <= budget
-            if done.any():
-                active[idx[done]] = False
-                err[idx[done]] += remaining[done]
-    return acc, err
 
 
 def _harmonic_samples(s: PlateScenario, table: ModeTable) -> int:
@@ -276,34 +201,21 @@ def _harmonic_coefficients(s: PlateScenario, table: ModeTable, t: float,
     return out
 
 
-def mode_coefficients(s: PlateScenario, table: ModeTable, t: float,
-                      quad: QuadratureSpec | None = None, *,
+def mode_coefficients(s: PlateScenario, table: ModeTable, t: float, *,
                       factors_factory=None) -> np.ndarray:
     """Convolution coefficients P_mn(t) for every mode of the table.
 
-    Returns an array aligned with the table's (ascending-k2) mode order.
-    Line, circle and ellipse sources take the harmonic engine.  Custom
-    paths take the adaptive quadrature under ``quad``, one fixed chunk of
-    ``MODE_CHUNK`` modes of the table at a time.
+    Returns an array aligned with the table's (ascending-k2) mode order,
+    computed by the harmonic engine (``_harmonic_coefficients``).
     """
     if not math.isfinite(t):
         raise ValueError(f"coefficients requested at non-finite time {t!r}")
     if t < 0.0:
         raise NegativeElapsed(f"coefficients requested at negative time {t!r}")
-    nmodes = table.nmodes
     if t == 0.0:
-        return np.zeros(nmodes)
-    factory = factors_factory or PointSourceFactors
-    if s.trajectory.kind != CUSTOM:
-        return _harmonic_coefficients(s, table, t, factory)
-    quad = quad or QuadratureSpec()
-    seeds = _panel_seeds(s, t)
-    out = np.empty(nmodes)
-    for i in range(0, nmodes, MODE_CHUNK):
-        sel = slice(i, min(i + MODE_CHUNK, nmodes))
-        out[sel] = _coefficients_chunk(s, table, sel, t, quad, seeds,
-                                       factory)[0]
-    return out
+        return np.zeros(table.nmodes)
+    return _harmonic_coefficients(s, table, t,
+                                  factors_factory or PointSourceFactors)
 
 
 # --- field assembly --------------------------------------------------------
@@ -399,19 +311,18 @@ class SeriesSolution:
 
 
 def solve_series(s: PlateScenario, t: float, M: int | None = None,
-                 N: int | None = None, quad: QuadratureSpec | None = None, *,
+                 N: int | None = None, *,
                  factors_factory=None) -> SeriesSolution:
     """Truncated series solution at time t (default truncation if M/N None)."""
     M, N = resolve_truncation(s, M, N)
     table = build_mode_table(s, M, N)
-    coeffs = mode_coefficients(s, table, t, quad,
-                               factors_factory=factors_factory)
+    coeffs = mode_coefficients(s, table, t, factors_factory=factors_factory)
     return SeriesSolution(s=s, table=table, coeffs=coeffs, t=float(t))
 
 
 def temperature(s: PlateScenario, grid: GridSpec, t: float,
-                M: int | None = None, N: int | None = None,
-                quad: QuadratureSpec | None = None) -> TemperatureField:
+                M: int | None = None,
+                N: int | None = None) -> TemperatureField:
     """Temperature field on the grid at time t via the truncated series."""
-    return solve_series(s, t, M, N, quad).field(grid)
+    return solve_series(s, t, M, N).field(grid)
 

@@ -23,18 +23,8 @@ def simpson(values, h):
 
 
 def source_track(scenario, taus):
-    """Source position and velocity along the trajectory.
-
-    Analytic kinds use the closed forms; the custom kind interpolates its
-    samples with scipy's not-a-knot cubic spline.
-    """
+    """Source position and velocity along the trajectory, in closed form."""
     traj = scenario.trajectory
-    if traj.kind == "custom":
-        from scipy.interpolate import CubicSpline
-
-        ts, xs, ys = (np.asarray(a, dtype=float) for a in traj.samples)
-        sx, sy = CubicSpline(ts, xs), CubicSpline(ts, ys)
-        return sx(taus), sy(taus), sx(taus, 1), sy(taus, 1)
     ph = traj.w * taus
     x = traj.cx + traj.A * np.cos(ph)
     y = traj.cy + traj.B * np.sin(ph)
@@ -91,21 +81,6 @@ def with_lags(s, tau_q, tau_T):
 def classical(s):
     """The zero-lag variant of a scenario (parabolic branch)."""
     return with_lags(s, 0.0, 0.0)
-
-
-def custom_path_scenario(base):
-    """``base`` with its source on a sampled (custom) near-circular path.
-
-    Custom paths are the only input that takes the adaptive quadrature.
-    """
-    import dpl_heatlab as dh
-
-    ts = np.linspace(0.0, 40.0, 81)
-    ph = 0.3 * ts + 0.1 * np.sin(0.5 * ts)
-    traj = dh.Trajectory(kind="custom", samples=(
-        tuple(ts), tuple(0.5 + 0.25 * np.cos(ph)),
-        tuple(0.5 + 0.2 * np.sin(ph))))
-    return dh.validate_scenario(dataclasses.replace(base, trajectory=traj))
 
 
 def kahan_mode_sum(amps, sinx, siny, mask=None, paired=False):

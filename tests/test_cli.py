@@ -6,7 +6,6 @@ import math
 import subprocess
 import sys
 import tempfile
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -14,19 +13,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import dpl_heatlab as dh
-from dpl_heatlab import cli
 from dpl_heatlab.cli import main
-from helpers import custom_path_scenario, tiny_scenario
-
-
-def load_custom_path(monkeypatch):
-    """Make every ``--scenario`` load ct_alpha2_q1_T1 on a custom path.
-
-    Config files cannot describe custom paths, and only custom paths take
-    the adaptive quadrature that the tolerance flags control.
-    """
-    custom = custom_path_scenario(dh.load_bundled("ct_alpha2_q1_T1")[0])
-    monkeypatch.setattr(cli, "_load_scenario_arg", lambda _arg: (custom, None))
+from helpers import tiny_scenario
 
 
 def read_csv(path):
@@ -73,7 +61,7 @@ def test_field_run_writes_csv_plot_and_manifest(tmp_path):
     assert (data[:, 2] == s.T0).all()   # nothing has been deposited yet
     assert (out / "plot_field_t0.py").exists()
     manifest = json.loads((out / "manifest.json").read_text())
-    for key in ("scenario", "subcommand", "out_dir", "quadrature", "threads",
+    for key in ("scenario", "subcommand", "out_dir", "threads",
                 "timestamp", "tool_version", "times", "truncation", "grid"):
         assert key in manifest
     assert manifest["subcommand"] == "field"
@@ -168,16 +156,6 @@ def test_empty_truncation_list_exits_2(tmp_path):
     assert rc == 2
 
 
-def test_quadrature_failure_exits_3(tmp_path, monkeypatch, capsys):
-    load_custom_path(monkeypatch)
-    rc = main(["field", "--scenario", "ct_alpha2_q1_T1", "--t", "2.5",
-               "--modes", "4,4", "--grid", "3,3",
-               "--quad-abs", "1e-300", "--quad-rel", "1e-300",
-               "--out", str(tmp_path / "o")])
-    assert rc == 3
-    assert "error:" in capsys.readouterr().err
-
-
 def test_unstable_stepping_exits_3(tmp_path, monkeypatch, capsys):
     import dpl_heatlab.fdm as fdm_mod
     from dpl_heatlab.errors import UnstableConfig
@@ -237,42 +215,43 @@ def test_huge_time_writes_the_periodic_state(tmp_path):
     assert np.abs(fields[0] - fields[1]).max() <= 1e-12 * peak
 
 
-@pytest.mark.parametrize("flag,value,field", [
-    ("--quad-abs", "-1", "abs_tol"),
-    ("--quad-abs", "0", "abs_tol"),
-    ("--quad-rel", "nan", "rel_tol"),
-], ids=["abs-negative", "abs-zero", "rel-nan"])
-def test_invalid_quadrature_tolerance_exits_2(tmp_path, capsys, flag, value,
-                                              field):
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        rc = main(["field", "--scenario", "ct_alpha2_q1_T1", "--t", "2.5",
-                   "--modes", "3,3", "--grid", "3,3", flag, value,
-                   "--out", str(tmp_path / "o")])
+@pytest.mark.parametrize("argv", [
+    ["field", "--t", "5", "--modes", "6,6", "--grid", "0,3"],
+    ["field", "--t", "5", "--modes", "6,6", "--grid", "3,-1"],
+    ["peak-sweep", "--t", "5", "--truncations", "4", "--grid", "1,1"],
+], ids=["field-0x3", "field-3x-1", "peak-sweep-1x1"])
+def test_grid_below_two_samples_exits_2_before_any_output(tmp_path, capsys,
+                                                          argv):
+    out = tmp_path / "o"
+    rc = main([argv[0], "--scenario", "ct_alpha2_q1_T1", *argv[1:],
+               "--out", str(out)])
     assert rc == 2
     err = capsys.readouterr().err
-    assert "error:" in err and field in err
+    assert "error: grid needs at least 2 samples per axis" in err
+    assert not out.exists()
 
 
-@settings(max_examples=25, deadline=None, derandomize=True)
-@given(flag=st.sampled_from(["--quad-abs", "--quad-rel"]), value=st.floats())
-def test_any_quadrature_tolerance_gives_a_code_or_finite_output(flag, value):
-    # A tolerance is rejected (2), cannot be met (3, the documented
-    # quadrature failure), or yields a finite field.
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(t=st.floats(), modes=st.tuples(st.integers(-2, 6), st.integers(-2, 6)),
+       grid=st.tuples(st.integers(-2, 6), st.integers(-2, 6)))
+def test_field_inputs_give_a_code_or_finite_output(t, modes, grid):
+    # Any time, truncation and grid either yields nx*ny finite CSV rows or
+    # a documented failure code with an error line, never a traceback.
     err = io.StringIO()
-    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
-        load_custom_path(mp)
+    with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "o"
-        with warnings.catch_warnings(), contextlib.redirect_stderr(err):
-            warnings.simplefilter("error")
-            rc = main(["field", "--scenario", "ct_alpha2_q1_T1", "--t", "2.5",
-                       "--modes", "3,3", "--grid", "3,3", flag, repr(value),
-                       "--out", str(out)])
+        with contextlib.redirect_stderr(err):
+            rc = main(["field", "--scenario", "ct_alpha2_q1_T1", f"--t={t!r}",
+                       "--modes={},{}".format(*modes),
+                       "--grid={},{}".format(*grid), "--out", str(out)])
         if rc == 0:
-            _header, data = read_csv(out / "field_t2.5.csv")
+            _header, data = read_csv(out / f"field_t{t:g}.csv")
+            assert data.shape == (grid[0] * grid[1], 3)
             assert np.isfinite(data).all()
         else:
-            assert rc in (2, 3) and "error:" in err.getvalue()
+            assert rc in (2, 3)
+            assert "error:" in err.getvalue()
+            assert "Traceback" not in err.getvalue()
 
 
 def test_cli_import_loads_no_scipy():

@@ -8,9 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 import dpl_heatlab as dh
 from dpl_heatlab.errors import NegativeElapsed
 from dpl_heatlab.modes import (CRITICAL, DIFFUSIVE, OSCILLATORY, OVERDAMPED,
-                               build_mode_table, kernel_matrix,
-                               kernel_tail_mass)
-from dpl_heatlab.quadrature import QuadratureSpec, integrate_columns
+                               build_mode_table, kernel_matrix)
 from dpl_heatlab.series import mode_coefficients
 from helpers import tiny_scenario
 
@@ -158,38 +156,6 @@ def test_kernel_entry_matches_matrix():
                             table.splitting[i:i + 1], table.slow[i:i + 1],
                             deltas)[:, 0]
         assert np.array_equal(whole[:, i], one)
-
-
-QUAD = QuadratureSpec(abs_tol=1e-13, rel_tol=1e-11)
-
-
-@pytest.mark.parametrize("regime,damping,splitting,slow", [
-    (OVERDAMPED, 0.8, 0.3, 0.5),
-    (CRITICAL, 0.7, 0.0, 0.0),
-    (DIFFUSIVE, 0.4, 0.0, 0.0),
-])
-def test_tail_mass_exact_for_monotone_kernels(regime, damping, splitting, slow):
-    delta0 = 1.3
-    horizon = delta0 + 200.0 / max(slow if regime == OVERDAMPED else damping, 1e-2)
-    numeric = integrate_columns(
-        lambda d: synthetic_kernel(regime, damping, splitting, slow, d),
-        delta0, horizon, QUAD)[0][0]
-    mass = kernel_tail_mass(np.array([regime]), np.array([damping]),
-                            np.array([splitting]), np.array([slow]),
-                            delta0)[0]
-    assert math.isclose(numeric, mass, rel_tol=1e-8)
-
-
-def test_tail_mass_bounds_oscillatory_kernel():
-    damping, splitting = 0.35, 2.4
-    delta0 = 0.9
-    numeric = integrate_columns(
-        lambda d: np.abs(synthetic_kernel(OSCILLATORY, damping, splitting, 0.0, d)),
-        delta0, delta0 + 200.0 / damping, QUAD)[0][0]
-    mass = kernel_tail_mass(np.array([OSCILLATORY]), np.array([damping]),
-                            np.array([splitting]), np.array([0.0]), delta0)[0]
-    assert numeric <= mass * (1.0 + 1e-9)
-    assert mass <= 10.0 * numeric  # not uselessly loose
 
 
 @settings(max_examples=60, deadline=None)

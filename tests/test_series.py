@@ -6,19 +6,17 @@ import pytest
 
 import dpl_heatlab as dh
 from dpl_heatlab import series
-from dpl_heatlab.errors import NegativeElapsed, QuadratureNotConverged
-from dpl_heatlab.fdm import GaussianSourceFactors
+from dpl_heatlab.errors import NegativeElapsed
 from dpl_heatlab.modes import (CRITICAL, DIFFUSIVE, OSCILLATORY, OVERDAMPED,
                                REGIME_NAMES, build_mode_table, kernel_matrix)
-from dpl_heatlab.quadrature import QuadratureSpec
 from dpl_heatlab.series import (PointSourceFactors, amplitudes,
                                 assemble_at_points, assemble_field,
                                 default_truncation, mode_coefficients,
                                 prefactor, resolve_threads,
                                 resolve_truncation)
 from coefficient_history import CoefficientHistory
-from helpers import (classical, custom_path_scenario, kahan_mode_sum,
-                     simpson_mode_coefficient, tiny_scenario, with_lags)
+from helpers import (classical, kahan_mode_sum, simpson_mode_coefficient,
+                     tiny_scenario, with_lags)
 
 
 def stationary_scenario(**overrides):
@@ -250,15 +248,6 @@ def test_history_rejects_backward_steps():
         hist.advance(2.0)
 
 
-def test_unreachable_tolerance_surfaces_quadrature_failure():
-    s = custom_path_scenario(tiny_scenario())
-    table = build_mode_table(s, 2, 2)
-    strict = QuadratureSpec(abs_tol=1e-300, rel_tol=0.0, max_subintervals=64)
-    with pytest.raises(QuadratureNotConverged) as err:
-        mode_coefficients(s, table, 5.0, quad=strict)
-    assert err.value.achieved > err.value.requested
-
-
 def test_default_truncation_scales_with_diffusivity():
     assert default_truncation(tiny_scenario(alpha=1.29e-5)) == (80, 80)
     assert default_truncation(tiny_scenario(alpha=1.29e-2)) == (40, 40)
@@ -270,6 +259,15 @@ def test_resolve_truncation_fills_only_missing_counts():
     assert resolve_truncation(s, 7, None) == (7, 40)
     assert resolve_truncation(s, None, 5) == (40, 5)
     assert resolve_truncation(s, 7, 5) == (7, 5)
+
+
+@pytest.mark.parametrize("M,N", [(0, None), (None, 0), (0, 3)])
+def test_explicit_zero_truncation_is_rejected_not_defaulted(M, N):
+    # Only None takes the default; an explicit 0 reaches the table check.
+    s = tiny_scenario(alpha=1.29e-2)
+    assert 0 in resolve_truncation(s, M, N)
+    with pytest.raises(ValueError, match="truncation must be at least 1x1"):
+        dh.solve_series(s, 5.0, M, N)
 
 
 def test_resolve_threads_validates_and_returns_one(monkeypatch):
@@ -291,24 +289,6 @@ def test_amplitudes_combine_prefactor_and_gain():
 
 
 # --- separable evaluation ---------------------------------------------------
-
-
-@pytest.mark.parametrize("kind", ["point-lagged", "point-classical",
-                                  "gaussian"])
-def test_column_restricted_factors_equal_selected_columns(kind):
-    s, _ = dh.load_bundled("ct_alpha2_q5_T1")
-    if kind == "point-classical":
-        s = classical(s)
-    table = build_mode_table(s, 7, 6)
-    if kind == "gaussian":
-        factors = GaussianSourceFactors(s, table.kx, table.ky, 0.05)
-    else:
-        factors = PointSourceFactors(s, table.kx, table.ky)
-    taus = np.linspace(0.0, 12.0, 37)
-    cols = np.array([0, 3, 4, 11, 20, 41])
-    got = factors(taus, cols)
-    assert got.flags.c_contiguous
-    assert np.array_equal(got, factors(taus)[:, cols])
 
 
 def test_point_factors_match_per_mode_formula_bitwise():
@@ -439,15 +419,12 @@ def test_folded_coefficients_match_brute_force_simpson(name, regime, when):
         assert abs(coeffs[table.index_of(m, n)] - ref) <= 1e-9 * scale
 
 
-@pytest.mark.parametrize("path", ["custom", "w = 0"])
+@pytest.mark.parametrize("path", ["w = 0"])
 def test_unfolded_paths_match_brute_force_simpson(path):
-    """The quadrature (custom path) and the one-harmonic case (w = 0)."""
+    """The one-harmonic case: a source parked at w = 0."""
     s, _ = dh.load_bundled("ct_alpha2_q5_T1")
-    if path == "custom":
-        s = custom_path_scenario(s)
-    else:
-        s = dh.validate_scenario(dataclasses.replace(
-            s, trajectory=dataclasses.replace(s.trajectory, w=0.0)))
+    s = dh.validate_scenario(dataclasses.replace(
+        s, trajectory=dataclasses.replace(s.trajectory, w=0.0)))
     t = 33.0
     table = build_mode_table(s, 3, 3)
     coeffs = mode_coefficients(s, table, t)

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 import dpl_heatlab as dh
 from dpl_heatlab.errors import ZeroAngularVelocity
 from dpl_heatlab.trajectory import (earliest_escape_time, period, position,
-                                    velocity, velocity_bounds)
+                                    velocity)
 from helpers import tiny_scenario
 
 
@@ -110,14 +110,6 @@ def test_velocity_matches_difference_quotient(kind, w, t):
     assert abs((yp - ym) / (2 * h) - vy) < 1e-7 * scale + 1e-9
 
 
-def test_velocity_bounds_analytic():
-    traj = dh.Trajectory(kind="ellipse", A=0.3, B=0.2, w=0.4 * math.pi,
-                         cx=0.5, cy=0.25)
-    vx_max, vy_max = velocity_bounds(traj)
-    assert math.isclose(vx_max, 0.3 * 0.4 * math.pi, rel_tol=1e-12)
-    assert math.isclose(vy_max, 0.2 * 0.4 * math.pi, rel_tol=1e-12)
-
-
 # --- escape detection ------------------------------------------------------
 
 
@@ -182,31 +174,3 @@ def test_escape_agrees_with_scan(A, B, cx, cy, w, flip):
         xs, ys = position(traj, ts)
         assert ((xs >= -eps) & (xs <= 1.0 + eps)
                 & (ys >= -eps) & (ys <= 1.0 + eps)).all()
-
-
-# --- custom splines --------------------------------------------------------
-
-
-def test_custom_spline_tracks_dense_samples():
-    ts = np.linspace(0.0, 10.0, 201)
-    xs = 0.5 + 0.2 * np.cos(0.2 * np.pi * ts)
-    ys = 0.5 + 0.2 * np.sin(0.2 * np.pi * ts)
-    traj = dh.Trajectory(kind="custom",
-                         samples=(tuple(ts), tuple(xs), tuple(ys)))
-    probe = np.linspace(0.2, 9.8, 57)
-    px, py = position(traj, probe)
-    vx, vy = velocity(traj, probe)
-    assert np.max(np.abs(px - (0.5 + 0.2 * np.cos(0.2 * np.pi * probe)))) < 1e-7
-    assert np.max(np.abs(vx - (-0.04 * np.pi * np.sin(0.2 * np.pi * probe)))) < 1e-4
-    assert np.max(np.abs(vy - (0.04 * np.pi * np.cos(0.2 * np.pi * probe)))) < 1e-4
-
-
-def test_custom_escape_detected():
-    ts = np.linspace(0.0, 10.0, 101)
-    xs = 0.5 + 0.06 * ts          # drifts out through x = 1 at t ~ 8.33
-    ys = np.full_like(ts, 0.5)
-    traj = dh.Trajectory(kind="custom",
-                         samples=(tuple(ts), tuple(xs), tuple(ys)))
-    t = earliest_escape_time(traj, 1.0, 1.0)
-    assert t is not None
-    assert math.isclose(t, 0.5 / 0.06, rel_tol=1e-6)
