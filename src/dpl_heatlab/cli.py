@@ -123,15 +123,18 @@ def _parse_float_list(text: str, flag: str) -> list[float]:
     return [_parse_float_token(p) for p in items]
 
 
+def _check_truncation(a: int, b: int, flag: str) -> tuple[int, int]:
+    if min(a, b) < 1:
+        raise ValueError(f"{flag} counts must be at least 1, got {a}x{b}")
+    return a, b
+
+
 def _parse_truncations(text: str) -> list[tuple[int, int]]:
     items = [p for p in (part.strip() for part in text.split(",")) if p]
     out = []
     for item in items:
-        if "x" in item:
-            a, b = item.split("x", 1)
-            out.append((int(a), int(b)))
-        else:
-            out.append((int(item), int(item)))
+        a, b = item.split("x", 1) if "x" in item else (item, item)
+        out.append(_check_truncation(int(a), int(b), "--truncations"))
     if not out:
         raise ValueError("truncation list must not be empty")
     return out
@@ -173,7 +176,7 @@ def _write_manifest(out: Path, args, subcommand: str, extra: dict) -> None:
 def _resolve_modes(args, s) -> tuple[int, int]:
     if args.modes is None:
         return resolve_truncation(s)
-    return _parse_pair(args.modes, "--modes")
+    return _check_truncation(*_parse_pair(args.modes, "--modes"), "--modes")
 
 
 def _cmd_field(args) -> int:
@@ -203,12 +206,12 @@ def _cmd_field(args) -> int:
 def _cmd_profile(args) -> int:
     s, _fdm = _load_scenario_arg(args.scenario)
     modes = _resolve_modes(args, s)
+    if args.kind == "line-y" and args.y0 is None:
+        raise ValueError("--y0 is required for --kind line-y")
     out = _prepare_out(args.out)
     files = []
     for t in args.t:
         if args.kind == "line-y":
-            if args.y0 is None:
-                raise ValueError("--y0 is required for --kind line-y")
             prof = line_profile_y(s, t, args.y0, modes[0], modes[1],
                                   args.samples)
             name = f"profile_line_y{args.y0:g}_t{t:g}.csv"
@@ -297,12 +300,12 @@ def _cmd_oracle(args) -> int:
 def _cmd_sweep(args) -> int:
     s, _fdm = _load_scenario_arg(args.scenario)
     modes = _resolve_modes(args, s)
-    out = _prepare_out(args.out)
     qs = (_parse_float_list(args.tau_q, "--tau-q")
           if args.tau_q else [s.tau_q])
     ts_lag = (_parse_float_list(args.tau_T, "--tau-T")
               if args.tau_T else [s.tau_T])
     ws = _parse_float_list(args.w, "--w") if args.w else [s.trajectory.w]
+    out = _prepare_out(args.out)
     closed = s.trajectory.kind in ("circle", "ellipse")
 
     rows = []

@@ -287,8 +287,9 @@ def sine_projection(rates: np.ndarray, limit: float, centers: np.ndarray,
 class GaussianSourceFactors:
     """Convolution source factors for the Gaussian-smoothed source.
 
-    Drop-in replacement for the point-source factors: sin(k c) becomes the
-    projection p_k(c) of the Gaussian centred on the source, and the
+    Drop-in replacement for the point-source factors, on the product grid
+    of the per-axis rates ``kx`` (M',) and ``ky`` (N',): sin(k c) becomes
+    the projection p_k(c) of the Gaussian centred on the source, and the
     advection term uses dp_k/dc (both from ``sine_projection``).
     """
 
@@ -296,27 +297,24 @@ class GaussianSourceFactors:
                  sigma: float):
         self.s = s
         self.sigma = sigma
-        self._ux, self._ix = np.unique(kx, return_inverse=True)
-        self._uy, self._iy = np.unique(ky, return_inverse=True)
+        self.kx = kx
+        self.ky = ky
 
     def __call__(self, taus: np.ndarray) -> np.ndarray:
-        """(Q, P) factors at taus for every mode column."""
-        ix, iy = self._ix, self._iy
+        """(Q, M' N') factors at taus, column i N' + j for (kx[i], ky[j])."""
         x, y = position(self.s.trajectory, taus)
-        px, dpx = sine_projection(self._ux, self.s.L, x, self.sigma)
-        py, dpy = sine_projection(self._uy, self.s.H, y, self.sigma)
-        px, py = np.take(px, ix, axis=1), np.take(py, iy, axis=1)
+        px, dpx = sine_projection(self.kx, self.s.L, x, self.sigma)
+        py, dpy = sine_projection(self.ky, self.s.H, y, self.sigma)
+        px, py = px[:, :, None], py[:, None, :]
         f = px * py
         if self.s.tau_q != 0.0:
             vx, vy = velocity(self.s.trajectory, taus)
-            drift = np.take(dpx * vx[:, None], ix, axis=1)
-            drift *= py
-            cross = np.take(dpy * vy[:, None], iy, axis=1)
-            cross *= px
+            drift = (dpx * vx[:, None])[:, :, None] * py
+            cross = (dpy * vy[:, None])[:, None, :] * px
             drift += cross
             drift *= self.s.tau_q
             f += drift
-        return f
+        return f.reshape(f.shape[0], -1)
 
 
 def project_gaussian_source_series(s: PlateScenario, sigma: float,

@@ -37,7 +37,8 @@ REGIME_NAMES = ("overdamped", "critical", "oscillatory", "diffusive")
 
 @dataclass(frozen=True)
 class ModeTable:
-    """All per-mode constants for truncation M x N, sorted by ascending k2.
+    """All per-mode constants for truncation M x N, mode (m, n) at row-major
+    position (m-1)*N + (n-1); ``kx[::N]`` and ``ky[:N]`` are the axis rates.
 
     ``damping`` holds b1 for the lagged branch and the generalized decay
     rate alpha k2 / (1 + alpha tau_T k2) for the diffusive branch.  ``gain``
@@ -59,7 +60,6 @@ class ModeTable:
     splitting: np.ndarray
     slow: np.ndarray
     gain: np.ndarray
-    inv: np.ndarray  # (m-1)*N + (n-1) -> sorted position
 
     @property
     def nmodes(self) -> int:
@@ -69,7 +69,7 @@ class ModeTable:
         if not (1 <= m <= self.M and 1 <= n <= self.N):
             raise IndexError(f"mode ({m}, {n}) outside truncation "
                              f"({self.M}, {self.N})")
-        return int(self.inv[(m - 1) * self.N + (n - 1)])
+        return (m - 1) * self.N + (n - 1)
 
 
 def build_mode_table(s: PlateScenario, M: int, N: int) -> ModeTable:
@@ -81,24 +81,17 @@ def build_mode_table(s: PlateScenario, M: int, N: int) -> ModeTable:
     """
     if M < 1 or N < 1:
         raise ValueError(f"truncation must be at least 1x1, got {M}x{N}")
-    mm, nn = np.meshgrid(np.arange(1, M + 1), np.arange(1, N + 1),
-                         indexing="ij")
-    m = mm.reshape(-1)
-    n = nn.reshape(-1)
+    m = np.repeat(np.arange(1, M + 1), N)
+    n = np.tile(np.arange(1, N + 1), M)
     kx = m * (np.pi / s.L)
     ky = n * (np.pi / s.H)
     k2 = kx * kx + ky * ky
-
-    order = np.argsort(k2, kind="stable")
-    inv = np.empty_like(order)
-    inv[order] = np.arange(order.size)
-    m, n, kx, ky, k2 = m[order], n[order], kx[order], ky[order], k2[order]
 
     stiffness = 1.0 + s.alpha * s.tau_T * k2
     # A lag so small that the fast rate stiffness/(2 tau_q) or the slow
     # rate's numerator alpha k2 / tau_q overflows is numerically
     # indistinguishable from the zero-lag branch; fall through rather than
-    # propagate infs into the kernels.
+    # propagate infs into the kernels; the last mode (M, N) has the max k2.
     with np.errstate(over="ignore"):
         lag_resolvable = s.tau_q > 0.0 and bool(
             np.isfinite(stiffness[-1] / (2.0 * s.tau_q))
@@ -125,7 +118,7 @@ def build_mode_table(s: PlateScenario, M: int, N: int) -> ModeTable:
     return ModeTable(M=M, N=N, classical=not lag_resolvable,
                      m=m, n=n, kx=kx, ky=ky, k2=k2, regime=regime,
                      damping=damping, splitting=splitting, slow=slow,
-                     gain=gain, inv=inv)
+                     gain=gain)
 
 
 def kernel_matrix(regime, damping, splitting, slow, delta) -> np.ndarray:

@@ -25,14 +25,15 @@ with period T = 2 pi / |w|, or is parked (w = 0), so the coefficients come
 from the source's harmonics: one FFT of the factors over a period, then a
 closed-form convolution of each harmonic with the kernel's exponentials,
 with the phase taken from fmod(t, T).  Its cost and accuracy do not depend
-on t.  The engine handles modes in fixed chunks in ascending-k2 order, in
-one thread.
+on t.  It walks the table's row-major (m, n) modes in tiles of whole
+m-rows (or n-ranges of one row), in one thread.
 
-The basis is separable, and both hot paths use that.  Source factors
-evaluate sin/cos once per distinct kx and ky and gather the per-axis values
-into mode columns.  Assembly arranges the amplitudes as an (M, N) matrix A
-and sums the series as SX @ A @ SY.T on a grid, or as the row sums of
-(SX @ A) * SY at paired points, with SX and SY the per-axis sine tables.
+The basis is separable, and both hot paths use that.  Source factors take
+per-axis rates and broadcast their x and y sine tables into the block of
+the rates' product grid.  Assembly reshapes the amplitudes to an (M, N)
+matrix A and sums the series as SX @ A @ SY.T on a grid, or as the row
+sums of (SX @ A) * SY at paired points, with SX and SY the per-axis sine
+tables.
 """
 
 from __future__ import annotations
@@ -94,8 +95,8 @@ def resolve_threads(threads=None) -> int:
 class PointSourceFactors:
     """Vectorized source factor f(tau) for the Dirac point source.
 
-    The basis is separable, so sin/cos are evaluated once per distinct kx
-    and ky and gathered into mode columns.
+    ``kx`` (M',) and ``ky`` (N',) are per-axis rates; the factors cover
+    their product grid, column i N' + j for the mode (kx[i], ky[j]).
     """
 
     def __init__(self, s: PlateScenario, kx: np.ndarray, ky: np.ndarray):
@@ -103,32 +104,26 @@ class PointSourceFactors:
         self.tau_q = s.tau_q
         self.kx = kx
         self.ky = ky
-        self._ux, self._ix = np.unique(kx, return_inverse=True)
-        self._uy, self._iy = np.unique(ky, return_inverse=True)
 
     def __call__(self, taus: np.ndarray) -> np.ndarray:
-        """(Q, P) factors at taus for every mode column."""
-        ix, iy = self._ix, self._iy
+        """(Q, M' N') factors at taus, one column per mode."""
         x, y = position(self.traj, taus)
-        argx = np.outer(x, self._ux)
-        argy = np.outer(y, self._uy)
+        argx = np.outer(x, self.kx)[:, :, None]
+        argy = np.outer(y, self.ky)[:, None, :]
         sinx, siny = np.sin(argx), np.sin(argy)
-        f = np.take(sinx, ix, axis=1)
-        f *= np.take(siny, iy, axis=1)
+        f = sinx * siny
         if self.tau_q != 0.0:
             vx, vy = velocity(self.traj, taus)
             # Same association as the per-mode formula, so the values are
             # bitwise those of evaluating every (sample, mode) pair.
-            drift = np.multiply.outer(vx, self.kx)
-            drift *= np.take(np.cos(argx), ix, axis=1)
-            drift *= np.take(siny, iy, axis=1)
-            cross = np.multiply.outer(vy, self.ky)
-            cross *= np.take(sinx, ix, axis=1)
-            cross *= np.take(np.cos(argy), iy, axis=1)
+            drift = (np.multiply.outer(vx, self.kx)[:, :, None]
+                     * np.cos(argx) * siny)
+            cross = np.multiply.outer(vy, self.ky)[:, None, :] * sinx
+            cross *= np.cos(argy)
             drift += cross
             drift *= self.tau_q
             f += drift
-        return f
+        return f.reshape(f.shape[0], -1)
 
 
 def _harmonic_samples(s: PlateScenario, table: ModeTable) -> int:
@@ -169,10 +164,16 @@ def _harmonic_coefficients(s: PlateScenario, table: ModeTable, t: float,
         base, phase = 2.0 * math.pi / period, math.fmod(t, period)
     omega = 1j * base * np.arange(q // 2 + 1)[:, None]
     wave = np.exp(omega * phase)
+    M, N = table.M, table.N
+    kx, ky = table.kx[::N], table.ky[:N]
+    rows, cols = max(1, HARMONIC_CHUNK // N), min(N, HARMONIC_CHUNK)
+    tiles = [(m0, n0) for m0 in range(0, M, rows) for n0 in range(0, N, cols)]
     out = np.empty(table.nmodes)
-    for i in range(0, table.nmodes, HARMONIC_CHUNK):
-        sel = slice(i, min(i + HARMONIC_CHUNK, table.nmodes))
-        spec = np.fft.rfft(factory(s, table.kx[sel], table.ky[sel])(taus),
+    for m0, n0 in tiles:
+        # Whole rows, or part of one row: either way a run of the table.
+        m1, n1 = min(m0 + rows, M), min(n0 + cols, N)
+        sel = slice(m0 * N + n0, (m1 - 1) * N + n1)
+        spec = np.fft.rfft(factory(s, kx[m0:m1], ky[n0:n1])(taus),
                            axis=0) / q
         spec[1:(q + 1) // 2] *= 2.0   # the real signal's negative harmonics
         regime, splitting = table.regime[sel], table.splitting[sel]
@@ -205,8 +206,9 @@ def mode_coefficients(s: PlateScenario, table: ModeTable, t: float, *,
                       factors_factory=None) -> np.ndarray:
     """Convolution coefficients P_mn(t) for every mode of the table.
 
-    Returns an array aligned with the table's (ascending-k2) mode order,
-    computed by the harmonic engine (``_harmonic_coefficients``).
+    Returns an array in the table's row-major (m, n) mode order, computed
+    by the harmonic engine (``_harmonic_coefficients``) from the factors
+    ``factors_factory(s, kx, ky)`` of per-axis rates kx and ky.
     """
     if not math.isfinite(t):
         raise ValueError(f"coefficients requested at non-finite time {t!r}")
@@ -259,10 +261,9 @@ def _series_sum(s: PlateScenario, table: ModeTable, amps: np.ndarray,
         amps = np.where(mode_mask, amps, 0.0)
         M = int(table.m[mode_mask].max(initial=0))
         N = int(table.n[mode_mask].max(initial=0))
-    # inv maps (m-1)*N + (n-1) to table order, so this lays amps out by (m, n).
-    amp = amps[table.inv].reshape(table.M, table.N)[:M, :N]
-    kx = table.kx[table.inv[:M * table.N:table.N]]   # modes (m, 1)
-    ky = table.ky[table.inv[:N]]                     # modes (1, n)
+    amp = amps.reshape(table.M, table.N)[:M, :N]
+    kx = table.kx[:M * table.N:table.N]   # modes (m, 1)
+    ky = table.ky[:N]                     # modes (1, n)
     sxa = _sin_table(xs, kx, s.L, "x") @ amp
     sy = _sin_table(ys, ky, s.H, "y")
     if paired:

@@ -10,24 +10,27 @@ from .errors import ZeroAngularVelocity
 from .model import Trajectory
 
 
+def _turn(traj: Trajectory, t):
+    """cos and sin of the phase w fmod(t, T), the one the coefficients use.
+
+    The phase is finite for every finite t; a parked source (w = 0) keeps 0.
+    """
+    t = np.asarray(t, dtype=float)
+    phase = traj.w * (np.fmod(t, period(traj)) if traj.w else t)
+    c, s = np.cos(phase), np.sin(phase)
+    return (float(c), float(s)) if t.ndim == 0 else (c, s)
+
+
 def position(traj: Trajectory, t):
     """Source position at time t (scalar or array)."""
-    phase = traj.w * np.asarray(t, dtype=float)
-    x = traj.cx + traj.A * np.cos(phase)
-    y = traj.cy + traj.B * np.sin(phase)
-    if np.ndim(t) == 0:
-        return float(x), float(y)
-    return x, y
+    c, s = _turn(traj, t)
+    return traj.cx + traj.A * c, traj.cy + traj.B * s
 
 
 def velocity(traj: Trajectory, t):
     """Source velocity at time t (scalar or array)."""
-    phase = traj.w * np.asarray(t, dtype=float)
-    vx = -traj.A * traj.w * np.sin(phase)
-    vy = traj.B * traj.w * np.cos(phase)
-    if np.ndim(t) == 0:
-        return float(vx), float(vy)
-    return vx, vy
+    c, s = _turn(traj, t)
+    return -traj.A * traj.w * s, traj.B * traj.w * c
 
 
 def period(traj: Trajectory) -> float:

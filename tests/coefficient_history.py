@@ -53,7 +53,8 @@ class CoefficientHistory:
         self.s = s
         self.table = table
         self.quad = quad or QuadratureSpec()
-        self.factors = PointSourceFactors(s, table.kx, table.ky)
+        self.factors = PointSourceFactors(s, table.kx[::table.N],
+                                          table.ky[:table.N])
         self.t = 0.0
         n = table.nmodes
         self._e_slow = np.zeros(n)   # overdamped slow / critical E0 / diffusive E

@@ -30,6 +30,25 @@ def test_stationary_peak_sits_on_source():
     assert report.truncation == (16, 16)
 
 
+def test_huge_time_reports_the_source_at_the_fmod_phase():
+    # The coefficients take the phase from fmod(t, T), and so must the
+    # source position the peak is measured from.
+    s, _ = dh.load_bundled("ct_alpha2_q1_T1")
+    period = 2.0 * math.pi / abs(s.trajectory.w)
+    grid = dh.GridSpec(41, 41)
+    huge = locate_peak(s, 1e20, M=12, N=12, grid=grid)
+    ref = locate_peak(s, math.fmod(1e20, period) + 40 * period, M=12, N=12,
+                      grid=grid)
+    phase = s.trajectory.w * math.fmod(1e20, period)
+    assert huge.source_position == pytest.approx(
+        (0.5 + 0.25 * math.cos(phase), 0.5 + 0.25 * math.sin(phase)),
+        rel=1e-12)
+    assert huge.source_position == pytest.approx(ref.source_position,
+                                                 abs=1e-12)
+    assert huge.peak_position == pytest.approx(ref.peak_position, abs=1e-9)
+    assert huge.distance == pytest.approx(ref.distance, abs=1e-9)
+
+
 def test_refined_peak_dominates_grid_samples():
     s, _ = dh.load_bundled("ct_alpha2_q1_T1")
     grid = dh.GridSpec(41, 41)

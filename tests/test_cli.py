@@ -3,9 +3,11 @@ import importlib.metadata
 import io
 import json
 import math
+import re
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -229,6 +231,50 @@ def test_grid_below_two_samples_exits_2_before_any_output(tmp_path, capsys,
     err = capsys.readouterr().err
     assert "error: grid needs at least 2 samples per axis" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["field", "--t", "5", "--modes", "0,3"],
+    ["profile", "--t", "5", "--modes", "3,-1", "--y0", "0.5"],
+    ["sweep", "--t", "5", "--modes", "0,2"],
+    ["sweep", "--t", "5", "--modes", "2,2", "--tau-q", "1,abc"],
+    ["oracle", "--modes", "0,4"],
+    ["peak-sweep", "--t", "5", "--truncations", "4,0"],
+    ["peak-sweep", "--t", "5", "--truncations", "4x0"],
+    ["profile", "--t", "5", "--modes", "3,3", "--kind", "line-y"],
+], ids=["field-modes-0x3", "profile-modes-3x-1", "sweep-modes-0x2",
+        "sweep-tau-q-abc", "oracle-modes-0x4", "peak-sweep-0", "peak-sweep-4x0",
+        "profile-line-y-without-y0"])
+def test_bad_flags_exit_2_before_any_output(tmp_path, capsys, argv):
+    out = tmp_path / "o"
+    rc = main([argv[0], "--scenario", "ct_alpha2_q1_T1", *argv[1:],
+               "--out", str(out)])
+    assert rc == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_huge_time_plot_script_marks_the_fmod_phase(tmp_path):
+    # w t overflows at t = 1e308 with w = 2; the source is drawn where the
+    # coefficients put it, at the phase w fmod(t, T).
+    traj = dh.Trajectory(kind="circle", A=0.25, B=0.25, w=2.0)
+    path = tmp_path / "case.cfg"
+    dh.save_scenario(tiny_scenario(trajectory=traj), path)
+    out = tmp_path / "o"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rc = main(["field", "--scenario", str(path), "--t", "1e308",
+                   "--modes", "3,3", "--grid", "5,5", "--out", str(out)])
+    assert rc == 0
+    script = (out / "plot_field_t1e+308.py").read_text()
+    compile(script, "plot.py", "exec")
+    x_src, y_src = re.search(r'ax\.plot\(\[(.*)\], \[(.*)\], "wo"',
+                             script).groups()
+    phase = 2.0 * math.fmod(1e308, math.pi)
+    assert math.isclose(float(x_src), 0.5 + 0.25 * math.cos(phase),
+                        rel_tol=1e-12)
+    assert math.isclose(float(y_src), 0.5 + 0.25 * math.sin(phase),
+                        rel_tol=1e-12)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

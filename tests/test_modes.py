@@ -77,12 +77,19 @@ def test_classical_branch_rates():
 def test_table_sorted_and_indexable():
     table = build_mode_table(tiny_scenario(L=0.5, H=0.4), 6, 5)
     assert table.nmodes == 30
-    assert (np.diff(table.k2) >= 0).all()
+    # sorted by (m, n): row-major
+    mm, nn = np.meshgrid(np.arange(1, 7), np.arange(1, 6), indexing="ij")
+    assert np.array_equal(table.m, mm.ravel())
+    assert np.array_equal(table.n, nn.ravel())
     for m, n in [(1, 1), (3, 4), (6, 5), (2, 1)]:
         i = table.index_of(m, n)
+        assert i == (m - 1) * 5 + (n - 1)
         assert (table.m[i], table.n[i]) == (m, n)
         assert math.isclose(table.kx[i], m * math.pi / 0.5, rel_tol=1e-15)
         assert math.isclose(table.ky[i], n * math.pi / 0.4, rel_tol=1e-15)
+    for m, n in [(0, 1), (1, 0), (7, 1), (1, 6), (-1, 3)]:
+        with pytest.raises(IndexError):
+            table.index_of(m, n)
 
 
 # --- kernel ----------------------------------------------------------------

@@ -27,9 +27,14 @@ def stationary_scenario(**overrides):
     return tiny_scenario(**base)
 
 
+def axis_rates(table):
+    """Per-axis rates (kx of the modes (m, 1), ky of the modes (1, n))."""
+    return table.kx[::table.N], table.ky[:table.N]
+
+
 def point_factor(s, table, m, n, taus):
     """Mode (m, n)'s column of the point-source factors at taus."""
-    factors = PointSourceFactors(s, table.kx, table.ky)
+    factors = PointSourceFactors(s, *axis_rates(table))
     return factors(np.atleast_1d(np.asarray(taus, dtype=float)))[
         :, table.index_of(m, n)]
 
@@ -301,8 +306,39 @@ def test_point_factors_match_per_mode_formula_bitwise():
     expected = np.sin(argx) * np.sin(argy) + s.tau_q * (
         (vx[:, None] * table.kx[None, :]) * np.cos(argx) * np.sin(argy)
         + (vy[:, None] * table.ky[None, :]) * np.sin(argx) * np.cos(argy))
-    got = PointSourceFactors(s, table.kx, table.ky)(taus)
+    got = PointSourceFactors(s, *axis_rates(table))(taus)
     assert np.array_equal(got, expected)
+
+
+@pytest.mark.parametrize("gaussian", [False, True], ids=["point", "gaussian"])
+@pytest.mark.parametrize("modes", [(7, 13), (3, 300), (300, 2)],
+                         ids=["7x13", "3x300", "300x2"])
+def test_tiling_does_not_change_the_coefficients(monkeypatch, modes,
+                                                 gaussian):
+    # Chunks of 1 and 7 split rows into partial tiles, 10**6 takes the
+    # whole table at once, and N = 300 exceeds the default chunk.
+    from dpl_heatlab.fdm import GaussianSourceFactors
+
+    s, fdm_cfg = dh.load_bundled("ct_alpha2_q5_T1")
+    table = build_mode_table(s, *modes)
+    base = GaussianSourceFactors if gaussian else PointSourceFactors
+    extra = (fdm_cfg.resolved_sigma(),) if gaussian else ()
+    widths = []
+
+    def factory(sc, kx, ky):
+        widths.append(kx.size * ky.size)
+        return base(sc, kx, ky, *extra)
+
+    ref = mode_coefficients(s, table, 7.0, factors_factory=factory)
+    assert max(widths) <= series.HARMONIC_CHUNK
+    scale = np.abs(ref).max()
+    for chunk in (1, 7, 10 ** 6):
+        widths.clear()
+        monkeypatch.setattr(series, "HARMONIC_CHUNK", chunk)
+        got = mode_coefficients(s, table, 7.0, factors_factory=factory)
+        assert max(widths) <= chunk
+        assert sum(widths) == table.nmodes
+        assert np.abs(got - ref).max() <= 1e-15 * scale
 
 
 def _assembly_case(T0=20.0):
@@ -505,7 +541,7 @@ def test_doubling_the_samples_moves_coefficients_within_the_aliasing_estimate(
     if boundary is not None:
         assert series._harmonic_samples(s, build_mode_table(s, *boundary)) == 2 * q
     taus = np.arange(q) * (2.0 * math.pi / abs(s.trajectory.w) / q)
-    spectrum = np.abs(np.fft.rfft(PointSourceFactors(s, table.kx, table.ky)(taus),
+    spectrum = np.abs(np.fft.rfft(PointSourceFactors(s, *axis_rates(table))(taus),
                                   axis=0))
     aliasing = spectrum[-1].max() / spectrum.max()   # |F| at Nyquist
     coarse = mode_coefficients(s, table, t)
