@@ -158,6 +158,18 @@ def _prepare_out(path_str: str) -> Path:
     return out
 
 
+def _write_profiles(path_str: str, profiles, xlabel: str) -> Path:
+    """Create the output directory, write the (name, profile) pairs and
+    the script that overlays them."""
+    out = _prepare_out(path_str)
+    for name, prof in profiles:
+        write_profile_csv(prof, out / name)
+    files = json.dumps([name for name, _ in profiles])
+    (out / "plot_profiles.py").write_text(
+        _PROFILE_PLOT.format(files=files, xlabel=xlabel), encoding="utf-8")
+    return out
+
+
 def _write_manifest(out: Path, args, subcommand: str, extra: dict) -> None:
     manifest = {
         "scenario": args.scenario,
@@ -208,8 +220,7 @@ def _cmd_profile(args) -> int:
     modes = _resolve_modes(args, s)
     if args.kind == "line-y" and args.y0 is None:
         raise ValueError("--y0 is required for --kind line-y")
-    out = _prepare_out(args.out)
-    files = []
+    profiles = []
     for t in args.t:
         if args.kind == "line-y":
             prof = line_profile_y(s, t, args.y0, modes[0], modes[1],
@@ -219,11 +230,9 @@ def _cmd_profile(args) -> int:
             prof = trajectory_profile(s, t, modes[0], modes[1],
                                       args.samples)
             name = f"profile_trajectory_t{t:g}.csv"
-        write_profile_csv(prof, out / name)
-        files.append(name)
-    xlabel = "x" if args.kind == "line-y" else "central angle"
-    script = _PROFILE_PLOT.format(files=json.dumps(files), xlabel=xlabel)
-    (out / "plot_profiles.py").write_text(script, encoding="utf-8")
+        profiles.append((name, prof))
+    out = _write_profiles(args.out, profiles,
+                          "x" if args.kind == "line-y" else "central angle")
     _write_manifest(out, args, "profile", {
         "times": args.t, "truncation": list(modes), "kind": args.kind,
         "y0": args.y0, "samples": args.samples})
@@ -305,11 +314,10 @@ def _cmd_sweep(args) -> int:
     ts_lag = (_parse_float_list(args.tau_T, "--tau-T")
               if args.tau_T else [s.tau_T])
     ws = _parse_float_list(args.w, "--w") if args.w else [s.trajectory.w]
-    out = _prepare_out(args.out)
     closed = s.trajectory.kind in ("circle", "ellipse")
 
     rows = []
-    files = []
+    profiles = []
     for q in qs:
         for lag_t in ts_lag:
             for w in ws:
@@ -325,18 +333,15 @@ def _cmd_sweep(args) -> int:
                             variant, t, variant.trajectory.cy, modes[0],
                             modes[1], args.samples)
                     name = f"sweep_q{q:g}_T{lag_t:g}_w{w:g}_t{t:g}.csv"
-                    write_profile_csv(prof, out / name)
-                    files.append(name)
+                    profiles.append((name, prof))
                     rows.append((q, lag_t, w, t, float(np.max(prof.values))))
+    out = _write_profiles(args.out, profiles,
+                          "central angle" if closed else "x")
     with open(out / "summary.csv", "w", encoding="utf-8", newline="\n") as fh:
         fh.write("tau_q,tau_T,w,t,peak\n")
         for q, lag_t, w, t, peak in rows:
             fh.write(f"{_fmt(q)},{_fmt(lag_t)},{_fmt(w)},{_fmt(t)},"
                      f"{_fmt(peak)}\n")
-    xlabel = "central angle" if closed else "x"
-    (out / "plot_profiles.py").write_text(
-        _PROFILE_PLOT.format(files=json.dumps(files), xlabel=xlabel),
-        encoding="utf-8")
     _write_manifest(out, args, "sweep", {
         "times": args.t, "truncation": list(modes),
         "tau_q": qs, "tau_T": ts_lag, "w": ws, "samples": args.samples})

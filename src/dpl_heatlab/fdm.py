@@ -37,12 +37,12 @@ oracle stays an independent discretization of the PDE.
 
 Because a Gaussian source is not what the eigenfunction series solves,
 the like-for-like comparison projects the same Gaussian, clipped at the
-walls, onto the sine basis in closed form (``sine_projection``) and feeds
-those per-axis factors through the ordinary convolution machinery in place
-of the point-source sine factors.  The Faddeeva function of that closed
-form is evaluated with numpy alone, by Weideman's rational approximation
-(J. A. C. Weideman, "Computation of the complex error function", SIAM J.
-Numer. Anal. 31 (1994) 1497-1518; ``_faddeeva``).
+walls, onto the sine basis in closed form (``sine_projection``), and
+``GaussianSourceFactors`` hands those per-axis tables to the point-source
+product in place of the sine and cosine tables.  The Faddeeva function of
+that closed form is evaluated with numpy alone, by Weideman's rational
+approximation (J. A. C. Weideman, "Computation of the complex error
+function", SIAM J. Numer. Anal. 31 (1994) 1497-1518; ``_faddeeva``).
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ import numpy as np
 
 from .errors import UnstableConfig
 from .model import FdmConfig, GridSpec, PlateScenario, TemperatureField
-from .series import solve_series
+from .series import PointSourceFactors, solve_series
 from .trajectory import position, velocity
 
 BLOWUP_SENTINEL = 1e12
@@ -270,7 +270,7 @@ def sine_projection(rates: np.ndarray, limit: float, centers: np.ndarray,
                - 1/2 (-1)^m e^(-x'^2) w(y + i x'),
 
     so p_r = Im Z_r and, e^(i r limit) = (-1)^m being real,
-    dp_r/dc = r Re Z_r.  Returns the (C, R) tables p and dp/dc.
+    dp_r/dc = r q_r with q_r = Re Z_r.  Returns the (C, R) tables p and q.
     """
     root2 = math.sqrt(2.0)
     y = rates * (sigma / root2)
@@ -281,40 +281,26 @@ def sine_projection(rates: np.ndarray, limit: float, centers: np.ndarray,
         near = x < 27.0   # farther out e^(-x^2) underflows to 0
         xn = x[near, None]
         z[near] -= fac * np.exp(-xn * xn) * _faddeeva(arg + 1j * xn)
-    return z.imag, rates * z.real
+    return z.imag, z.real
 
 
-class GaussianSourceFactors:
-    """Convolution source factors for the Gaussian-smoothed source.
-
-    Drop-in replacement for the point-source factors, on the product grid
-    of the per-axis rates ``kx`` (M',) and ``ky`` (N',): sin(k c) becomes
-    the projection p_k(c) of the Gaussian centred on the source, and the
-    advection term uses dp_k/dc (both from ``sine_projection``).
-    """
+class GaussianSourceFactors(PointSourceFactors):
+    """Source factors of the Gaussian-smoothed source: the point-source
+    product over the tables p and q of ``sine_projection`` in place of
+    sin(k c) and cos(k c), where p_k(c) projects the wall-clipped Gaussian
+    centred on the source and dp_k/dc = k q_k(c)."""
 
     def __init__(self, s: PlateScenario, kx: np.ndarray, ky: np.ndarray,
-                 sigma: float):
-        self.s = s
+                 taus: np.ndarray, sigma: float):
         self.sigma = sigma
-        self.kx = kx
-        self.ky = ky
+        super().__init__(s, kx, ky, taus)
 
-    def __call__(self, taus: np.ndarray) -> np.ndarray:
-        """(Q, M' N') factors at taus, column i N' + j for (kx[i], ky[j])."""
-        x, y = position(self.s.trajectory, taus)
-        px, dpx = sine_projection(self.kx, self.s.L, x, self.sigma)
-        py, dpy = sine_projection(self.ky, self.s.H, y, self.sigma)
-        px, py = px[:, :, None], py[:, None, :]
-        f = px * py
-        if self.s.tau_q != 0.0:
-            vx, vy = velocity(self.s.trajectory, taus)
-            drift = (dpx * vx[:, None])[:, :, None] * py
-            cross = (dpy * vy[:, None])[:, None, :] * px
-            drift += cross
-            drift *= self.s.tau_q
-            f += drift
-        return f.reshape(f.shape[0], -1)
+    def _project(self, rates, limit, centers):
+        return sine_projection(rates, limit, centers, self.sigma)
+
+    # Its own class entry, so that wrapping one class's __call__ (as the
+    # perfbench tracer does) leaves the other's unwrapped.
+    __call__ = PointSourceFactors.__call__
 
 
 def project_gaussian_source_series(s: PlateScenario, sigma: float,
@@ -325,7 +311,6 @@ def project_gaussian_source_series(s: PlateScenario, sigma: float,
     """Series field whose source matches the smoothed FDM source."""
     if sigma <= 0.0:
         raise ValueError(f"sigma must be positive, got {sigma!r}")
-
     factory = partial(GaussianSourceFactors, sigma=sigma)
     return solve_series(s, t, M, N, factors_factory=factory).field(grid)
 

@@ -28,12 +28,12 @@ with the phase taken from fmod(t, T).  Its cost and accuracy do not depend
 on t.  It walks the table's row-major (m, n) modes in tiles of whole
 m-rows (or n-ranges of one row), in one thread.
 
-The basis is separable, and both hot paths use that.  Source factors take
-per-axis rates and broadcast their x and y sine tables into the block of
-the rates' product grid.  Assembly reshapes the amplitudes to an (M, N)
-matrix A and sums the series as SX @ A @ SY.T on a grid, or as the row
-sums of (SX @ A) * SY at paired points, with SX and SY the per-axis sine
-tables.
+The basis is separable, and both hot paths use that.  The source factors
+are per-axis tables, built once per solve at the engine's samples, and
+each tile takes its block of their product.  Assembly reshapes the
+amplitudes to an (M, N) matrix A and sums the series as SX @ A @ SY.T on
+a grid, or as the row sums of (SX @ A) * SY at paired points, with SX and
+SY the per-axis sine tables.
 """
 
 from __future__ import annotations
@@ -93,33 +93,40 @@ def resolve_threads(threads=None) -> int:
 
 
 class PointSourceFactors:
-    """Vectorized source factor f(tau) for the Dirac point source.
+    """Source factors of the Dirac point source at the samples taus.
 
-    ``kx`` (M',) and ``ky`` (N',) are per-axis rates; the factors cover
-    their product grid, column i N' + j for the mode (kx[i], ky[j]).
+    Per-axis tables p = sin(k c) and q = cos(k c) of the source coordinate
+    c (so dp/dc = k q) are built once for the rates ``kx`` and ``ky``; a
+    call on slices of the rates forms that tile of the product
+    f = px py + tau_q ((vx kx qx) py + (vy ky) px qy).
     """
 
-    def __init__(self, s: PlateScenario, kx: np.ndarray, ky: np.ndarray):
-        self.traj = s.trajectory
+    def __init__(self, s: PlateScenario, kx: np.ndarray, ky: np.ndarray,
+                 taus: np.ndarray):
         self.tau_q = s.tau_q
-        self.kx = kx
-        self.ky = ky
-
-    def __call__(self, taus: np.ndarray) -> np.ndarray:
-        """(Q, M' N') factors at taus, one column per mode."""
-        x, y = position(self.traj, taus)
-        argx = np.outer(x, self.kx)[:, :, None]
-        argy = np.outer(y, self.ky)[:, None, :]
-        sinx, siny = np.sin(argx), np.sin(argy)
-        f = sinx * siny
+        x, y = position(s.trajectory, taus)
+        self.px, qx = self._project(kx, s.L, x)
+        self.py, self.qy = self._project(ky, s.H, y)
         if self.tau_q != 0.0:
-            vx, vy = velocity(self.traj, taus)
-            # Same association as the per-mode formula, so the values are
-            # bitwise those of evaluating every (sample, mode) pair.
-            drift = (np.multiply.outer(vx, self.kx)[:, :, None]
-                     * np.cos(argx) * siny)
-            cross = np.multiply.outer(vy, self.ky)[:, None, :] * sinx
-            cross *= np.cos(argy)
+            vx, vy = velocity(s.trajectory, taus)
+            self.vqx = np.multiply.outer(vx, kx) * qx
+            self.vky = np.multiply.outer(vy, ky)
+
+    def _project(self, rates, limit, centers):
+        """(p, q) tables (C, R) of the source at centers; q only if lagged."""
+        arg = np.outer(centers, rates)
+        return np.sin(arg), np.cos(arg) if self.tau_q != 0.0 else None
+
+    def __call__(self, rows: slice, cols: slice) -> np.ndarray:
+        """(Q, R C) row-major block of the tile kx[rows] x ky[cols]."""
+        px, py = self.px[:, rows, None], self.py[:, None, cols]
+        f = px * py
+        if self.tau_q != 0.0:
+            # Same association as the per-mode formula, so the point
+            # source's values are bitwise those of every (sample, mode) pair.
+            drift = self.vqx[:, rows, None] * py
+            cross = self.vky[:, None, cols] * px
+            cross *= self.qy[:, None, cols]
             drift += cross
             drift *= self.tau_q
             f += drift
@@ -165,7 +172,7 @@ def _harmonic_coefficients(s: PlateScenario, table: ModeTable, t: float,
     omega = 1j * base * np.arange(q // 2 + 1)[:, None]
     wave = np.exp(omega * phase)
     M, N = table.M, table.N
-    kx, ky = table.kx[::N], table.ky[:N]
+    factors = factory(s, table.kx[::N], table.ky[:N], taus)
     rows, cols = max(1, HARMONIC_CHUNK // N), min(N, HARMONIC_CHUNK)
     tiles = [(m0, n0) for m0 in range(0, M, rows) for n0 in range(0, N, cols)]
     out = np.empty(table.nmodes)
@@ -173,7 +180,7 @@ def _harmonic_coefficients(s: PlateScenario, table: ModeTable, t: float,
         # Whole rows, or part of one row: either way a run of the table.
         m1, n1 = min(m0 + rows, M), min(n0 + cols, N)
         sel = slice(m0 * N + n0, (m1 - 1) * N + n1)
-        spec = np.fft.rfft(factory(s, kx[m0:m1], ky[n0:n1])(taus),
+        spec = np.fft.rfft(factors(slice(m0, m1), slice(n0, n1)),
                            axis=0) / q
         spec[1:(q + 1) // 2] *= 2.0   # the real signal's negative harmonics
         regime, splitting = table.regime[sel], table.splitting[sel]
@@ -208,7 +215,8 @@ def mode_coefficients(s: PlateScenario, table: ModeTable, t: float, *,
 
     Returns an array in the table's row-major (m, n) mode order, computed
     by the harmonic engine (``_harmonic_coefficients``) from the factors
-    ``factors_factory(s, kx, ky)`` of per-axis rates kx and ky.
+    ``factors_factory(s, kx, ky, taus)`` of per-axis rates kx and ky at
+    the engine's samples taus, built once and called per tile.
     """
     if not math.isfinite(t):
         raise ValueError(f"coefficients requested at non-finite time {t!r}")

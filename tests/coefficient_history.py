@@ -53,8 +53,7 @@ class CoefficientHistory:
         self.s = s
         self.table = table
         self.quad = quad or QuadratureSpec()
-        self.factors = PointSourceFactors(s, table.kx[::table.N],
-                                          table.ky[:table.N])
+        self.rates = table.kx[::table.N], table.ky[:table.N]
         self.t = 0.0
         n = table.nmodes
         self._e_slow = np.zeros(n)   # overdamped slow / critical E0 / diffusive E
@@ -74,7 +73,8 @@ class CoefficientHistory:
 
         def f(taus):
             delta = np.maximum(t_new - taus, 0.0)[:, None]
-            base = self.factors(taus)
+            base = PointSourceFactors(self.s, *self.rates, taus)(
+                slice(None), slice(None))
             cols = [base * np.exp(-rate_slow[None, :] * delta)]
             cols.append(np.where(over[None, :],
                                  base * np.exp(-rate_fast[None, :] * delta),

@@ -242,13 +242,27 @@ def test_grid_below_two_samples_exits_2_before_any_output(tmp_path, capsys,
     ["peak-sweep", "--t", "5", "--truncations", "4,0"],
     ["peak-sweep", "--t", "5", "--truncations", "4x0"],
     ["profile", "--t", "5", "--modes", "3,3", "--kind", "line-y"],
+    ["profile", "--t", "5", "--modes", "3,3", "--y0", "5"],
+    ["profile", "--t", "5", "--modes", "3,3", "--y0", "0.5", "--samples", "1"],
+    ["profile", "--t", "5", "--modes", "3,3", "--kind", "trajectory",
+     "--samples", "1"],
+    ["profile", "--scenario", "lst_default", "--t", "5", "--modes", "3,3",
+     "--kind", "trajectory"],
+    ["sweep", "--t", "5", "--modes", "2,2", "--samples", "1"],
+    ["sweep", "--scenario", "ct_default", "--t", "5", "--modes", "2,2",
+     "--tau-q", "1,-1"],
 ], ids=["field-modes-0x3", "profile-modes-3x-1", "sweep-modes-0x2",
         "sweep-tau-q-abc", "oracle-modes-0x4", "peak-sweep-0", "peak-sweep-4x0",
-        "profile-line-y-without-y0"])
+        "profile-line-y-without-y0", "profile-y0-off-plate",
+        "profile-line-y-1-sample", "profile-trajectory-1-sample",
+        "profile-trajectory-on-a-line", "sweep-1-sample",
+        "sweep-negative-tau-q"])
 def test_bad_flags_exit_2_before_any_output(tmp_path, capsys, argv):
+    # Without its own --scenario a case runs on ct_alpha2_q1_T1.
+    if "--scenario" not in argv:
+        argv = [argv[0], "--scenario", "ct_alpha2_q1_T1", *argv[1:]]
     out = tmp_path / "o"
-    rc = main([argv[0], "--scenario", "ct_alpha2_q1_T1", *argv[1:],
-               "--out", str(out)])
+    rc = main([*argv, "--out", str(out)])
     assert rc == 2
     assert "error:" in capsys.readouterr().err
     assert not out.exists()

@@ -217,9 +217,10 @@ def test_projection_tables_match_wofz_reference():
     x, y, _, _ = source_track(s, taus)
     sigma = cfg.resolved_sigma()
     for centers in (x, y, np.linspace(0.0, s.L, 3999)):
-        value, slope = sine_projection(rates, s.L, centers, sigma)
+        value, q = sine_projection(rates, s.L, centers, sigma)
         ref, dref = wofz_sine_projection(rates, s.L, centers, sigma)
         assert np.max(np.abs(value - ref)) <= 1e-14 * np.max(np.abs(ref))
+        slope = rates * q
         assert np.max(np.abs(slope - dref)) <= 1e-14 * np.max(np.abs(dref))
 
 
@@ -257,7 +258,8 @@ def test_projection_near_the_walls_matches_brute_force(sigma):
     rates = np.pi * np.arange(1, 81)
     offsets = sigma * np.array([0.0, 0.3, 1.0, 2.5])
     centers = np.concatenate([offsets, 1.0 - offsets])
-    value, slope = sine_projection(rates, 1.0, centers, sigma)
+    value, q = sine_projection(rates, 1.0, centers, sigma)
+    slope = rates * q
     xi = np.linspace(0.0, 1.0, 100_001)   # Simpson error <= 4e-14 here
     basis = np.sin(np.outer(xi, rates))
     for i, c in enumerate(centers):
@@ -283,10 +285,31 @@ def test_ring_far_from_walls_scales_point_coefficients_by_the_gain():
     point = mode_coefficients(s, table, 12.5)
     gauss = mode_coefficients(
         s, table, 12.5,
-        factors_factory=lambda sc, kx, ky: GaussianSourceFactors(sc, kx, ky,
-                                                                 sigma))
+        factors_factory=lambda sc, kx, ky, taus: GaussianSourceFactors(
+            sc, kx, ky, taus, sigma))
     gain = np.exp(-table.k2 * sigma ** 2 / 2.0)
     assert np.max(np.abs(gauss - gain * point)) <= 1e-9 * np.max(np.abs(point))
+
+
+def test_each_factor_class_has_its_own_call_entry(monkeypatch):
+    # perfbench wraps PointSourceFactors.__call__ and then
+    # GaussianSourceFactors.__call__; an inherited entry would put the
+    # Gaussian's calls inside the point span and count them twice.
+    wrapped = []
+
+    def spy(self, rows, cols):
+        wrapped.append(type(self))
+        return original(self, rows, cols)
+
+    original = PointSourceFactors.__call__
+    monkeypatch.setattr(PointSourceFactors, "__call__", spy)
+    s = tiny_scenario(tau_q=1.0, tau_T=1.0)
+    rates, taus = np.pi * np.arange(1.0, 4.0), np.linspace(0.0, 9.0, 5)
+    every = slice(None), slice(None)
+    GaussianSourceFactors(s, rates, rates, taus, 0.05)(*every)
+    assert wrapped == []
+    PointSourceFactors(s, rates, rates, taus)(*every)
+    assert wrapped == [PointSourceFactors]
 
 
 def test_vanishing_sigma_recovers_point_source_factors():
@@ -294,8 +317,9 @@ def test_vanishing_sigma_recovers_point_source_factors():
     kx = np.pi * np.array([1.0, 2.0, 3.0])
     ky = np.pi * np.array([1.0, 3.0, 2.0])
     taus = np.linspace(0.0, 9.0, 23)
-    sharp = GaussianSourceFactors(s, kx, ky, 5e-4)(taus)
-    point = PointSourceFactors(s, kx, ky)(taus)
+    every = slice(None), slice(None)
+    sharp = GaussianSourceFactors(s, kx, ky, taus, 5e-4)(*every)
+    point = PointSourceFactors(s, kx, ky, taus)(*every)
     assert np.max(np.abs(sharp - point)) < 1e-4 * np.max(np.abs(point))
 
 

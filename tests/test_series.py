@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -32,11 +33,16 @@ def axis_rates(table):
     return table.kx[::table.N], table.ky[:table.N]
 
 
+def point_factors(s, table, taus):
+    """(Q, nmodes) point-source factors of the whole table at taus."""
+    factors = PointSourceFactors(s, *axis_rates(table), taus)
+    return factors(slice(None), slice(None))
+
+
 def point_factor(s, table, m, n, taus):
     """Mode (m, n)'s column of the point-source factors at taus."""
-    factors = PointSourceFactors(s, *axis_rates(table))
-    return factors(np.atleast_1d(np.asarray(taus, dtype=float)))[
-        :, table.index_of(m, n)]
+    taus = np.atleast_1d(np.asarray(taus, dtype=float))
+    return point_factors(s, table, taus)[:, table.index_of(m, n)]
 
 
 def test_prefactor_branches():
@@ -306,7 +312,7 @@ def test_point_factors_match_per_mode_formula_bitwise():
     expected = np.sin(argx) * np.sin(argy) + s.tau_q * (
         (vx[:, None] * table.kx[None, :]) * np.cos(argx) * np.sin(argy)
         + (vy[:, None] * table.ky[None, :]) * np.sin(argx) * np.cos(argy))
-    got = PointSourceFactors(s, *axis_rates(table))(taus)
+    got = point_factors(s, table, taus)
     assert np.array_equal(got, expected)
 
 
@@ -325,9 +331,14 @@ def test_tiling_does_not_change_the_coefficients(monkeypatch, modes,
     extra = (fdm_cfg.resolved_sigma(),) if gaussian else ()
     widths = []
 
-    def factory(sc, kx, ky):
-        widths.append(kx.size * ky.size)
-        return base(sc, kx, ky, *extra)
+    class Recorded(base):
+        def __call__(self, rows, cols):
+            block = super().__call__(rows, cols)
+            widths.append(block.shape[1])
+            return block
+
+    def factory(sc, kx, ky, taus):
+        return Recorded(sc, kx, ky, taus, *extra)
 
     ref = mode_coefficients(s, table, 7.0, factors_factory=factory)
     assert max(widths) <= series.HARMONIC_CHUNK
@@ -339,6 +350,29 @@ def test_tiling_does_not_change_the_coefficients(monkeypatch, modes,
         assert max(widths) <= chunk
         assert sum(widths) == table.nmodes
         assert np.abs(got - ref).max() <= 1e-15 * scale
+
+
+@pytest.mark.parametrize("gaussian", [False, True], ids=["point", "gaussian"])
+def test_factor_tables_are_built_once_per_solve(monkeypatch, gaussian):
+    # With a chunk of 1 every mode is its own tile, yet the trajectory and
+    # the per-axis tables are evaluated once for the whole solve.
+    from dpl_heatlab import fdm
+
+    s, fdm_cfg = dh.load_bundled("ct_alpha2_q5_T1")
+    table = build_mode_table(s, 5, 4)
+    calls = {"position": 0, "velocity": 0, "sine_projection": 0}
+    for mod, name in ((series, "position"), (series, "velocity"),
+                      (fdm, "sine_projection")):
+        def counted(*args, _fn=getattr(mod, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(mod, name, counted)
+    monkeypatch.setattr(series, "HARMONIC_CHUNK", 1)
+    factory = (partial(fdm.GaussianSourceFactors,
+                       sigma=fdm_cfg.resolved_sigma()) if gaussian else None)
+    mode_coefficients(s, table, 7.0, factors_factory=factory)
+    assert calls == {"position": 1, "velocity": 1,
+                     "sine_projection": 2 if gaussian else 0}
 
 
 def _assembly_case(T0=20.0):
@@ -541,8 +575,7 @@ def test_doubling_the_samples_moves_coefficients_within_the_aliasing_estimate(
     if boundary is not None:
         assert series._harmonic_samples(s, build_mode_table(s, *boundary)) == 2 * q
     taus = np.arange(q) * (2.0 * math.pi / abs(s.trajectory.w) / q)
-    spectrum = np.abs(np.fft.rfft(PointSourceFactors(s, *axis_rates(table))(taus),
-                                  axis=0))
+    spectrum = np.abs(np.fft.rfft(point_factors(s, table, taus), axis=0))
     aliasing = spectrum[-1].max() / spectrum.max()   # |F| at Nyquist
     coarse = mode_coefficients(s, table, t)
     monkeypatch.setattr(series, "_harmonic_samples", lambda *_: 2 * q)
