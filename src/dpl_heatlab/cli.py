@@ -1,5 +1,12 @@
 """Command-line front end: scenario files in, CSV + plot scripts out.
 
+Each ``_cmd_*`` handler computes all of its results first and returns
+its outputs as an ordered list of (file name, text or writer), its
+manifest fields and its text for stdout (empty but for ``oracle``).
+``main`` then hands them to ``_emit``, the one place that creates
+``--out``.  A run that exits 2 or 3 writes nothing; output appears only
+once every result is computed.
+
 Exit codes: 0 success, 2 configuration/usage error, 3 numerical failure
 (unstable stepping, degenerate peak, arithmetic overflow), 4 output I/O
 error.
@@ -11,8 +18,10 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import replace
+from collections import Counter
+from dataclasses import asdict, replace
 from datetime import datetime, timezone
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -152,37 +161,47 @@ def _load_scenario_arg(arg: str):
         f"(bundled: {', '.join(bundled_scenario_names())})")
 
 
-def _prepare_out(path_str: str) -> Path:
-    out = Path(path_str)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+def _json_text(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _write_profiles(path_str: str, profiles, xlabel: str) -> Path:
-    """Create the output directory, write the (name, profile) pairs and
-    the script that overlays them."""
-    out = _prepare_out(path_str)
-    for name, prof in profiles:
-        write_profile_csv(prof, out / name)
-    files = json.dumps([name for name, _ in profiles])
-    (out / "plot_profiles.py").write_text(
-        _PROFILE_PLOT.format(files=files, xlabel=xlabel), encoding="utf-8")
-    return out
+def _profile_outputs(profiles, xlabel: str) -> list:
+    """Outputs of the (name, profile) pairs and their overlay script."""
+    files = [(name, partial(write_profile_csv, prof))
+             for name, prof in profiles]
+    names = json.dumps([name for name, _ in profiles])
+    return files + [("plot_profiles.py",
+                     _PROFILE_PLOT.format(files=names, xlabel=xlabel))]
 
 
-def _write_manifest(out: Path, args, subcommand: str, extra: dict) -> None:
+def _emit(args, files, extra: dict) -> None:
+    """Create ``--out`` and write each (name, text or writer) in order,
+    ``manifest.json`` last.  A writer is called with the file's path.
+
+    Names must be distinct, so that no output overwrites another.
+    """
     manifest = {
         "scenario": args.scenario,
-        "subcommand": subcommand,
-        "out_dir": str(out),
+        "subcommand": args.command,
+        "out_dir": str(Path(args.out)),
         "threads": args.threads,
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "tool_version": __version__,
+        **extra,
     }
-    manifest.update(extra)
-    with open(out / "manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    files = [*files, ("manifest.json", _json_text(manifest))]
+    counts = Counter(name for name, _content in files)
+    clash = [name for name, k in counts.items() if k > 1]
+    if clash:
+        raise ValueError(f"two outputs would both be named {clash[0]} (file "
+                         f"names show values to 6 significant digits)")
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, content in files:
+        if isinstance(content, str):
+            (out / name).write_text(content, encoding="utf-8", newline="\n")
+        else:
+            content(out / name)
 
 
 def _resolve_modes(args, s) -> tuple[int, int]:
@@ -191,31 +210,29 @@ def _resolve_modes(args, s) -> tuple[int, int]:
     return _check_truncation(*_parse_pair(args.modes, "--modes"), "--modes")
 
 
-def _cmd_field(args) -> int:
+def _cmd_field(args):
     s, _fdm = _load_scenario_arg(args.scenario)
     modes = _resolve_modes(args, s)
     grid = (default_peak_grid(s) if args.grid is None
             else GridSpec(*_parse_pair(args.grid, "--grid")))
-    out = _prepare_out(args.out)
     traj = s.trajectory
+    files = []
     for t in args.t:
         field = temperature(s, grid, t, modes[0], modes[1])
         stem = f"field_t{t:g}"
-        write_field_csv(field, s, out / f"{stem}.csv")
         x_src, y_src = position(traj, t)
         script = _FIELD_PLOT.format(
             csv=f"{stem}.csv", nx=grid.nx, ny=grid.ny, L=_fmt(s.L),
             H=_fmt(s.H), cx=_fmt(traj.cx), cy=_fmt(traj.cy),
             A=_fmt(traj.A), B=_fmt(traj.B), x_src=_fmt(x_src),
             y_src=_fmt(y_src), t=f"{t:g}", stem=stem)
-        (out / f"plot_{stem}.py").write_text(script, encoding="utf-8")
-    _write_manifest(out, args, "field", {
-        "times": args.t, "truncation": list(modes),
-        "grid": [grid.nx, grid.ny]})
-    return 0
+        files += [(f"{stem}.csv", partial(write_field_csv, field, s)),
+                  (f"plot_{stem}.py", script)]
+    return files, {"times": args.t, "truncation": list(modes),
+                   "grid": [grid.nx, grid.ny]}, ""
 
 
-def _cmd_profile(args) -> int:
+def _cmd_profile(args):
     s, _fdm = _load_scenario_arg(args.scenario)
     modes = _resolve_modes(args, s)
     if args.kind == "line-y" and args.y0 is None:
@@ -231,82 +248,61 @@ def _cmd_profile(args) -> int:
                                       args.samples)
             name = f"profile_trajectory_t{t:g}.csv"
         profiles.append((name, prof))
-    out = _write_profiles(args.out, profiles,
-                          "x" if args.kind == "line-y" else "central angle")
-    _write_manifest(out, args, "profile", {
-        "times": args.t, "truncation": list(modes), "kind": args.kind,
-        "y0": args.y0, "samples": args.samples})
-    return 0
+    files = _profile_outputs(
+        profiles, "x" if args.kind == "line-y" else "central angle")
+    return files, {"times": args.t, "truncation": list(modes),
+                   "kind": args.kind, "y0": args.y0,
+                   "samples": args.samples}, ""
 
 
-def _cmd_peak_sweep(args) -> int:
+def _cmd_peak_sweep(args):
     s, _fdm = _load_scenario_arg(args.scenario)
     truncations = _parse_truncations(args.truncations)
     grid = (default_peak_grid(s) if args.grid is None
             else GridSpec(*_parse_pair(args.grid, "--grid")))
-    out = _prepare_out(args.out)
-    t = args.t[0]
-    reports = source_peak_distance_sweep(s, t, truncations, grid)
-    write_sweep_csv(reports, out / "peak_sweep.csv")
-    (out / "plot_peak_sweep.py").write_text(
-        _SWEEP_PLOT.format(csv="peak_sweep.csv"), encoding="utf-8")
-    _write_manifest(out, args, "peak-sweep", {
-        "times": args.t, "truncations": [list(p) for p in truncations],
-        "grid": [grid.nx, grid.ny]})
-    return 0
+    reports = source_peak_distance_sweep(s, args.t[0], truncations, grid)
+    files = [("peak_sweep.csv", partial(write_sweep_csv, reports)),
+             ("plot_peak_sweep.py", _SWEEP_PLOT.format(csv="peak_sweep.csv"))]
+    return files, {"times": args.t, "grid": [grid.nx, grid.ny],
+                   "truncations": [list(p) for p in truncations]}, ""
 
 
-def _cmd_oracle(args) -> int:
+def _cmd_oracle(args):
     # Only the oracle imports fdm, so series-only commands skip its import
     # (about 5.5 ms measured with -X importtime).
     from . import fdm
 
     s, fdm_cfg = _load_scenario_arg(args.scenario)
-    overrides = {
-        "hx": args.fdm_hx, "hy": args.fdm_hy, "dt": args.fdm_dt,
-        "sigma": args.fdm_sigma, "t_end": args.fdm_t_end,
-        "store_every": args.fdm_store_every,
-    }
-    if fdm_cfg is None:
-        needed = ("hx", "hy", "dt", "t_end")
-        if any(overrides[key] is None for key in needed):
-            raise ConfigFormatError(
-                "scenario has no fdm block; supply --fdm-hx, --fdm-hy, "
-                "--fdm-dt and --fdm-t-end")
-        fdm_cfg = FdmConfig(hx=overrides["hx"], hy=overrides["hy"],
-                            dt=overrides["dt"], t_end=overrides["t_end"],
-                            sigma=overrides["sigma"],
-                            store_every=overrides["store_every"] or 1)
-    else:
-        updates = {key: val for key, val in overrides.items()
-                   if val is not None}
-        fdm_cfg = replace(fdm_cfg, **updates)
-
+    merged = asdict(fdm_cfg) if fdm_cfg is not None else {}
+    for key in ("hx", "hy", "dt", "sigma", "t_end", "store_every"):
+        value = getattr(args, f"fdm_{key}")
+        if value is not None:
+            merged[key] = value
+    if any(key not in merged for key in ("hx", "hy", "dt", "t_end")):
+        raise ConfigFormatError(
+            "scenario has no fdm block; supply --fdm-hx, --fdm-hy, "
+            "--fdm-dt and --fdm-t-end")
+    fdm_cfg = FdmConfig(**merged)
     modes = _resolve_modes(args, s)
-    out = _prepare_out(args.out)
 
     fields = fdm.solve_fdm(s, fdm_cfg)
-    for field in fields:
-        write_field_csv(field, s, out / f"fdm_t{field.t:g}.csv")
     final = fields[-1]
     series_field = fdm.project_gaussian_source_series(
         s, fdm_cfg.resolved_sigma(), final.grid, final.t,
         modes[0], modes[1])
-    write_field_csv(series_field, s, out / f"series_t{final.t:g}.csv")
     report = fdm.deviation_report(final, series_field, s.T0)
-    with open(out / "report.json", "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    _write_manifest(out, args, "oracle", {
-        "truncation": list(modes),
-        "fdm": {"hx": fdm_cfg.hx, "hy": fdm_cfg.hy, "dt": fdm_cfg.dt,
-                "sigma": fdm_cfg.resolved_sigma(), "t_end": fdm_cfg.t_end,
-                "store_every": fdm_cfg.store_every}})
-    print(f"rms_rel={report['rms_rel']:.6g} max_abs={report['max_abs']:.6g}")
-    return 0
+    files = [(f"fdm_t{field.t:g}.csv", partial(write_field_csv, field, s))
+             for field in fields]
+    files += [(f"series_t{final.t:g}.csv",
+               partial(write_field_csv, series_field, s)),
+              ("report.json", _json_text(report))]
+    extra = {"truncation": list(modes),
+             "fdm": dict(asdict(fdm_cfg), sigma=fdm_cfg.resolved_sigma())}
+    return files, extra, (f"rms_rel={report['rms_rel']:.6g} "
+                          f"max_abs={report['max_abs']:.6g}\n")
 
 
-def _cmd_sweep(args) -> int:
+def _cmd_sweep(args):
     s, _fdm = _load_scenario_arg(args.scenario)
     modes = _resolve_modes(args, s)
     qs = (_parse_float_list(args.tau_q, "--tau-q")
@@ -316,7 +312,7 @@ def _cmd_sweep(args) -> int:
     ws = _parse_float_list(args.w, "--w") if args.w else [s.trajectory.w]
     closed = s.trajectory.kind in ("circle", "ellipse")
 
-    rows = []
+    summary = ["tau_q,tau_T,w,t,peak\n"]
     profiles = []
     for q in qs:
         for lag_t in ts_lag:
@@ -334,18 +330,14 @@ def _cmd_sweep(args) -> int:
                             modes[1], args.samples)
                     name = f"sweep_q{q:g}_T{lag_t:g}_w{w:g}_t{t:g}.csv"
                     profiles.append((name, prof))
-                    rows.append((q, lag_t, w, t, float(np.max(prof.values))))
-    out = _write_profiles(args.out, profiles,
-                          "central angle" if closed else "x")
-    with open(out / "summary.csv", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("tau_q,tau_T,w,t,peak\n")
-        for q, lag_t, w, t, peak in rows:
-            fh.write(f"{_fmt(q)},{_fmt(lag_t)},{_fmt(w)},{_fmt(t)},"
-                     f"{_fmt(peak)}\n")
-    _write_manifest(out, args, "sweep", {
-        "times": args.t, "truncation": list(modes),
-        "tau_q": qs, "tau_T": ts_lag, "w": ws, "samples": args.samples})
-    return 0
+                    summary.append(
+                        f"{_fmt(q)},{_fmt(lag_t)},{_fmt(w)},{_fmt(t)},"
+                        f"{_fmt(np.max(prof.values))}\n")
+    files = _profile_outputs(profiles, "central angle" if closed else "x")
+    files.append(("summary.csv", "".join(summary)))
+    return files, {"times": args.t, "truncation": list(modes),
+                   "tau_q": qs, "tau_T": ts_lag, "w": ws,
+                   "samples": args.samples}, ""
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -431,7 +423,10 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         resolve_threads(args.threads)
-        return _DISPATCH[args.command](args)
+        files, extra, stdout = _DISPATCH[args.command](args)
+        _emit(args, files, extra)
+        sys.stdout.write(stdout)
+        return 0
     except (ConfigFormatError, ScenarioValidationError, TrajectoryNotClosed,
             FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -166,10 +166,21 @@ def test_unstable_stepping_exits_3(tmp_path, monkeypatch, capsys):
         raise UnstableConfig("synthetic instability")
 
     monkeypatch.setattr(fdm_mod, "_jury_scan", explode)
-    rc = main(["oracle", "--scenario", "ct_alpha2_q1_T1",
-               "--out", str(tmp_path / "o")])
+    out = tmp_path / "o"
+    rc = main(["oracle", "--scenario", "ct_alpha2_q1_T1", "--out", str(out)])
     assert rc == 3
     assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_peak_on_the_edge_exits_3_before_any_output(tmp_path, capsys):
+    # At t = 0 nothing has been deposited, so the peak search fails.
+    out = tmp_path / "o"
+    rc = main(["peak-sweep", "--scenario", "lst_default", "--t", "0",
+               "--truncations", "2", "--grid", "11,11", "--out", str(out)])
+    assert rc == 3
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [
@@ -179,10 +190,12 @@ def test_unstable_stepping_exits_3(tmp_path, monkeypatch, capsys):
     ["oracle", "--fdm-dt", "inf", "--modes", "2,2"],
 ], ids=["field-t-inf", "field-t-nan", "oracle-t-end-inf", "oracle-dt-inf"])
 def test_non_finite_time_exits_2(tmp_path, capsys, argv):
+    out = tmp_path / "o"
     rc = main([argv[0], "--scenario", "ct_alpha2_q1_T1", *argv[1:],
-               "--out", str(tmp_path / "o")])
+               "--out", str(out)])
     assert rc == 2
     assert "error:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_overflowing_time_exits_3(tmp_path, monkeypatch, capsys):
@@ -194,10 +207,12 @@ def test_overflowing_time_exits_3(tmp_path, monkeypatch, capsys):
         raise OverflowError("synthetic overflow")
 
     monkeypatch.setattr(series, "_harmonic_coefficients", overflow)
+    out = tmp_path / "o"
     rc = main(["field", "--scenario", "ct_alpha2_q1_T1", "--t", "1e300",
-               "--modes", "3,3", "--grid", "5,5", "--out", str(tmp_path / "o")])
+               "--modes", "3,3", "--grid", "5,5", "--out", str(out)])
     assert rc == 3
     assert "error: numerical failure" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_huge_time_writes_the_periodic_state(tmp_path):
@@ -251,21 +266,47 @@ def test_grid_below_two_samples_exits_2_before_any_output(tmp_path, capsys,
     ["sweep", "--t", "5", "--modes", "2,2", "--samples", "1"],
     ["sweep", "--scenario", "ct_default", "--t", "5", "--modes", "2,2",
      "--tau-q", "1,-1"],
+    ["field", "--t", "5", "--t", "-1", "--modes", "4,4", "--grid", "5,5"],
+    ["oracle", "--modes", "4,4", "--fdm-sigma", "0.001"],
+    ["oracle", "--modes", "4,4", "--fdm-dt", "-1"],
+    ["oracle", "--scenario", "bare.cfg", "--modes", "4,4", "--fdm-hx", "0.05",
+     "--fdm-hy", "0.05", "--fdm-dt", "0.05", "--fdm-t-end", "1",
+     "--fdm-store-every", "0"],
+    ["field", "--t", "365.0001", "--t", "365.0002", "--modes", "3,3",
+     "--grid", "3,3"],
+    ["sweep", "--t", "2", "--modes", "2,2", "--samples", "4",
+     "--tau-q", "1,1"],
 ], ids=["field-modes-0x3", "profile-modes-3x-1", "sweep-modes-0x2",
         "sweep-tau-q-abc", "oracle-modes-0x4", "peak-sweep-0", "peak-sweep-4x0",
         "profile-line-y-without-y0", "profile-y0-off-plate",
         "profile-line-y-1-sample", "profile-trajectory-1-sample",
         "profile-trajectory-on-a-line", "sweep-1-sample",
-        "sweep-negative-tau-q"])
-def test_bad_flags_exit_2_before_any_output(tmp_path, capsys, argv):
+        "sweep-negative-tau-q", "field-second-t-negative",
+        "oracle-sigma-under-resolved", "oracle-negative-dt",
+        "oracle-store-every-0-without-fdm-block", "field-times-share-a-name",
+        "sweep-tau-q-repeated"])
+def test_bad_flags_exit_2_before_any_output(tmp_path, monkeypatch, capsys,
+                                            argv):
     # Without its own --scenario a case runs on ct_alpha2_q1_T1.
     if "--scenario" not in argv:
         argv = [argv[0], "--scenario", "ct_alpha2_q1_T1", *argv[1:]]
+    if "bare.cfg" in argv:  # a scenario file saved without an fdm block
+        monkeypatch.chdir(tmp_path)
+        dh.save_scenario(tiny_scenario(), "bare.cfg")
     out = tmp_path / "o"
     rc = main([*argv, "--out", str(out)])
     assert rc == 2
     assert "error:" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_name_clash_error_names_the_file(tmp_path, capsys):
+    # 365.0001 and 365.0002 both format as 365 in a file name.
+    rc = main(["field", "--scenario", "ct_alpha2_q1_T1", "--t", "365.0001",
+               "--t", "365.0002", "--modes", "3,3", "--grid", "3,3",
+               "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "field_t365.csv" in capsys.readouterr().err
 
 
 def test_huge_time_plot_script_marks_the_fmod_phase(tmp_path):
@@ -312,6 +353,7 @@ def test_field_inputs_give_a_code_or_finite_output(t, modes, grid):
             assert rc in (2, 3)
             assert "error:" in err.getvalue()
             assert "Traceback" not in err.getvalue()
+            assert not out.exists()
 
 
 def test_cli_import_loads_no_scipy():
@@ -407,7 +449,7 @@ def test_negative_threads_exit_2_before_any_output(tmp_path, capsys):
                "--out", str(out)])
     assert rc == 2
     assert "error: thread count must be >= 0" in capsys.readouterr().err
-    assert list(out.glob("*.csv")) == []
+    assert not out.exists()
 
 
 def test_oracle_smoke_run_agrees_with_series(tmp_path):
