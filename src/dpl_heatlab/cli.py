@@ -256,6 +256,8 @@ def _cmd_profile(args):
 
 
 def _cmd_peak_sweep(args):
+    if len(args.t) > 1:
+        raise ValueError(f"peak-sweep takes one --t, got {len(args.t)}")
     s, _fdm = _load_scenario_arg(args.scenario)
     truncations = _parse_truncations(args.truncations)
     grid = (default_peak_grid(s) if args.grid is None

@@ -290,6 +290,8 @@ class GaussianSourceFactors(PointSourceFactors):
     sin(k c) and cos(k c), where p_k(c) projects the wall-clipped Gaussian
     centred on the source and dp_k/dc = k q_k(c)."""
 
+    band_limited = False   # the wall terms of p are not band-limited by k A
+
     def __init__(self, s: PlateScenario, kx: np.ndarray, ky: np.ndarray,
                  taus: np.ndarray, sigma: float):
         self.sigma = sigma

@@ -24,16 +24,18 @@ Every source the model describes runs along a line, circle or ellipse
 with period T = 2 pi / |w|, or is parked (w = 0), so the coefficients come
 from the source's harmonics: one FFT of the factors over a period, then a
 closed-form convolution of each harmonic with the kernel's exponentials,
-with the phase taken from fmod(t, T).  Its cost and accuracy do not depend
-on t.  It walks the table's row-major (m, n) modes in tiles of whole
-m-rows (or n-ranges of one row), in one thread.
+with the phase taken from fmod(t, T); cost and accuracy do not depend on
+t.  It walks the row-major (m, n) modes in one thread, in tiles of whole
+m-rows (or n-ranges of one row).  A point-source tile samples the period
+only as finely as its own largest rates need (``_harmonic_samples``); the
+Gaussian source's wall terms are not band-limited by the rates, so its
+tiles keep the samples of the solve's largest rates.
 
-The basis is separable, and both hot paths use that.  The source factors
-are per-axis tables, built once per solve at the engine's samples, and
-each tile takes its block of their product.  Assembly reshapes the
-amplitudes to an (M, N) matrix A and sums the series as SX @ A @ SY.T on
-a grid, or as the row sums of (SX @ A) * SY at paired points, with SX and
-SY the per-axis sine tables.
+The basis is separable.  The source factors are per-axis tables, built
+once per solve at the solve's samples, and each tile takes its block of
+their product.  Assembly sums the series as SX @ A @ SY.T on a grid, or
+as the row sums of (SX @ A) * SY at paired points, with A the (M, N)
+amplitude matrix and SX, SY the per-axis sine tables.
 """
 
 from __future__ import annotations
@@ -97,9 +99,11 @@ class PointSourceFactors:
 
     Per-axis tables p = sin(k c) and q = cos(k c) of the source coordinate
     c (so dp/dc = k q) are built once for the rates ``kx`` and ``ky``; a
-    call on slices of the rates forms that tile of the product
-    f = px py + tau_q ((vx kx qx) py + (vy ky) px qy).
+    call on slices of the rates and samples forms that tile of the
+    band-limited product f = px py + tau_q ((vx kx qx) py + (vy ky) px qy).
     """
+
+    band_limited = True
 
     def __init__(self, s: PlateScenario, kx: np.ndarray, ky: np.ndarray,
                  taus: np.ndarray):
@@ -117,33 +121,34 @@ class PointSourceFactors:
         arg = np.outer(centers, rates)
         return np.sin(arg), np.cos(arg) if self.tau_q != 0.0 else None
 
-    def __call__(self, rows: slice, cols: slice) -> np.ndarray:
-        """(Q, R C) row-major block of the tile kx[rows] x ky[cols]."""
-        px, py = self.px[:, rows, None], self.py[:, None, cols]
+    def __call__(self, rows: slice, cols: slice,
+                 samples: slice = slice(None)) -> np.ndarray:
+        """Row-major (q, R C) block of kx[rows] x ky[cols] at taus[samples]."""
+        px, py = self.px[samples, rows, None], self.py[samples, None, cols]
         f = px * py
         if self.tau_q != 0.0:
             # Same association as the per-mode formula, so the point
             # source's values are bitwise those of every (sample, mode) pair.
-            drift = self.vqx[:, rows, None] * py
-            cross = self.vky[:, None, cols] * px
-            cross *= self.qy[:, None, cols]
+            drift = self.vqx[samples, rows, None] * py
+            cross = self.vky[samples, None, cols] * px
+            cross *= self.qy[samples, None, cols]
             drift += cross
             drift *= self.tau_q
             f += drift
         return f.reshape(f.shape[0], -1)
 
 
-def _harmonic_samples(s: PlateScenario, table: ModeTable) -> int:
-    """Samples Q per source period for the harmonic engine.
+def _harmonic_samples(s: PlateScenario, kx: float, ky: float) -> int:
+    """Samples Q per source period for the rates up to kx and ky.
 
-    The factor sin(kx (cx + A cos(w tau))) has the harmonics J_j(kx A)
-    (Jacobi-Anger), and |J_j(z)| < 1e-19 for j >= z + 12 z^(1/3) + 8.  The
-    x-y product has the tail of one such series with z = rho = max kx |A|
-    + max ky |B|, so Q / 2 >= rho + 12 rho^(1/3) + 8 leaves the aliased
-    tail at rounding level.
+    Jacobi-Anger: sin(kx (cx + A cos(w tau))) has the harmonics J_j(kx A),
+    and |J_j(z)| < 1e-19 for j >= z + 12 z^(1/3) + 8.  The x-y product has
+    the tail of one such series with z = rho = kx |A| + ky |B|, so Q / 2 >=
+    rho + 12 rho^(1/3) + 8 leaves the aliased tail at rounding level: for
+    the solve's largest rates, and for a band-limited tile's own.
     """
     traj = s.trajectory
-    rho = table.kx.max() * abs(traj.A) + table.ky.max() * abs(traj.B)
+    rho = kx * abs(traj.A) + ky * abs(traj.B)
     return 1 << math.ceil(math.log2(2.0 * (rho + 12.0 * rho ** (1 / 3) + 8.0)))
 
 
@@ -151,7 +156,7 @@ def _harmonic_coefficients(s: PlateScenario, table: ModeTable, t: float,
                            factory) -> np.ndarray:
     """Closed-form coefficients of a periodic (or parked, w = 0) source.
 
-    One FFT of Q samples over a period gives f = Re sum_j F_j e^(i w_j tau).
+    A tile's FFT of its q samples gives f = Re sum_j F_j e^(i w_j tau).
     Every lagged kernel is (e^(-r1 D) - e^(-r2 D)) / g with g = r2 - r1:
     r1 = slow and g = 2 b2 when overdamped, r1 = b1 - i |b2| and g = 2 i |b2|
     when oscillatory, r1 = b1 and g -> 0 when critical.  Each harmonic then
@@ -161,18 +166,18 @@ def _harmonic_coefficients(s: PlateScenario, table: ModeTable, t: float,
       diffusive  (e^(i w_j t') - e^(-r1 t)) / s1
       lagged     (e^(i w_j t') - e^(-r1 t) (1 + s1 h)) / (s1 (s1 + g))
     """
-    traj = s.trajectory
-    if traj.w == 0.0:
+    M, N = table.M, table.N
+    kx, ky = table.kx[::N], table.ky[:N]
+    if s.trajectory.w == 0.0:
         q, taus, base, phase = 1, np.zeros(1), 0.0, 0.0
     else:
-        q = _harmonic_samples(s, table)
-        period = source_period(traj)
+        q = _harmonic_samples(s, kx[-1], ky[-1])
+        period = source_period(s.trajectory)
         taus = np.arange(q) * (period / q)
         base, phase = 2.0 * math.pi / period, math.fmod(t, period)
     omega = 1j * base * np.arange(q // 2 + 1)[:, None]
     wave = np.exp(omega * phase)
-    M, N = table.M, table.N
-    factors = factory(s, table.kx[::N], table.ky[:N], taus)
+    factors = factory(s, kx, ky, taus)
     rows, cols = max(1, HARMONIC_CHUNK // N), min(N, HARMONIC_CHUNK)
     tiles = [(m0, n0) for m0 in range(0, M, rows) for n0 in range(0, N, cols)]
     out = np.empty(table.nmodes)
@@ -180,9 +185,13 @@ def _harmonic_coefficients(s: PlateScenario, table: ModeTable, t: float,
         # Whole rows, or part of one row: either way a run of the table.
         m1, n1 = min(m0 + rows, M), min(n0 + cols, N)
         sel = slice(m0 * N + n0, (m1 - 1) * N + n1)
-        spec = np.fft.rfft(factors(slice(m0, m1), slice(n0, n1)),
-                           axis=0) / q
-        spec[1:(q + 1) // 2] *= 2.0   # the real signal's negative harmonics
+        # q and qt are powers of two: the tile reads every (q/qt)-th sample.
+        qt = (_harmonic_samples(s, kx[m1 - 1], ky[n1 - 1])
+              if factors.band_limited and q > 1 else q)
+        spec = np.fft.rfft(factors(slice(m0, m1), slice(n0, n1),
+                                   slice(None, None, q // qt)), axis=0) / qt
+        spec[1:(qt + 1) // 2] *= 2.0   # the real signal's negative harmonics
+        harmonics = slice(qt // 2 + 1)
         regime, splitting = table.regime[sel], table.splitting[sel]
         osc = regime == OSCILLATORY
         rate = np.where(regime == OVERDAMPED, table.slow[sel],
@@ -194,9 +203,9 @@ def _harmonic_coefficients(s: PlateScenario, table: ModeTable, t: float,
             live = rate.real * t < 800.0
         decay = np.zeros(rate.shape, dtype=complex)
         decay[live] = np.exp(-rate[live] * t)
-        s1 = rate + omega
+        s1 = rate + omega[harmonics]
         if table.classical:
-            resp = (wave - decay) / s1
+            resp = (wave[harmonics] - decay) / s1
         else:
             gap = np.where(regime == OVERDAMPED, 2.0 * splitting,
                            0.0).astype(complex)
@@ -204,7 +213,8 @@ def _harmonic_coefficients(s: PlateScenario, table: ModeTable, t: float,
             ramp = np.full(gap.shape, t, dtype=complex)
             split = live & (gap != 0.0)
             ramp[split] = -np.expm1(-gap[split] * t) / gap[split]
-            resp = (wave - (decay + s1 * (decay * ramp))) / (s1 * (s1 + gap))
+            resp = ((wave[harmonics] - (decay + s1 * (decay * ramp)))
+                    / (s1 * (s1 + gap)))
         out[sel] = np.einsum("jp,jp->p", spec, resp).real
     return out
 

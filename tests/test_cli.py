@@ -276,6 +276,8 @@ def test_grid_below_two_samples_exits_2_before_any_output(tmp_path, capsys,
      "--grid", "3,3"],
     ["sweep", "--t", "2", "--modes", "2,2", "--samples", "4",
      "--tau-q", "1,1"],
+    ["peak-sweep", "--t", "2.5", "--t", "5", "--truncations", "4",
+     "--grid", "21,21"],
 ], ids=["field-modes-0x3", "profile-modes-3x-1", "sweep-modes-0x2",
         "sweep-tau-q-abc", "oracle-modes-0x4", "peak-sweep-0", "peak-sweep-4x0",
         "profile-line-y-without-y0", "profile-y0-off-plate",
@@ -284,7 +286,7 @@ def test_grid_below_two_samples_exits_2_before_any_output(tmp_path, capsys,
         "sweep-negative-tau-q", "field-second-t-negative",
         "oracle-sigma-under-resolved", "oracle-negative-dt",
         "oracle-store-every-0-without-fdm-block", "field-times-share-a-name",
-        "sweep-tau-q-repeated"])
+        "sweep-tau-q-repeated", "peak-sweep-second-t"])
 def test_bad_flags_exit_2_before_any_output(tmp_path, monkeypatch, capsys,
                                             argv):
     # Without its own --scenario a case runs on ct_alpha2_q1_T1.
@@ -354,6 +356,73 @@ def test_field_inputs_give_a_code_or_finite_output(t, modes, grid):
             assert "error:" in err.getvalue()
             assert "Traceback" not in err.getvalue()
             assert not out.exists()
+
+
+def _run_capturing_stderr(argv, out):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        rc = main([*argv, "--out", str(out)])
+    return rc, err.getvalue()
+
+
+def _assert_code_and_no_output(rc, err, out):
+    assert rc in (2, 3)
+    assert "error:" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(t=st.one_of(st.floats(0.5, 400.0), st.floats()),
+       modes=st.tuples(st.integers(0, 6), st.integers(1, 6)),
+       kind=st.sampled_from(["line-y", "trajectory"]),
+       y0=st.one_of(st.none(), st.floats(0.0, 1.0), st.floats()),
+       samples=st.integers(1, 8))
+def test_profile_inputs_give_a_code_or_finite_output(t, modes, kind, y0,
+                                                     samples):
+    # Any time, truncation, cut and sample count either yields one finite
+    # CSV row per sample or a documented failure code with no output.
+    argv = ["profile", "--scenario", "ct_alpha2_q1_T1", f"--t={t!r}",
+            "--modes={},{}".format(*modes), "--kind", kind,
+            f"--samples={samples}"]
+    if y0 is not None:
+        argv.append(f"--y0={y0!r}")
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "o"
+        rc, err = _run_capturing_stderr(argv, out)
+        if rc == 0:
+            name = (f"profile_line_y{y0:g}_t{t:g}.csv" if kind == "line-y"
+                    else f"profile_trajectory_t{t:g}.csv")
+            _header, data = read_csv(out / name)
+            assert data.shape == (samples, 2)
+            assert np.isfinite(data).all()
+        else:
+            _assert_code_and_no_output(rc, err, out)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(times=st.lists(st.one_of(st.floats(0.5, 400.0), st.floats()),
+                     min_size=1, max_size=2),
+       truncations=st.lists(st.tuples(st.integers(0, 6), st.integers(1, 6)),
+                            min_size=1, max_size=3),
+       grid=st.tuples(st.integers(1, 12), st.integers(2, 12)))
+def test_peak_sweep_inputs_give_a_code_or_finite_output(times, truncations,
+                                                        grid):
+    # Any times, truncation list and grid either yields one finite CSV row
+    # per truncation or a documented failure code with no output.
+    argv = ["peak-sweep", "--scenario", "ct_alpha2_q1_T1",
+            *(f"--t={t!r}" for t in times),
+            "--truncations=" + ",".join(f"{m}x{n}" for m, n in truncations),
+            "--grid={},{}".format(*grid)]
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "o"
+        rc, err = _run_capturing_stderr(argv, out)
+        if rc == 0:
+            _header, data = read_csv(out / "peak_sweep.csv")
+            assert data.shape == (len(truncations), 8)
+            assert np.isfinite(data).all()
+        else:
+            _assert_code_and_no_output(rc, err, out)
 
 
 def test_cli_import_loads_no_scipy():

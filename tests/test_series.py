@@ -332,8 +332,8 @@ def test_tiling_does_not_change_the_coefficients(monkeypatch, modes,
     widths = []
 
     class Recorded(base):
-        def __call__(self, rows, cols):
-            block = super().__call__(rows, cols)
+        def __call__(self, rows, cols, samples):
+            block = super().__call__(rows, cols, samples)
             widths.append(block.shape[1])
             return block
 
@@ -571,9 +571,11 @@ def test_doubling_the_samples_moves_coefficients_within_the_aliasing_estimate(
         monkeypatch, name, modes, t, boundary):
     s, _ = dh.load_bundled(name)
     table = build_mode_table(s, *modes)
-    q = series._harmonic_samples(s, table)
+    q = series._harmonic_samples(s, table.kx.max(), table.ky.max())
     if boundary is not None:
-        assert series._harmonic_samples(s, build_mode_table(s, *boundary)) == 2 * q
+        wider = build_mode_table(s, *boundary)
+        assert series._harmonic_samples(s, wider.kx.max(),
+                                        wider.ky.max()) == 2 * q
     taus = np.arange(q) * (2.0 * math.pi / abs(s.trajectory.w) / q)
     spectrum = np.abs(np.fft.rfft(point_factors(s, table, taus), axis=0))
     aliasing = spectrum[-1].max() / spectrum.max()   # |F| at Nyquist
@@ -582,6 +584,72 @@ def test_doubling_the_samples_moves_coefficients_within_the_aliasing_estimate(
     fine = mode_coefficients(s, table, t)
     assert aliasing <= 1e-13
     assert np.abs(fine - coarse).max() <= aliasing * np.abs(fine).max()
+
+
+def _with_samples_everywhere(monkeypatch, s, table, factor):
+    """Make every tile take factor x the solve's Q samples."""
+    q = series._harmonic_samples(s, table.kx.max(), table.ky.max())
+    monkeypatch.setattr(series, "_harmonic_samples", lambda *_: factor * q)
+
+
+@pytest.mark.parametrize("name", dh.bundled_scenario_names())
+def test_per_tile_samples_match_four_times_the_samples(monkeypatch, name):
+    # Each tile samples the point source for its own largest rates; the
+    # Jacobi-Anger bound keeps that at rounding level against 4Q everywhere.
+    s, _ = dh.load_bundled(name)
+    table = build_mode_table(s, *default_truncation(s))
+    times = (1e-3, 0.37, 7.0, 25.0, 365.0)
+    got = [mode_coefficients(s, table, t) for t in times]
+    _with_samples_everywhere(monkeypatch, s, table, 4)
+    for t, c in zip(times, got):
+        ref = mode_coefficients(s, table, t)
+        assert np.abs(c - ref).max() <= 1e-14 * np.abs(ref).max(), t
+
+
+def test_gaussian_factors_keep_the_solve_samples_on_every_tile(monkeypatch):
+    # The wall terms of sine_projection are not band-limited by k A: tiles
+    # sampled for their own rates miss this reference by about 2.6e-12.
+    from dpl_heatlab.fdm import GaussianSourceFactors
+
+    s, _ = dh.load_bundled("lst_default")
+    table = build_mode_table(s, 80, 80)
+    factory = partial(GaussianSourceFactors, sigma=0.02)
+    got = mode_coefficients(s, table, 0.37, factors_factory=factory)
+    _with_samples_everywhere(monkeypatch, s, table, 4)
+    ref = mode_coefficients(s, table, 0.37, factors_factory=factory)
+    assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+def test_oracle_gaussian_coefficients_take_the_solve_samples_bitwise(
+        monkeypatch):
+    # The oracle command's series (as benchmarked): the same values as the
+    # solve's Q samples on every tile, bit for bit.
+    from dpl_heatlab.fdm import GaussianSourceFactors
+
+    s, fdm_cfg = dh.load_bundled("ct_alpha2_q5_T1")
+    table = build_mode_table(s, 40, 40)
+    factory = partial(GaussianSourceFactors, sigma=fdm_cfg.resolved_sigma())
+    got = mode_coefficients(s, table, 25.0, factors_factory=factory)
+    _with_samples_everywhere(monkeypatch, s, table, 1)
+    ref = mode_coefficients(s, table, 25.0, factors_factory=factory)
+    assert np.array_equal(got, ref)
+
+
+def test_line_tiles_evaluate_only_their_own_samples():
+    # lst_q1_T1 at 60x60 takes Q = 512 for the solve, but its first rows
+    # need only 128 and 256 samples: 860,160 factor values, not 1,843,200.
+    s, _ = dh.load_bundled("lst_q1_T1")
+    table = build_mode_table(s, 60, 60)
+    sizes = []
+
+    class Counted(PointSourceFactors):
+        def __call__(self, rows, cols, samples):
+            block = super().__call__(rows, cols, samples)
+            sizes.append(block.size)
+            return block
+
+    mode_coefficients(s, table, 365.0, factors_factory=Counted)
+    assert sum(sizes) == 860_160
 
 
 @pytest.mark.parametrize("name", ["ct_alpha2_q1_T1", "lst_default",
