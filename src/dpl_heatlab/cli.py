@@ -19,7 +19,7 @@ import json
 import math
 import sys
 from collections import Counter
-from dataclasses import asdict, replace
+from dataclasses import MISSING, asdict, fields, replace
 from datetime import datetime, timezone
 from functools import partial
 from pathlib import Path
@@ -43,6 +43,7 @@ from .errors import (
     UnstableConfig,
 )
 from .model import (
+    FIELD_TYPES,
     FdmConfig,
     GridSpec,
     bundled_scenario_names,
@@ -161,6 +162,11 @@ def _load_scenario_arg(arg: str):
         f"(bundled: {', '.join(bundled_scenario_names())})")
 
 
+def _fdm_flag(f) -> str:
+    """The oracle's flag for FdmConfig field f: ``--fdm-`` and its name."""
+    return "--fdm-" + f.name.replace("_", "-")
+
+
 def _json_text(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
@@ -276,25 +282,24 @@ def _cmd_oracle(args):
 
     s, fdm_cfg = _load_scenario_arg(args.scenario)
     merged = asdict(fdm_cfg) if fdm_cfg is not None else {}
-    for key in ("hx", "hy", "dt", "sigma", "t_end", "store_every"):
-        value = getattr(args, f"fdm_{key}")
-        if value is not None:
-            merged[key] = value
-    if any(key not in merged for key in ("hx", "hy", "dt", "t_end")):
+    flags = {f.name: getattr(args, f"fdm_{f.name}") for f in fields(FdmConfig)}
+    merged.update((name, v) for name, v in flags.items() if v is not None)
+    missing = [_fdm_flag(f) for f in fields(FdmConfig)
+               if f.default is MISSING and f.name not in merged]
+    if missing:
         raise ConfigFormatError(
-            "scenario has no fdm block; supply --fdm-hx, --fdm-hy, "
-            "--fdm-dt and --fdm-t-end")
+            f"scenario has no fdm block; supply {', '.join(missing)}")
     fdm_cfg = FdmConfig(**merged)
     modes = _resolve_modes(args, s)
 
-    fields = fdm.solve_fdm(s, fdm_cfg)
-    final = fields[-1]
+    stored = fdm.solve_fdm(s, fdm_cfg)
+    final = stored[-1]
     series_field = fdm.project_gaussian_source_series(
         s, fdm_cfg.resolved_sigma(), final.grid, final.t,
         modes[0], modes[1])
     report = fdm.deviation_report(final, series_field, s.T0)
     files = [(f"fdm_t{field.t:g}.csv", partial(write_field_csv, field, s))
-             for field in fields]
+             for field in stored]
     files += [(f"series_t{final.t:g}.csv",
                partial(write_field_csv, series_field, s)),
               ("report.json", _json_text(report))]
@@ -388,12 +393,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle = sub.add_parser("oracle",
                               help="finite-difference run + matched series")
     common(p_oracle, needs_t=False)
-    p_oracle.add_argument("--fdm-hx", type=float, default=None)
-    p_oracle.add_argument("--fdm-hy", type=float, default=None)
-    p_oracle.add_argument("--fdm-dt", type=float, default=None)
-    p_oracle.add_argument("--fdm-sigma", type=float, default=None)
-    p_oracle.add_argument("--fdm-t-end", type=float, default=None)
-    p_oracle.add_argument("--fdm-store-every", type=int, default=None)
+    for f in fields(FdmConfig):
+        p_oracle.add_argument(_fdm_flag(f), type=FIELD_TYPES[f.type],
+                              default=None)
 
     p_sweep = sub.add_parser("sweep",
                              help="profiles over a lag/velocity grid")

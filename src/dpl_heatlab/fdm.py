@@ -120,14 +120,14 @@ def solve_fdm(s: PlateScenario, cfg: FdmConfig, *, initial=None):
     (nx, ny) array overriding the uniform T0 start (the initial rate
     stays zero).  The production path always starts quiescent.
     """
+    if not all(0.0 < v < math.inf for v in (cfg.hx, cfg.hy, cfg.dt, cfg.t_end)):
+        raise ValueError("hx, hy, dt and t_end must be positive and finite")
     nx, ny, hx, hy = _axis_counts(cfg, s.L, s.H)
     sigma = cfg.resolved_sigma()
     if sigma < 2.0 * max(hx, hy):
         raise ValueError(
             f"smoothing radius {sigma!r} under-resolved: need at least "
             f"2 * max(hx, hy) = {2.0 * max(hx, hy)!r}")
-    if not (0.0 < cfg.dt < math.inf and 0.0 < cfg.t_end < math.inf):
-        raise ValueError("dt and t_end must be positive and finite")
     if cfg.store_every < 1:
         raise ValueError(f"store_every must be >= 1, got {cfg.store_every}")
     _jury_scan(s, cfg.dt, hx, hy)

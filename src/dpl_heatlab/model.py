@@ -8,7 +8,7 @@ config-file format used by the CLI and the bundled scenario library.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from importlib import resources
 
 import numpy as np
@@ -157,26 +157,22 @@ def validate_scenario(s: PlateScenario) -> PlateScenario:
     traj = s.trajectory
 
     # A non-finite field gets this code only; the range rules below skip it.
-    finite = {}
-    for name, value in (("L", s.L), ("H", s.H), ("theta", s.theta),
-                        ("k", s.k), ("alpha", s.alpha), ("tau_q", s.tau_q),
-                        ("tau_T", s.tau_T), ("T0", s.T0), ("traj.A", traj.A),
-                        ("traj.B", traj.B), ("traj.w", traj.w),
-                        ("traj.cx", traj.cx), ("traj.cy", traj.cy)):
-        finite[name] = math.isfinite(value)
+    values = {name: value for name, value in _items(s)
+              if not isinstance(value, str)}
+    finite = {name: math.isfinite(value) for name, value in values.items()}
+    for name, value in values.items():
         if not finite[name]:
             violations.append(Violation(
                 NON_FINITE_VALUE, f"{name} must be finite, got {value!r}"))
 
-    for name, value in (("L", s.L), ("H", s.H), ("theta", s.theta),
-                        ("k", s.k), ("alpha", s.alpha)):
-        if finite[name] and not value > 0.0:
+    for name in ("L", "H", "theta", "k", "alpha"):
+        if finite[name] and not values[name] > 0.0:
             violations.append(Violation(
-                NON_POSITIVE_GEOMETRY, f"{name} must be positive, got {value!r}"))
-    for name, value in (("tau_q", s.tau_q), ("tau_T", s.tau_T)):
-        if finite[name] and value < 0.0:
+                NON_POSITIVE_GEOMETRY, f"{name} must be positive, got {values[name]!r}"))
+    for name in ("tau_q", "tau_T"):
+        if finite[name] and values[name] < 0.0:
             violations.append(Violation(
-                NEGATIVE_LAG, f"{name} must be nonnegative, got {value!r}"))
+                NEGATIVE_LAG, f"{name} must be nonnegative, got {values[name]!r}"))
 
     if traj.kind not in KINDS:
         violations.append(Violation(
@@ -219,15 +215,22 @@ def validate_scenario(s: PlateScenario) -> PlateScenario:
 # --- scenario config files -------------------------------------------------
 #
 # Flat `key = value` lines, '#' starts a comment, one scenario per file.
-# Floats are written with repr() so a save/load cycle is bit-identical.
+# Every scalar field of a section's dataclass is one key: its name, after
+# the section's prefix.  Values are written with str(), which for a float
+# is its repr, so a save/load cycle is bit-identical.
 
-_SCENARIO_KEYS = (
-    "L", "H", "theta", "k", "alpha", "tau_q", "tau_T", "T0",
-    "traj.kind", "traj.A", "traj.B", "traj.w", "traj.cx", "traj.cy",
-)
-_FDM_KEYS = ("fdm.hx", "fdm.hy", "fdm.dt", "fdm.sigma", "fdm.t_end", "fdm.store_every")
-_REQUIRED = ("L", "H", "theta", "k", "alpha", "tau_q", "tau_T",
-             "traj.kind", "traj.A", "traj.B", "traj.w")
+_SECTIONS = {PlateScenario: "", Trajectory: "traj.", FdmConfig: "fdm."}
+# Field annotations are strings here (``from __future__ import annotations``).
+FIELD_TYPES = {"str": str, "int": int, "float": float, "float | None": float}
+# Keys a file must state although their fields have defaults: a missing
+# traj.w would silently park the source.  Fields without a default are
+# required anyway.
+_REQUIRED = ("traj.A", "traj.B", "traj.w")
+
+# Every config key -> (its dataclass, its field), in file order.
+_KEYS = {prefix + f.name: (cls, f)
+         for cls, prefix in _SECTIONS.items()
+         for f in fields(cls) if f.type in FIELD_TYPES}
 
 
 def parse_config_text(text: str) -> dict:
@@ -240,7 +243,7 @@ def parse_config_text(text: str) -> dict:
         if "=" not in line:
             raise ConfigFormatError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _SCENARIO_KEYS and key not in _FDM_KEYS:
+        if key not in _KEYS:
             raise ConfigFormatError(f"line {lineno}: unknown key {key!r}")
         if key in mapping:
             raise ConfigFormatError(f"line {lineno}: duplicate key {key!r}")
@@ -250,94 +253,53 @@ def parse_config_text(text: str) -> dict:
     return mapping
 
 
-def _as_float(mapping: dict, key: str) -> float:
-    try:
-        return float(mapping[key])
-    except ValueError as exc:
-        raise ConfigFormatError(f"key {key!r}: not a number: {mapping[key]!r}") from exc
+def _build(cls, mapping: dict, **given):
+    """cls from ``given`` and the keys of its other fields in mapping, each
+    read as its field's type; a key the mapping lacks takes the default."""
+    missing = [key for key, (owner, f) in _KEYS.items() if owner is cls
+               and key not in mapping
+               and (f.default is MISSING or key in _REQUIRED)]
+    if missing:
+        raise ConfigFormatError(f"missing required keys: {', '.join(missing)}")
+    for key, (owner, f) in _KEYS.items():
+        if owner is cls and key in mapping:
+            typ = FIELD_TYPES[f.type]
+            try:
+                given[f.name] = typ(mapping[key])
+            except ValueError as exc:
+                raise ConfigFormatError(f"key {key!r}: not a number of type "
+                                        f"{typ.__name__}: {mapping[key]!r}") from exc
+    return cls(**given)
 
 
 def scenario_from_mapping(mapping: dict) -> PlateScenario:
-    missing = [key for key in _REQUIRED if key not in mapping]
-    if missing:
-        raise ConfigFormatError(f"missing required keys: {', '.join(missing)}")
-    kind = mapping["traj.kind"]
-    if kind not in KINDS:
-        raise ConfigFormatError(f"unknown traj.kind {kind!r}")
-    traj = Trajectory(
-        kind=kind,
-        A=_as_float(mapping, "traj.A"),
-        B=_as_float(mapping, "traj.B"),
-        w=_as_float(mapping, "traj.w"),
-        cx=_as_float(mapping, "traj.cx") if "traj.cx" in mapping else None,
-        cy=_as_float(mapping, "traj.cy") if "traj.cy" in mapping else None,
-    )
-    return PlateScenario(
-        L=_as_float(mapping, "L"),
-        H=_as_float(mapping, "H"),
-        theta=_as_float(mapping, "theta"),
-        k=_as_float(mapping, "k"),
-        alpha=_as_float(mapping, "alpha"),
-        tau_q=_as_float(mapping, "tau_q"),
-        tau_T=_as_float(mapping, "tau_T"),
-        trajectory=traj,
-        T0=_as_float(mapping, "T0") if "T0" in mapping else 0.0,
-    )
+    s = _build(PlateScenario, mapping, trajectory=_build(Trajectory, mapping))
+    if s.trajectory.kind not in KINDS:
+        raise ConfigFormatError(f"unknown traj.kind {s.trajectory.kind!r}")
+    return s
 
 
 def fdm_from_mapping(mapping: dict) -> FdmConfig | None:
-    present = [key for key in _FDM_KEYS if key in mapping]
-    if not present:
+    if not any(key in mapping for key, (cls, _f) in _KEYS.items() if cls is FdmConfig):
         return None
-    needed = ("fdm.hx", "fdm.hy", "fdm.dt", "fdm.t_end")
-    missing = [key for key in needed if key not in mapping]
-    if missing:
-        raise ConfigFormatError(
-            f"fdm block present but missing: {', '.join(missing)}")
-    store_raw = mapping.get("fdm.store_every", "1")
-    try:
-        store_every = int(store_raw)
-    except ValueError as exc:
-        raise ConfigFormatError(f"fdm.store_every must be an integer, got {store_raw!r}") from exc
-    return FdmConfig(
-        hx=_as_float(mapping, "fdm.hx"),
-        hy=_as_float(mapping, "fdm.hy"),
-        dt=_as_float(mapping, "fdm.dt"),
-        t_end=_as_float(mapping, "fdm.t_end"),
-        sigma=_as_float(mapping, "fdm.sigma") if "fdm.sigma" in mapping else None,
-        store_every=store_every,
-    )
+    return _build(FdmConfig, mapping)
+
+
+def _items(s: PlateScenario, fdm: FdmConfig | None = None):
+    """(key, value) of every config field of s (and fdm), in file order."""
+    sections = {PlateScenario: s, Trajectory: s.trajectory, FdmConfig: fdm}
+    for key, (cls, f) in _KEYS.items():
+        if sections[cls] is not None:
+            yield key, getattr(sections[cls], f.name)
 
 
 def format_scenario(s: PlateScenario, fdm: FdmConfig | None = None) -> str:
-    """Render a scenario (and optional fdm block) in the config format."""
-    traj = s.trajectory
-    lines = [
-        f"L = {s.L!r}",
-        f"H = {s.H!r}",
-        f"theta = {s.theta!r}",
-        f"k = {s.k!r}",
-        f"alpha = {s.alpha!r}",
-        f"tau_q = {s.tau_q!r}",
-        f"tau_T = {s.tau_T!r}",
-        f"T0 = {s.T0!r}",
-        f"traj.kind = {traj.kind}",
-        f"traj.A = {traj.A!r}",
-        f"traj.B = {traj.B!r}",
-        f"traj.w = {traj.w!r}",
-        f"traj.cx = {traj.cx!r}",
-        f"traj.cy = {traj.cy!r}",
-    ]
-    if fdm is not None:
-        lines += [
-            f"fdm.hx = {fdm.hx!r}",
-            f"fdm.hy = {fdm.hy!r}",
-            f"fdm.dt = {fdm.dt!r}",
-            f"fdm.sigma = {fdm.resolved_sigma()!r}",
-            f"fdm.t_end = {fdm.t_end!r}",
-            f"fdm.store_every = {fdm.store_every}",
-        ]
-    return "\n".join(lines) + "\n"
+    """Render a scenario (and optional fdm block) in the config format.
+
+    A field that is None is left out, so it reads back as its default.
+    """
+    return "".join(f"{key} = {value}\n" for key, value in _items(s, fdm)
+                   if value is not None)
 
 
 def save_scenario(s: PlateScenario, path, fdm: FdmConfig | None = None) -> None:
@@ -345,12 +307,20 @@ def save_scenario(s: PlateScenario, path, fdm: FdmConfig | None = None) -> None:
         fh.write(format_scenario(s, fdm))
 
 
-def load_scenario_file(path):
-    """Read a config file; returns (validated scenario, FdmConfig or None)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        mapping = parse_config_text(fh.read())
+def _load_text(text: str):
+    mapping = parse_config_text(text)
     scenario = validate_scenario(scenario_from_mapping(mapping))
     return scenario, fdm_from_mapping(mapping)
+
+
+def load_scenario_file(path):
+    """Read a config file; returns (validated scenario, FdmConfig or None)."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigFormatError(f"cannot read scenario file: {exc}") from exc
+    return _load_text(text)
 
 
 def load_scenario(path) -> PlateScenario:
@@ -372,6 +342,4 @@ def load_bundled(name: str):
     except FileNotFoundError:
         known = ", ".join(bundled_scenario_names())
         raise ConfigFormatError(f"no bundled scenario {name!r}; known: {known}") from None
-    mapping = parse_config_text(text)
-    scenario = validate_scenario(scenario_from_mapping(mapping))
-    return scenario, fdm_from_mapping(mapping)
+    return _load_text(text)

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import importlib.metadata
 import io
 import json
@@ -278,6 +279,13 @@ def test_grid_below_two_samples_exits_2_before_any_output(tmp_path, capsys,
      "--tau-q", "1,1"],
     ["peak-sweep", "--t", "2.5", "--t", "5", "--truncations", "4",
      "--grid", "21,21"],
+    ["oracle", "--scenario", "ct_alpha2_q5_T1", "--modes", "8,8",
+     "--fdm-dt", "0.05", "--fdm-t-end", "1", "--fdm-hx", "-0.05",
+     "--fdm-sigma", "1.0"],
+    ["oracle", "--scenario", "ct_alpha2_q5_T1", "--modes", "8,8",
+     "--fdm-dt", "0.05", "--fdm-t-end", "1", "--fdm-hx", "0",
+     "--fdm-sigma", "1.0"],
+    ["field", "--scenario", ".", "--t", "1"],
 ], ids=["field-modes-0x3", "profile-modes-3x-1", "sweep-modes-0x2",
         "sweep-tau-q-abc", "oracle-modes-0x4", "peak-sweep-0", "peak-sweep-4x0",
         "profile-line-y-without-y0", "profile-y0-off-plate",
@@ -286,7 +294,8 @@ def test_grid_below_two_samples_exits_2_before_any_output(tmp_path, capsys,
         "sweep-negative-tau-q", "field-second-t-negative",
         "oracle-sigma-under-resolved", "oracle-negative-dt",
         "oracle-store-every-0-without-fdm-block", "field-times-share-a-name",
-        "sweep-tau-q-repeated", "peak-sweep-second-t"])
+        "sweep-tau-q-repeated", "peak-sweep-second-t", "oracle-negative-hx",
+        "oracle-zero-hx", "scenario-is-a-directory"])
 def test_bad_flags_exit_2_before_any_output(tmp_path, monkeypatch, capsys,
                                             argv):
     # Without its own --scenario a case runs on ct_alpha2_q1_T1.
@@ -510,6 +519,35 @@ def test_oracle_requires_fdm_parameters(tmp_path, capsys):
                "--out", str(tmp_path / "o")])
     assert rc == 2
     assert "fdm" in capsys.readouterr().err
+
+
+_FDM_FLAG_VALUES = {"hx": [0.05, 0.1], "hy": [0.05, 0.1], "dt": [0.05, 0.1],
+                    "t_end": [0.5, 1.0], "sigma": [0.3, 0.4],
+                    "store_every": [1, 3]}
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(flags=st.fixed_dictionaries({}, optional={
+    name: st.sampled_from(values) for name, values in _FDM_FLAG_VALUES.items()}))
+def test_oracle_flags_override_the_fdm_block_field_by_field(flags):
+    # Each --fdm-* flag replaces its field of the file's fdm block and
+    # leaves the others as the file states them.
+    block = dh.FdmConfig(hx=0.1, hy=0.1, dt=0.1, t_end=0.5, sigma=0.3,
+                         store_every=2)
+    assert set(_FDM_FLAG_VALUES) == {f.name for f in dataclasses.fields(block)}
+    expected = dataclasses.replace(block, **flags)
+    argv = [f"--fdm-{name.replace('_', '-')}={value!r}"
+            for name, value in flags.items()]
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "case.cfg", Path(tmp) / "o"
+        dh.save_scenario(tiny_scenario(), path, fdm=block)
+        with contextlib.redirect_stdout(io.StringIO()):
+            rc, err = _run_capturing_stderr(
+                ["oracle", "--scenario", str(path), "--modes", "4,4", *argv],
+                out)
+        assert rc == 0, err
+        manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["fdm"] == dataclasses.asdict(expected)
 
 
 def test_negative_threads_exit_2_before_any_output(tmp_path, capsys):

@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -171,6 +173,66 @@ def test_partial_fdm_block_rejected():
     mapping = parse_config_text(text)
     with pytest.raises(ConfigFormatError):
         fdm_from_mapping(mapping)
+
+
+def test_bundled_scenarios_survive_a_save_load_cycle(tmp_path):
+    # Every bundled case, written with its fdm block and read back, gives
+    # equal objects.
+    for name in dh.bundled_scenario_names():
+        s, cfg = dh.load_bundled(name)
+        path = tmp_path / f"{name}.cfg"
+        dh.save_scenario(s, path, fdm=cfg)
+        assert dh.load_scenario_file(path) == (s, cfg), name
+
+
+_BASE_LINES = dh.format_scenario(*dh.load_bundled("ct_alpha2_q5_T1")).splitlines()
+_TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=12)
+_VALUES = st.one_of(st.floats().map(repr), st.integers(-3, 10**6).map(str),
+                    st.sampled_from(["line", "circle", "ellipse", "0.5pi"]),
+                    _TEXT)
+_KEY_NAMES = st.one_of(st.sampled_from([line.split(" = ")[0] for line in _BASE_LINES]),
+                       _TEXT)
+
+
+@st.composite
+def _config_texts(draw):
+    """The text of ct_alpha2_q5_T1 with a few lines dropped, changed or
+    added, in any order."""
+    lines = list(_BASE_LINES)
+    for _ in range(draw(st.integers(0, 4))):
+        i = draw(st.integers(0, len(lines) - 1)) if lines else 0
+        action = draw(st.sampled_from(["drop", "value", "value", "raw", "add"]))
+        if action == "drop" and lines:
+            del lines[i]
+        elif action == "value" and lines:
+            lines[i] = f"{lines[i].split(' = ')[0]} = {draw(_VALUES)}"
+        elif action == "raw":
+            lines.append(draw(_TEXT))
+        else:
+            lines.append(f"{draw(_KEY_NAMES)} = {draw(_VALUES)}")
+    return "\n".join(draw(st.permutations(lines)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(text=_config_texts())
+def test_any_config_text_loads_or_raises_a_config_error(text):
+    # The codec and the loader either return (scenario, FdmConfig or None)
+    # or raise one of the two config errors; nothing else escapes.
+    def from_text():
+        mapping = parse_config_text(text)
+        return (dh.validate_scenario(scenario_from_mapping(mapping)),
+                fdm_from_mapping(mapping))
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "case.cfg"
+        path.write_text(text, encoding="utf-8")
+        for load in (from_text, lambda: dh.load_scenario_file(path)):
+            try:
+                s, cfg = load()
+            except (ConfigFormatError, ScenarioValidationError):
+                continue
+            assert isinstance(s, dh.PlateScenario)
+            assert cfg is None or isinstance(cfg, dh.FdmConfig)
 
 
 def test_resolved_sigma_default():
