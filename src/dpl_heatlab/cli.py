@@ -292,11 +292,13 @@ def _cmd_oracle(args):
     fdm_cfg = FdmConfig(**merged)
     modes = _resolve_modes(args, s)
 
+    # The matched series goes first: its tile temporaries set the peak RSS,
+    # and the march's stored fields would otherwise sit beneath them.
+    grid = fdm.checked_grid(s, fdm_cfg)
+    series_field = fdm.project_gaussian_source_series(
+        s, fdm_cfg.resolved_sigma(), grid, fdm_cfg.t_end, modes[0], modes[1])
     stored = fdm.solve_fdm(s, fdm_cfg)
     final = stored[-1]
-    series_field = fdm.project_gaussian_source_series(
-        s, fdm_cfg.resolved_sigma(), final.grid, final.t,
-        modes[0], modes[1])
     report = fdm.deviation_report(final, series_field, s.T0)
     files = [(f"fdm_t{field.t:g}.csv", partial(write_field_csv, field, s))
              for field in stored]

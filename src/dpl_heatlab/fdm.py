@@ -35,6 +35,16 @@ of 1-D Gaussian factors (``_source_grid``).  Stepping, source and checks
 stay on the grid and nothing is shared with ``series`` or ``modes``, so the
 oracle stays an independent discretization of the PDE.
 
+The march runs in place on fixed buffers: the three time levels rotate
+through three arrays, and each update is built in one right-hand side and
+one scratch array with ``out=`` ufuncs and the four eigenbasis products
+in the association order above, so its fields are bitwise those of the
+expression form.  Only the stored fields are copies.  ``checked_grid``
+runs every input check and returns the node grid before any work, so the
+``oracle`` command solves the matched series on that grid first and
+marches after it; the series' tile temporaries then set the peak memory
+instead of stacking on top of the stored fields.
+
 Because a Gaussian source is not what the eigenfunction series solves,
 the like-for-like comparison projects the same Gaussian, clipped at the
 walls, onto the sine basis in closed form (``sine_projection``), and
@@ -109,8 +119,36 @@ def _source_grid(s: PlateScenario, xi, yi, sigma, state):
     if s.tau_q == 0.0:
         return np.outer(gx, gy)
     rate = s.tau_q / var
-    left = np.stack((gx * (1.0 + rate * vx * dx), gx), axis=1)
-    return left @ np.stack((gy, gy * (rate * vy * dy)))
+    left = np.empty((xi.size, 2))
+    left[:, 0] = gx * (1.0 + rate * vx * dx)
+    left[:, 1] = gx
+    right = np.empty((2, yi.size))
+    right[0] = gy
+    right[1] = gy * (rate * vy * dy)
+    return left @ right
+
+
+def checked_grid(s: PlateScenario, cfg: FdmConfig) -> GridSpec:
+    """The node grid of ``cfg`` on ``s``, once every input check passes.
+
+    Steps and t_end must be positive and finite, sigma finite and at least
+    twice the larger grid step and ``store_every`` at least 1 (ValueError),
+    and the step must pass the Jury scan (UnstableConfig).  ``solve_fdm``
+    calls it first; so does a caller that needs the grid before the march.
+    """
+    if not all(0.0 < v < math.inf for v in (cfg.hx, cfg.hy, cfg.dt, cfg.t_end)):
+        raise ValueError("hx, hy, dt and t_end must be positive and finite")
+    nx, ny, hx, hy = _axis_counts(cfg, s.L, s.H)
+    sigma = cfg.resolved_sigma()
+    if not 2.0 * max(hx, hy) <= sigma < math.inf:
+        raise ValueError(
+            f"smoothing radius {sigma!r} under-resolved or not finite: need "
+            f"a finite value of at least 2 * max(hx, hy) = "
+            f"{2.0 * max(hx, hy)!r}")
+    if cfg.store_every < 1:
+        raise ValueError(f"store_every must be >= 1, got {cfg.store_every}")
+    _jury_scan(s, cfg.dt, hx, hy)
+    return GridSpec(nx, ny)
 
 
 def solve_fdm(s: PlateScenario, cfg: FdmConfig, *, initial=None):
@@ -120,18 +158,9 @@ def solve_fdm(s: PlateScenario, cfg: FdmConfig, *, initial=None):
     (nx, ny) array overriding the uniform T0 start (the initial rate
     stays zero).  The production path always starts quiescent.
     """
-    if not all(0.0 < v < math.inf for v in (cfg.hx, cfg.hy, cfg.dt, cfg.t_end)):
-        raise ValueError("hx, hy, dt and t_end must be positive and finite")
+    grid = checked_grid(s, cfg)
     nx, ny, hx, hy = _axis_counts(cfg, s.L, s.H)
     sigma = cfg.resolved_sigma()
-    if sigma < 2.0 * max(hx, hy):
-        raise ValueError(
-            f"smoothing radius {sigma!r} under-resolved: need at least "
-            f"2 * max(hx, hy) = {2.0 * max(hx, hy)!r}")
-    if cfg.store_every < 1:
-        raise ValueError(f"store_every must be >= 1, got {cfg.store_every}")
-    _jury_scan(s, cfg.dt, hx, hy)
-
     nsteps = max(1, int(round(cfg.t_end / cfg.dt)))
     dt = cfg.t_end / nsteps
     xi = np.linspace(0.0, s.L, nx)[1:-1]
@@ -140,11 +169,6 @@ def solve_fdm(s: PlateScenario, cfg: FdmConfig, *, initial=None):
                 for m, h in ((nx - 2, hx), (ny - 2, hy)))
     (lx, vx), (ly, vy) = np.linalg.eigh(dxx), np.linalg.eigh(dyy)
     lam = lx[:, None] + ly[None, :]
-    grid = GridSpec(nx, ny)
-
-    def solver(a, b):
-        inv = 1.0 / (a + b * lam)
-        return lambda r: vx @ ((vx.T @ r @ vy) * inv) @ vy.T
 
     if initial is None:
         u_prev = np.zeros((nx - 2, ny - 2))
@@ -163,7 +187,7 @@ def solve_fdm(s: PlateScenario, cfg: FdmConfig, *, initial=None):
 
     stored = [snapshot(u_prev, 0.0)]
 
-    # Each scheme matrix is a pair (a, b) for a I + b Lap; solver inverts it.
+    # Each scheme matrix is a pair (a, b) for a I + b Lap.
     if s.tau_q > 0.0:
         sc = 1.0 / (2.0 * s.alpha * dt)
         p = s.tau_q / (s.alpha * dt * dt)
@@ -184,12 +208,36 @@ def solve_fdm(s: PlateScenario, cfg: FdmConfig, *, initial=None):
         ratio = x[1] / m[1]
         return ratio, x[0] - m[0] * ratio
 
+    # The march reuses five fixed (mx, my) buffers: the three levels, which
+    # rotate, the right-hand side and one scratch array.
+    u_curr = u_prev.copy()
+    u_next = np.empty_like(u_prev)
+    rhs = np.empty_like(u_prev)
+    work = np.empty_like(u_prev)
+    vxt, vyt = vx.T, vy.T
+
     def stepper(m, c):
-        """u[n+1] = M^-1 (B u[n] + C u[n-1] + S) with no Laplacian product."""
+        """u[n+1] = (rb u[n] + rc u[n-1]) + M^-1 (beta u[n] + gamma u[n-1] + S)
+        into ``out``, with no Laplacian product."""
         (rb, beta), (rc, gamma) = split(m, mat_b), split(m, c)
-        solve = solver(*m)
-        return lambda u, u_old, src: (rb * u + rc * u_old
-                                      + solve(beta * u + gamma * u_old + src))
+        inv = 1.0 / (m[0] + m[1] * lam)
+
+        def step(u, u_old, src, out):
+            np.multiply(u, beta, out=rhs)
+            np.multiply(u_old, gamma, out=work)
+            np.add(rhs, work, out=rhs)
+            np.add(rhs, src, out=rhs)
+            # M^-1 rhs = vx ((vx^T rhs vy) * inv) vy^T
+            np.matmul(vxt, rhs, out=work)
+            np.matmul(work, vy, out=rhs)
+            np.multiply(rhs, inv, out=rhs)
+            np.matmul(vx, rhs, out=work)
+            np.matmul(work, vyt, out=out)
+            np.multiply(u, rb, out=rhs)
+            np.multiply(u_old, rc, out=work)
+            np.add(rhs, work, out=rhs)
+            np.add(rhs, out, out=out)
+        return step
 
     # Quiescent start: the ghost level u[-1] = u[1] collapses the first
     # step to (A - C) u[1] = B u[0] + S[0].
@@ -200,17 +248,17 @@ def solve_fdm(s: PlateScenario, cfg: FdmConfig, *, initial=None):
     track = zip(*position(s.trajectory, times),
                 *velocity(s.trajectory, times))
 
-    u_curr = u_prev
     # A non-finite step is reported by the sentinel, not by a float warning.
     with np.errstate(invalid="ignore", over="ignore"):
         for step, state in enumerate(track, start=1):
             src = _source_grid(s, xi, yi, sigma, state)
-            u_next = (step_a if step > 1 else step_first)(u_curr, u_prev, src)
-            if not np.abs(u_next).max() <= BLOWUP_SENTINEL:
+            (step_a if step > 1 else step_first)(u_curr, u_prev, src, u_next)
+            if not (u_next.max() <= BLOWUP_SENTINEL
+                    and u_next.min() >= -BLOWUP_SENTINEL):
                 raise UnstableConfig(
                     f"solution exceeded {BLOWUP_SENTINEL:.0e} at step {step}; "
                     "the configuration is numerically unusable")
-            u_prev, u_curr = u_curr, u_next
+            u_prev, u_curr, u_next = u_curr, u_next, u_prev
             if step % cfg.store_every == 0 and step != nsteps:
                 stored.append(snapshot(u_curr, step * dt))
     stored.append(snapshot(u_curr, cfg.t_end))
@@ -311,8 +359,8 @@ def project_gaussian_source_series(s: PlateScenario, sigma: float,
                                    N: int | None = None
                                    ) -> TemperatureField:
     """Series field whose source matches the smoothed FDM source."""
-    if sigma <= 0.0:
-        raise ValueError(f"sigma must be positive, got {sigma!r}")
+    if not 0.0 < sigma < math.inf:
+        raise ValueError(f"sigma must be positive and finite, got {sigma!r}")
     factory = partial(GaussianSourceFactors, sigma=sigma)
     return solve_series(s, t, M, N, factors_factory=factory).field(grid)
 

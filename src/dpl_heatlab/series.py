@@ -179,15 +179,25 @@ def _harmonic_coefficients(s: PlateScenario, table: ModeTable, t: float,
     wave = np.exp(omega * phase)
     factors = factory(s, kx, ky, taus)
     rows, cols = max(1, HARMONIC_CHUNK // N), min(N, HARMONIC_CHUNK)
-    tiles = [(m0, n0) for m0 in range(0, M, rows) for n0 in range(0, N, cols)]
+    tiles = []
+    for m0 in range(0, M, rows):
+        for n0 in range(0, N, cols):
+            # Whole rows, or part of one row: either way a run of the table.
+            m1, n1 = min(m0 + rows, M), min(n0 + cols, N)
+            # q and qt are powers of two: the tile reads every (q/qt)-th
+            # sample.
+            qt = (_harmonic_samples(s, kx[m1 - 1], ky[n1 - 1])
+                  if factors.band_limited and q > 1 else q)
+            tiles.append((m0, n0, m1, n1, qt))
+    # Largest tiles (qt times modes) first: each fills only its own run of
+    # ``out``, and once the largest temporaries are freed, glibc's raised
+    # mmap threshold lets the smaller ones reuse that heap instead of
+    # mapping and faulting in fresh pages.
+    tiles.sort(key=lambda tile: tile[4] * (tile[2] - tile[0])
+               * (tile[3] - tile[1]), reverse=True)
     out = np.empty(table.nmodes)
-    for m0, n0 in tiles:
-        # Whole rows, or part of one row: either way a run of the table.
-        m1, n1 = min(m0 + rows, M), min(n0 + cols, N)
+    for m0, n0, m1, n1, qt in tiles:
         sel = slice(m0 * N + n0, (m1 - 1) * N + n1)
-        # q and qt are powers of two: the tile reads every (q/qt)-th sample.
-        qt = (_harmonic_samples(s, kx[m1 - 1], ky[n1 - 1])
-              if factors.band_limited and q > 1 else q)
         spec = np.fft.rfft(factors(slice(m0, m1), slice(n0, n1),
                                    slice(None, None, q // qt)), axis=0) / qt
         spec[1:(qt + 1) // 2] *= 2.0   # the real signal's negative harmonics

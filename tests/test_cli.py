@@ -311,6 +311,81 @@ def test_bad_flags_exit_2_before_any_output(tmp_path, monkeypatch, capsys,
     assert not out.exists()
 
 
+def _count_series_calls(monkeypatch):
+    """Count the oracle's matched-series solves."""
+    import dpl_heatlab.fdm as fdm_mod
+
+    real, calls = fdm_mod.project_gaussian_source_series, []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(fdm_mod, "project_gaussian_source_series", counted)
+    return calls
+
+
+@pytest.mark.parametrize("argv", [
+    ["--scenario", "ct_alpha2_q5_T1", "--modes", "8,8", "--fdm-dt", "0.05",
+     "--fdm-t-end", "1", "--fdm-hx", "0", "--fdm-sigma", "1.0"],
+    ["--scenario", "ct_alpha2_q5_T1", "--modes", "8,8", "--fdm-dt", "0.05",
+     "--fdm-t-end", "1", "--fdm-hx", "-0.05", "--fdm-sigma", "1.0"],
+    ["--scenario", "ct_alpha2_q1_T1", "--modes", "4,4", "--fdm-dt", "-1"],
+    ["--scenario", "ct_alpha2_q1_T1", "--modes", "4,4",
+     "--fdm-sigma", "0.001"],
+    ["--scenario", "ct_alpha2_q1_T1", "--modes", "4,4", "--fdm-sigma", "inf"],
+    ["--scenario", "ct_alpha2_q1_T1", "--modes", "4,4", "--fdm-sigma", "nan"],
+], ids=["oracle-zero-hx", "oracle-negative-hx", "oracle-negative-dt",
+        "oracle-sigma-under-resolved", "oracle-sigma-inf", "oracle-sigma-nan"])
+def test_oracle_checks_fdm_inputs_before_any_series_work(tmp_path, monkeypatch,
+                                                         capsys, argv):
+    calls = _count_series_calls(monkeypatch)
+    out = tmp_path / "o"
+    rc = main(["oracle", *argv, "--out", str(out)])
+    assert rc == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+    assert calls == []
+
+
+def test_oracle_jury_scan_failure_exits_3_before_any_series_work(
+        tmp_path, monkeypatch, capsys):
+    import dpl_heatlab.fdm as fdm_mod
+    from dpl_heatlab.errors import UnstableConfig
+
+    def explode(*args, **kwargs):
+        raise UnstableConfig("synthetic instability")
+
+    calls = _count_series_calls(monkeypatch)
+    monkeypatch.setattr(fdm_mod, "_jury_scan", explode)
+    out = tmp_path / "o"
+    rc = main(["oracle", "--scenario", "ct_alpha2_q1_T1", "--modes", "4,4",
+               "--out", str(out)])
+    assert rc == 3
+    assert "synthetic instability" in capsys.readouterr().err
+    assert not out.exists()
+    assert calls == []
+
+
+def test_oracle_solves_the_matched_series_before_the_march(
+        tmp_path, monkeypatch, capsys):
+    # A march that fails at its first step finds the series already solved,
+    # on the FDM grid at t_end; still nothing is written.
+    import dpl_heatlab.fdm as fdm_mod
+
+    calls = _count_series_calls(monkeypatch)
+    monkeypatch.setattr(fdm_mod, "BLOWUP_SENTINEL", 1e-30)
+    out = tmp_path / "o"
+    rc = main(["oracle", "--scenario", "ct_alpha2_q1_T1", "--modes", "4,4",
+               "--fdm-hx", "0.05", "--fdm-hy", "0.1", "--fdm-sigma", "0.3",
+               "--out", str(out)])
+    assert rc == 3
+    assert "at step 1;" in capsys.readouterr().err
+    assert not out.exists()
+    [(_s, sigma, grid, t, *_modes)] = calls
+    assert (sigma, grid, t) == (0.3, dh.GridSpec(21, 11), 25.0)
+
+
 def test_name_clash_error_names_the_file(tmp_path, capsys):
     # 365.0001 and 365.0002 both format as 365 in a file name.
     rc = main(["field", "--scenario", "ct_alpha2_q1_T1", "--t", "365.0001",
@@ -548,6 +623,42 @@ def test_oracle_flags_override_the_fdm_block_field_by_field(flags):
         assert rc == 0, err
         manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["fdm"] == dataclasses.asdict(expected)
+
+
+_FDM_VALID = {"hx": st.floats(0.025, 0.1), "hy": st.floats(0.025, 0.1),
+              "dt": st.floats(0.025, 0.5), "t_end": st.floats(0.05, 5.0),
+              "sigma": st.floats(0.05, 0.6), "store_every": st.integers(1, 60)}
+_FDM_BAD = [math.nan, math.inf, -math.inf, 0.0, -0.05]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(flags=st.fixed_dictionaries(_FDM_VALID),
+       bad=st.one_of(st.none(), st.tuples(st.sampled_from(sorted(_FDM_VALID)),
+                                          st.sampled_from(_FDM_BAD))))
+def test_oracle_numeric_flags_give_a_code_or_finite_output(flags, bad):
+    # Valid values, or one flag non-finite, zero or negative, either yield
+    # finite CSVs and report or a documented failure code with no output.
+    # The valid ranges keep a run at most 41 x 41 nodes and 200 steps.
+    if bad is not None:
+        name, value = bad
+        flags = dict(flags, **{name: int(value) if name == "store_every"
+                               and math.isfinite(value) else value})
+    argv = ["oracle", "--scenario", "ct_alpha2_q5_T1", "--modes", "4,4",
+            *(f"--fdm-{name.replace('_', '-')}={value!r}"
+              for name, value in flags.items())]
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "o"
+        with contextlib.redirect_stdout(io.StringIO()):
+            rc, err = _run_capturing_stderr(argv, out)
+        if rc == 0:
+            csvs = sorted(out.glob("*.csv"))
+            assert len(csvs) >= 3   # t = 0, t_end and the matched series
+            for path in csvs:
+                assert np.isfinite(read_csv(path)[1]).all()
+            report = json.loads((out / "report.json").read_text())
+            assert all(math.isfinite(v) for v in report.values())
+        else:
+            _assert_code_and_no_output(rc, err, out)
 
 
 def test_negative_threads_exit_2_before_any_output(tmp_path, capsys):

@@ -183,6 +183,28 @@ def test_blowup_sentinel_catches_non_finite_steps(monkeypatch, lagged, bad):
                                   sigma=0.25))
 
 
+def test_stored_fields_are_not_overwritten_by_later_steps():
+    # The march rotates fixed buffers, so a stored field that aliased one
+    # would change under later steps.  dt = 1/16 makes k dt and
+    # (k dt) / k exact, so a run ending at step k takes the same steps.
+    traj = dh.Trajectory(kind="ellipse", A=0.3, B=0.15, w=0.8)
+    s = tiny_scenario(L=1.0, H=0.7, alpha=0.05, tau_q=1.0, tau_T=0.5,
+                      T0=20.0, trajectory=traj)
+    cfg = dh.FdmConfig(hx=0.04, hy=0.05, dt=0.0625, t_end=0.625, sigma=0.12,
+                       store_every=1)
+    stored = solve_fdm(s, cfg)
+    assert stored[0].values.shape == (26, 15) and len(stored) == 11
+    assert np.array_equal(stored[0].values, np.full((26, 15), 20.0))
+    for k, field in enumerate(stored[1:], start=1):
+        assert field.t == k * cfg.dt
+        alone = solve_fdm(s, dataclasses.replace(cfg, t_end=field.t))[-1]
+        assert np.array_equal(field.values, alone.values), k
+    # A second solve in the same process reads no stale buffer.
+    again = solve_fdm(s, cfg)
+    assert all(np.array_equal(a.values, b.values)
+               for a, b in zip(stored, again))
+
+
 # --- Gaussian-matched series source ----------------------------------------
 
 
@@ -331,6 +353,14 @@ def test_matched_series_and_fdm_agree_on_coarse_run():
                                             M=24, N=24)
     rep = deviation_report(fdm_final, series, s.T0)
     assert rep["rms_rel"] < 0.05
+
+
+@pytest.mark.parametrize("sigma", [0.0, -0.1, math.inf, math.nan])
+def test_matched_series_rejects_a_non_positive_or_non_finite_sigma(sigma):
+    s = tiny_scenario()
+    with pytest.raises(ValueError, match="positive and finite"):
+        project_gaussian_source_series(s, sigma, dh.GridSpec(5, 5), 1.0,
+                                       M=4, N=4)
 
 
 def test_stability_scan_runs_before_stepping(monkeypatch):
