@@ -32,10 +32,13 @@ Gaussian source's wall terms are not band-limited by the rates, so its
 tiles keep the samples of the solve's largest rates.
 
 The basis is separable.  The source factors are per-axis tables, built
-once per solve at the solve's samples, and each tile takes its block of
-their product.  Assembly sums the series as SX @ A @ SY.T on a grid, or
-as the row sums of (SX @ A) * SY at paired points, with A the (M, N)
-amplitude matrix and SX, SY the per-axis sine tables.
+once per solve at the solve's samples, and each tile takes the FFT of its
+block of their product.  On a line (B = 0) y and vy do not move, so every
+factor is an x-table times one row sin(ky cy): the tile transforms its
+x-table alone and scales it by that row.  Assembly sums the series as
+SX @ A @ SY.T on a grid, or as the row sums of (SX @ A) * SY at paired
+points, with A the (M, N) amplitude matrix and SX, SY the per-axis sine
+tables.
 """
 
 from __future__ import annotations
@@ -100,7 +103,12 @@ class PointSourceFactors:
     Per-axis tables p = sin(k c) and q = cos(k c) of the source coordinate
     c (so dp/dc = k q) are built once for the rates ``kx`` and ``ky``; a
     call on slices of the rates and samples forms that tile of the
-    band-limited product f = px py + tau_q ((vx kx qx) py + (vy ky) px qy).
+    band-limited product f = px py + tau_q ((vx kx qx) py + (vy ky) px qy),
+    and ``spectrum`` its rfft over the samples.
+
+    On a line (B = 0, ``still``) y = cy and vy = 0 at every sample, so the
+    y tables keep one row, which broadcasts over the samples, and every
+    factor is the x-table px + tau_q vx kx qx times the row py.
     """
 
     band_limited = True
@@ -108,13 +116,15 @@ class PointSourceFactors:
     def __init__(self, s: PlateScenario, kx: np.ndarray, ky: np.ndarray,
                  taus: np.ndarray):
         self.tau_q = s.tau_q
+        self.still = s.trajectory.B == 0.0
+        y_rows = slice(1) if self.still else slice(None)
         x, y = position(s.trajectory, taus)
         self.px, qx = self._project(kx, s.L, x)
-        self.py, self.qy = self._project(ky, s.H, y)
+        self.py, self.qy = self._project(ky, s.H, y[y_rows])
         if self.tau_q != 0.0:
             vx, vy = velocity(s.trajectory, taus)
             self.vqx = np.multiply.outer(vx, kx) * qx
-            self.vky = np.multiply.outer(vy, ky)
+            self.vky = np.multiply.outer(vy[y_rows], ky)
 
     def _project(self, rates, limit, centers):
         """(p, q) tables (C, R) of the source at centers; q only if lagged."""
@@ -136,6 +146,16 @@ class PointSourceFactors:
             drift *= self.tau_q
             f += drift
         return f.reshape(f.shape[0], -1)
+
+    def spectrum(self, rows: slice, cols: slice, samples: slice) -> np.ndarray:
+        """rfft over the samples of the block ``self(rows, cols, samples)``."""
+        if not self.still:
+            return np.fft.rfft(self(rows, cols, samples), axis=0)
+        gx = self.px[samples, rows]
+        if self.tau_q != 0.0:
+            gx = gx + self.tau_q * self.vqx[samples, rows]
+        spec = np.fft.rfft(gx, axis=0)[:, :, None] * self.py[0, cols]
+        return spec.reshape(spec.shape[0], -1)
 
 
 def _harmonic_samples(s: PlateScenario, kx: float, ky: float) -> int:
@@ -198,8 +218,8 @@ def _harmonic_coefficients(s: PlateScenario, table: ModeTable, t: float,
     out = np.empty(table.nmodes)
     for m0, n0, m1, n1, qt in tiles:
         sel = slice(m0 * N + n0, (m1 - 1) * N + n1)
-        spec = np.fft.rfft(factors(slice(m0, m1), slice(n0, n1),
-                                   slice(None, None, q // qt)), axis=0) / qt
+        spec = factors.spectrum(slice(m0, m1), slice(n0, n1),
+                                slice(None, None, q // qt)) / qt
         spec[1:(qt + 1) // 2] *= 2.0   # the real signal's negative harmonics
         harmonics = slice(qt // 2 + 1)
         regime, splitting = table.regime[sel], table.splitting[sel]
@@ -236,7 +256,8 @@ def mode_coefficients(s: PlateScenario, table: ModeTable, t: float, *,
     Returns an array in the table's row-major (m, n) mode order, computed
     by the harmonic engine (``_harmonic_coefficients``) from the factors
     ``factors_factory(s, kx, ky, taus)`` of per-axis rates kx and ky at
-    the engine's samples taus, built once and called per tile.
+    the engine's samples taus, built once and transformed per tile
+    (``spectrum``).
     """
     if not math.isfinite(t):
         raise ValueError(f"coefficients requested at non-finite time {t!r}")

@@ -509,6 +509,51 @@ def test_peak_sweep_inputs_give_a_code_or_finite_output(times, truncations,
             _assert_code_and_no_output(rc, err, out)
 
 
+_SWEEP_TOKEN = st.one_of(
+    st.floats(0.0, 4.0).map(repr),
+    st.floats().map(repr),
+    st.floats(0.0, 1.0).map(lambda x: f"{x!r}pi"),
+    st.sampled_from(["pi", "-0.2pi", "0", "-1", "1e400", "abc", ""]))
+_SWEEP_LIST = st.one_of(st.none(),
+                        st.lists(_SWEEP_TOKEN, min_size=1, max_size=2)
+                        .map(",".join))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(name=st.sampled_from(["ct_alpha2_q1_T1", "lst_q1_T1"]),
+       times=st.lists(st.one_of(st.floats(0.5, 400.0), st.floats()),
+                      min_size=1, max_size=2),
+       modes=st.tuples(st.integers(0, 5), st.integers(1, 5)),
+       lists=st.tuples(_SWEEP_LIST, _SWEEP_LIST, _SWEEP_LIST),
+       samples=st.integers(-1, 6))
+def test_sweep_inputs_give_a_code_or_finite_output(name, times, modes, lists,
+                                                   samples):
+    # Any lag and rate lists, times, truncation and sample count on a
+    # closed path or a line either yields one finite profile per
+    # (tau_q, tau_T, w, t) and a finite summary row for each, or a
+    # documented failure code with no output.
+    argv = ["sweep", "--scenario", name, *(f"--t={t!r}" for t in times),
+            "--modes={},{}".format(*modes), f"--samples={samples}"]
+    argv += [f"{flag}={text}" for flag, text
+             in zip(("--tau-q", "--tau-T", "--w"), lists) if text is not None]
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "o"
+        rc, err = _run_capturing_stderr(argv, out)
+        if rc == 0:
+            header, summary = read_csv(out / "summary.csv")
+            assert header == "tau_q,tau_T,w,t,peak"
+            assert np.isfinite(summary).all()
+            profiles = sorted(out.glob("sweep_*.csv"))
+            assert len(profiles) == len(summary)
+            assert len(summary) % len(times) == 0
+            for path in profiles:
+                _header, data = read_csv(path)
+                assert data.shape == (samples, 2)
+                assert np.isfinite(data).all()
+        else:
+            _assert_code_and_no_output(rc, err, out)
+
+
 def test_cli_import_loads_no_scipy():
     code = ("import sys, dpl_heatlab.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")

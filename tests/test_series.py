@@ -635,21 +635,80 @@ def test_oracle_gaussian_coefficients_take_the_solve_samples_bitwise(
     assert np.array_equal(got, ref)
 
 
-def test_line_tiles_evaluate_only_their_own_samples():
-    # lst_q1_T1 at 60x60 takes Q = 512 for the solve, but its first rows
-    # need only 128 and 256 samples: 860,160 factor values, not 1,843,200.
-    s, _ = dh.load_bundled("lst_q1_T1")
-    table = build_mode_table(s, 60, 60)
-    sizes = []
+def _counting_transforms(monkeypatch):
+    """Factory counting the values of ``__call__`` blocks and rfft inputs."""
+    sizes = {"blocks": 0, "transformed": 0}
+    rfft = np.fft.rfft
+
+    def counted_rfft(a, *args, **kwargs):
+        sizes["transformed"] += np.size(a)
+        return rfft(a, *args, **kwargs)
 
     class Counted(PointSourceFactors):
-        def __call__(self, rows, cols, samples):
+        def __call__(self, rows, cols, samples=slice(None)):
             block = super().__call__(rows, cols, samples)
-            sizes.append(block.size)
+            sizes["blocks"] += block.size
             return block
 
-    mode_coefficients(s, table, 365.0, factors_factory=Counted)
-    assert sum(sizes) == 860_160
+    monkeypatch.setattr(np.fft, "rfft", counted_rfft)
+    return Counted, sizes
+
+
+def test_line_tiles_evaluate_only_their_own_samples(monkeypatch):
+    # lst_q1_T1 at 60x60 takes Q = 512 for the solve, but its first rows
+    # need only 128 and 256 samples.  On a line y does not move, so each
+    # tile transforms its qt x R x-table alone: sum qt R = 14,336, the
+    # 860,160 values of its (q, R C) blocks over the 60 columns, and no
+    # block is formed.
+    s, _ = dh.load_bundled("lst_q1_T1")
+    table = build_mode_table(s, 60, 60)
+    factory, sizes = _counting_transforms(monkeypatch)
+    mode_coefficients(s, table, 365.0, factors_factory=factory)
+    assert sizes == {"blocks": 0, "transformed": 14_336}
+
+
+def test_moving_y_tiles_still_transform_their_full_blocks(monkeypatch):
+    # On the ellipse every tile needs the solve's Q samples, and y moves,
+    # so each tile forms and transforms its (Q, R C) block.
+    s, _ = dh.load_bundled("et_default")
+    table = build_mode_table(s, 20, 20)
+    q = series._harmonic_samples(s, table.kx.max(), table.ky.max())
+    factory, sizes = _counting_transforms(monkeypatch)
+    mode_coefficients(s, table, 7.0, factors_factory=factory)
+    assert sizes == {"blocks": q * table.nmodes,
+                     "transformed": q * table.nmodes}
+
+
+def _general_path(base):
+    """``base`` forced onto the product path: rfft of every (q, R C) block."""
+    class General(base):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.still = False   # the one-row y tables broadcast
+    return General
+
+
+@pytest.mark.parametrize("gaussian", [False, True], ids=["point", "gaussian"])
+@pytest.mark.parametrize("name,lags", [("lst_default", None),
+                                       ("lst_q1_T1", None),
+                                       ("lst_q1_T1", (0.0, 1.0))],
+                         ids=["classical", "lagged", "tau_T-only"])
+def test_line_spectrum_matches_the_product_path(name, lags, gaussian):
+    from dpl_heatlab.fdm import GaussianSourceFactors
+
+    s, _ = dh.load_bundled(name)
+    if lags is not None:
+        s = with_lags(s, *lags)
+    table = build_mode_table(s, *default_truncation(s))
+    base = GaussianSourceFactors if gaussian else PointSourceFactors
+    sigma = {"sigma": 0.02} if gaussian else {}
+    line = partial(base, **sigma)
+    product = partial(_general_path(base), **sigma)
+    assert line(s, *axis_rates(table), np.zeros(1)).still
+    for t in (1e-3, 0.37, 7.0, 25.0, 365.0):
+        got = mode_coefficients(s, table, t, factors_factory=line)
+        ref = mode_coefficients(s, table, t, factors_factory=product)
+        assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max(), t
 
 
 @pytest.mark.parametrize("name", ["ct_alpha2_q1_T1", "lst_default",
