@@ -33,12 +33,13 @@ tiles keep the samples of the solve's largest rates.
 
 The basis is separable.  The source factors are per-axis tables, built
 once per solve at the solve's samples, and each tile takes the FFT of its
-block of their product.  On a line (B = 0) y and vy do not move, so every
-factor is an x-table times one row sin(ky cy): the tile transforms its
-x-table alone and scales it by that row.  Assembly sums the series as
-SX @ A @ SY.T on a grid, or as the row sums of (SX @ A) * SY at paired
-points, with A the (M, N) amplitude matrix and SX, SY the per-axis sine
-tables.
+block of their product, scaled to one-sided amplitudes by powers of two.
+On a line (B = 0) y and vy do not move, so every factor is an x-table
+times one row sin(ky cy): the tile transforms its x-table alone, sums it
+against the response over the harmonics and scales the sums by that row.
+Assembly sums the series as SX @ A @ SY.T on a grid, or as the row sums
+of (SX @ A) * SY at paired points, with A the (M, N) amplitude matrix and
+SX, SY the per-axis sine tables.
 """
 
 from __future__ import annotations
@@ -104,7 +105,7 @@ class PointSourceFactors:
     c (so dp/dc = k q) are built once for the rates ``kx`` and ``ky``; a
     call on slices of the rates and samples forms that tile of the
     band-limited product f = px py + tau_q ((vx kx qx) py + (vy ky) px qy),
-    and ``spectrum`` its rfft over the samples.
+    and ``spectrum`` its one-sided amplitudes over the samples.
 
     On a line (B = 0, ``still``) y = cy and vy = 0 at every sample, so the
     y tables keep one row, which broadcasts over the samples, and every
@@ -147,15 +148,28 @@ class PointSourceFactors:
             f += drift
         return f.reshape(f.shape[0], -1)
 
-    def spectrum(self, rows: slice, cols: slice, samples: slice) -> np.ndarray:
-        """rfft over the samples of the block ``self(rows, cols, samples)``."""
-        if not self.still:
-            return np.fft.rfft(self(rows, cols, samples), axis=0)
-        gx = self.px[samples, rows]
-        if self.tau_q != 0.0:
-            gx = gx + self.tau_q * self.vqx[samples, rows]
-        spec = np.fft.rfft(gx, axis=0)[:, :, None] * self.py[0, cols]
-        return spec.reshape(spec.shape[0], -1)
+    def spectrum(self, rows: slice, cols: slice, samples: slice):
+        """One-sided amplitudes (spec, row) of the tile over its qt samples.
+
+        spec is the rfft of the block ``self(rows, cols, samples)`` times
+        2 / qt, DC and Nyquist rows halved: every scale is a power of two,
+        so the values are those of a division by qt (zeros' signs aside).
+        On a line spec is the x-table's (qt/2 + 1, R) spectrum and row the
+        y row py, whose product is the block's; elsewhere row is None.
+        """
+        if self.still:
+            block, row = self.px[samples, rows], self.py[0, cols]
+            if self.tau_q != 0.0:
+                block = block + self.tau_q * self.vqx[samples, rows]
+        else:
+            block, row = self(rows, cols, samples), None
+        qt = block.shape[0]
+        spec = np.fft.rfft(block, axis=0)
+        spec *= 2.0 / qt
+        spec[0] *= 0.5
+        if qt > 1:
+            spec[-1] *= 0.5   # the Nyquist row
+        return spec, row
 
 
 def _harmonic_samples(s: PlateScenario, kx: float, ky: float) -> int:
@@ -176,7 +190,7 @@ def _harmonic_coefficients(s: PlateScenario, table: ModeTable, t: float,
                            factory) -> np.ndarray:
     """Closed-form coefficients of a periodic (or parked, w = 0) source.
 
-    A tile's FFT of its q samples gives f = Re sum_j F_j e^(i w_j tau).
+    A tile's spectrum of its q samples gives f = Re sum_j F_j e^(i w_j tau).
     Every lagged kernel is (e^(-r1 D) - e^(-r2 D)) / g with g = r2 - r1:
     r1 = slow and g = 2 b2 when overdamped, r1 = b1 - i |b2| and g = 2 i |b2|
     when oscillatory, r1 = b1 and g -> 0 when critical.  Each harmonic then
@@ -218,9 +232,8 @@ def _harmonic_coefficients(s: PlateScenario, table: ModeTable, t: float,
     out = np.empty(table.nmodes)
     for m0, n0, m1, n1, qt in tiles:
         sel = slice(m0 * N + n0, (m1 - 1) * N + n1)
-        spec = factors.spectrum(slice(m0, m1), slice(n0, n1),
-                                slice(None, None, q // qt)) / qt
-        spec[1:(qt + 1) // 2] *= 2.0   # the real signal's negative harmonics
+        spec, row = factors.spectrum(slice(m0, m1), slice(n0, n1),
+                                     slice(None, None, q // qt))
         harmonics = slice(qt // 2 + 1)
         regime, splitting = table.regime[sel], table.splitting[sel]
         osc = regime == OSCILLATORY
@@ -245,7 +258,11 @@ def _harmonic_coefficients(s: PlateScenario, table: ModeTable, t: float,
             ramp[split] = -np.expm1(-gap[split] * t) / gap[split]
             resp = ((wave[harmonics] - (decay + s1 * (decay * ramp)))
                     / (s1 * (s1 + gap)))
-        out[sel] = np.einsum("jp,jp->p", spec, resp).real
+        if row is None:
+            out[sel] = np.einsum("jp,jp->p", spec, resp).real
+        else:   # sum each x-spectrum over the harmonics, then scale by row
+            out[sel] = (np.einsum("jr,jrc->rc", spec, resp.reshape(
+                len(spec), m1 - m0, -1)).real * row).ravel()
     return out
 
 

@@ -13,7 +13,8 @@ from dpl_heatlab.fdm import (GaussianSourceFactors, _faddeeva,
 from dpl_heatlab.modes import build_mode_table
 from dpl_heatlab.series import PointSourceFactors, mode_coefficients
 from helpers import (classical, outer_product_source, simpson, source_track,
-                     sparse_lu_fdm, tiny_scenario, wofz_sine_projection)
+                     sparse_lu_fdm, tiny_scenario, with_lags,
+                     wofz_sine_projection)
 
 
 def unit_mode(xx, yy):
@@ -356,16 +357,17 @@ def test_matched_series_and_fdm_agree_on_coarse_run():
     assert rep["rms_rel"] < 0.05
 
 
-@pytest.mark.parametrize("name", ["ct_alpha2_q1_T1", "ct_alpha2_q5_T1"])
-def test_line_fdm_converges_to_the_series_at_second_order(name):
-    # The plate's source moved onto a line, where the series takes the
-    # separable spectrum: halving h = dt cuts the FDM-series gap by 4, and
-    # the Richardson combination of the two finest runs leaves ~1e-6 (rms
-    # relative).  The lst_* plates (alpha = 1.29e-5) are not in the
-    # asymptotic range at these h: their ratios read 0.58 and 1.37.
-    s, _ = dh.load_bundled(name)
-    s = dataclasses.replace(s, trajectory=dataclasses.replace(
-        s.trajectory, kind="line", A=0.3, B=0.0))
+def _moved(s, kind, A, B):
+    """``s`` with its source on the path ``kind`` of semi-axes A and B."""
+    return dataclasses.replace(s, trajectory=dataclasses.replace(
+        s.trajectory, kind=kind, A=A, B=B))
+
+
+def assert_fdm_converges_to_the_series_at_second_order(s):
+    """Halving h = dt over 0.025/0.0125/0.00625 cuts the FDM-series gap by
+    3.9-4.1, and the Richardson combination of the two finest runs is
+    within 1e-5 (rms relative) of the series: sigma = 0.05, t_end = 5,
+    40x40 modes."""
     sigma, t_end = 0.05, 5.0
     solution = dh.solve_series(
         s, t_end, 40, 40,
@@ -382,6 +384,34 @@ def test_line_fdm_converges_to_the_series_at_second_order(name):
         coarse, values=(4.0 * fine.values[::2, ::2] - coarse.values) / 3.0)
     rep = deviation_report(extrapolated, solution.field(coarse.grid), s.T0)
     assert rep["rms_rel"] <= 1e-5
+
+
+@pytest.mark.parametrize("name", ["ct_alpha2_q1_T1", "ct_alpha2_q5_T1"])
+def test_line_fdm_converges_to_the_series_at_second_order(name):
+    # The plate's source moved onto a line, where the series takes the
+    # separable spectrum.  The lst_* plates (alpha = 1.29e-5) are not in
+    # the asymptotic range at these h: their ratios read 0.58 and 1.37.
+    s, _ = dh.load_bundled(name)
+    assert_fdm_converges_to_the_series_at_second_order(
+        _moved(s, "line", 0.3, 0.0))
+
+
+@pytest.mark.parametrize("name", ["ct_alpha2_q1_T1", "ct_alpha2_q5_T1"])
+def test_ellipse_fdm_converges_to_the_series_at_second_order(name):
+    # The lagged branch on an ellipse: x and y both move, so the series
+    # takes the general (product) spectrum.
+    s, _ = dh.load_bundled(name)
+    assert_fdm_converges_to_the_series_at_second_order(
+        _moved(s, "ellipse", 0.3, 0.2))
+
+
+@pytest.mark.parametrize("name,lags", [("ct_alpha2_q1_T5", (0.0, 5.0)),
+                                       ("ct_alpha2_q1_T1", (0.0, 0.0))],
+                         ids=["tau_T-only", "classical"])
+def test_circle_fdm_converges_to_the_series_at_second_order(name, lags):
+    # The two diffusive (tau_q = 0) kernels on the bundled circle.
+    s, _ = dh.load_bundled(name)
+    assert_fdm_converges_to_the_series_at_second_order(with_lags(s, *lags))
 
 
 @pytest.mark.parametrize("sigma", [0.0, -0.1, math.inf, math.nan])

@@ -667,6 +667,66 @@ def test_line_tiles_evaluate_only_their_own_samples(monkeypatch):
     assert sizes == {"blocks": 0, "transformed": 14_336}
 
 
+def test_line_spectra_hold_the_x_tables_and_rows_not_their_product(
+        monkeypatch):
+    # Each line tile hands the engine its (qt/2 + 1, R) x-spectrum and the
+    # C-value y row: sum (qt/2 + 1) R = 7,228 and 15 rows of 60, where the
+    # (qt/2 + 1, R C) product spectra held 433,680 values.
+    s, _ = dh.load_bundled("lst_q1_T1")
+    table = build_mode_table(s, 60, 60)
+    counted, sizes = _counting_transforms(monkeypatch)
+    held = {"spectra": 0, "rows": 0}
+
+    class Held(counted):
+        def spectrum(self, rows, cols, samples):
+            spec, row = super().spectrum(rows, cols, samples)
+            held["spectra"] += spec.size
+            held["rows"] += row.size
+            return spec, row
+
+    mode_coefficients(s, table, 365.0, factors_factory=Held)
+    assert held == {"spectra": 7_228, "rows": 900}
+    assert sizes == {"blocks": 0, "transformed": 14_336}
+
+
+@pytest.mark.parametrize("name,parked", [("ct_default", False),
+                                         ("et_default", False),
+                                         ("ct_default", True)],
+                         ids=["circle", "ellipse", "parked"])
+def test_spectrum_scaling_is_exactly_a_division_by_the_samples(name, parked):
+    # 2 / qt and the halved DC and Nyquist rows are powers of two, so each
+    # tile's amplitudes are bit for bit rfft / qt with the negative
+    # harmonics' rows 1 ... qt/2 - 1 doubled.  Only the sign of an exact
+    # zero may differ: numpy divides by qt + 0j, and its (re + im * 0)
+    # turns some -0.0 into +0.0, so both sides add +0.0 first.  A parked
+    # source (w = 0) takes one sample, whose only row is DC.
+    s, _ = dh.load_bundled(name)
+    if parked:
+        s = dataclasses.replace(s, trajectory=dataclasses.replace(
+            s.trajectory, w=0.0))
+    table = build_mode_table(s, *default_truncation(s))
+    taken = []
+
+    class Checked(PointSourceFactors):
+        def spectrum(self, rows, cols, samples):
+            spec, row = super().spectrum(rows, cols, samples)
+            block = self(rows, cols, samples)
+            qt = len(block)
+            ref = np.fft.rfft(block, axis=0) / qt
+            ref[1:(qt + 1) // 2] *= 2.0
+            assert row is None
+            assert (spec + 0.0).tobytes() == (ref + 0.0).tobytes()
+            taken.append(qt)
+            return spec, row
+
+    mode_coefficients(s, table, 25.0, factors_factory=Checked)
+    assert len(taken) > 1
+    if parked:
+        assert set(taken) == {1}
+    else:
+        assert min(taken) > 2   # DC, Nyquist and doubled rows all occur
+
+
 def test_moving_y_tiles_still_transform_their_full_blocks(monkeypatch):
     # On the ellipse every tile needs the solve's Q samples, and y moves,
     # so each tile forms and transforms its (Q, R C) block.
