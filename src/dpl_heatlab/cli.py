@@ -357,14 +357,15 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_t=True):
+    def common(p, needs_t=True, needs_modes=True):
         p.add_argument("--scenario", required=True,
                        help="config file path or bundled scenario name")
         if needs_t:
             p.add_argument("--t", action="append", type=float, required=True,
                            help="evaluation time (repeatable)")
-        p.add_argument("--modes", default=None, metavar="M,N",
-                       help="series truncation (default per scenario)")
+        if needs_modes:
+            p.add_argument("--modes", default=None, metavar="M,N",
+                           help="series truncation (default per scenario)")
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--threads", type=int, default=None,
                        help="accepted (>= 0) and recorded in manifest.json "
@@ -387,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_peak = sub.add_parser("peak-sweep",
                             help="source-peak distance vs truncation")
-    common(p_peak)
+    common(p_peak, needs_modes=False)
     p_peak.add_argument("--grid", default=None, metavar="NX,NY")
     p_peak.add_argument("--truncations", required=True,
                         help="comma list, items 'M' or 'MxN'")
@@ -446,7 +447,3 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-
-
-if __name__ == "__main__":
-    sys.exit(main())

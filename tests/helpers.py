@@ -2,14 +2,29 @@
 
 Everything here is deliberately dumb: fixed-grid composite Simpson rules
 and direct formula evaluation, with no code shared with the adaptive
-quadrature or the kernel recurrences under test.
+quadrature or the kernel recurrences under test.  ``fresh_python`` runs
+code in a new interpreter, for checks of what an import loads.
 """
 
 import dataclasses
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 
+import dpl_heatlab
 from dpl_heatlab.modes import kernel_matrix
+
+
+def fresh_python(code, *args, env=None):
+    """stdout of ``code`` run with ``args`` in a new interpreter that finds
+    this package; ``env``, when given, replaces the environment."""
+    src = str(Path(dpl_heatlab.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", code, *args],
+                          capture_output=True, text=True, check=True,
+                          cwd=src, env=env)
+    return proc.stdout
 
 
 def simpson(values, h):

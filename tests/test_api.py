@@ -2,14 +2,16 @@
 
 import ast
 import importlib
+import json
+import os
 from pathlib import Path
 
-import dpl_heatlab as dh
+import pytest
 
-# Loaded from fdm on first access, so that series-only commands skip the
-# fdm import (about 5.5 ms measured with -X importtime).
-LAZY = ("GaussianSourceFactors", "deviation_report",
-        "project_gaussian_source_series", "solve_fdm")
+import dpl_heatlab as dh
+from helpers import fresh_python
+
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 # Test-only code that moved into tests/, with the module it left.
 MOVED = {"CoefficientHistory": "series", "switch_on_transient": "series",
@@ -21,10 +23,73 @@ def test_every_exported_name_resolves():
     assert len(set(dh.__all__)) == len(dh.__all__)
     for name in dh.__all__:
         getattr(dh, name)
-    fdm = importlib.import_module("dpl_heatlab.fdm")
-    for name in LAZY:
-        assert name in dh.__all__
-        assert getattr(dh, name) is getattr(fdm, name)
+
+
+def test_star_import_binds_each_export_from_its_home_module():
+    namespace = {}
+    exec("from dpl_heatlab import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(dh.__all__)
+    assert set(dh.__all__) <= set(dir(dh))
+    for name, value in namespace.items():
+        if name != "__version__":
+            home = importlib.import_module(value.__module__)
+            assert getattr(home, name) is value, name
+
+
+def test_a_patch_in_the_home_module_shows_through_the_package(monkeypatch):
+    # The tracer and the tests patch home modules; the package must not
+    # hold on to the objects it first handed out.
+    for name in dh.__all__:
+        if name != "__version__":
+            home = importlib.import_module(getattr(dh, name).__module__)
+            monkeypatch.setattr(home, name, object())
+            assert getattr(dh, name) is getattr(home, name), name
+
+
+def _blas_env(**blas):
+    """The environment with only the BLAS variables of ``blas`` set."""
+    environ = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+    return {**environ, **blas}
+
+
+def test_importing_the_package_loads_no_numpy_and_no_submodule():
+    code = ("import sys, dpl_heatlab; print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'numpy' or m.startswith('dpl_heatlab.')))")
+    assert fresh_python(code, env=_blas_env()).strip() == "[]"
+
+
+_BLAS_AT_NUMPY_IMPORT = f"""
+import json, os, sys
+
+VARS = {BLAS_VARS!r}
+seen = []
+
+
+class Probe:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" and not seen:
+            seen.append({{v: os.environ.get(v) for v in VARS}})
+
+
+sys.meta_path.insert(0, Probe())
+from dpl_heatlab.__main__ import main
+
+rc = main(["--version"])
+print(json.dumps([rc, seen, {{v: os.environ.get(v) for v in VARS}}]))
+"""
+
+
+@pytest.mark.parametrize("caller", [{}, {"OPENBLAS_NUM_THREADS": "2"}],
+                         ids=["unset", "caller-sets-openblas-2"])
+def test_cli_entry_pins_blas_before_numpy_loads(caller):
+    out = fresh_python(_BLAS_AT_NUMPY_IMPORT, env=_blas_env(**caller))
+    version, probe = out.strip().splitlines()
+    rc, seen, after = json.loads(probe)
+    expected = {var: caller.get(var, "1") for var in BLAS_VARS}
+    assert (version, rc) == (dh.__version__, 0)
+    assert seen == [expected]
+    assert after == expected
 
 
 # Still in the package as the tests' reference integrator, but not public.

@@ -6,7 +6,6 @@ import json
 import math
 import re
 import subprocess
-import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -17,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 import dpl_heatlab as dh
 from dpl_heatlab.cli import main
-from helpers import tiny_scenario
+from helpers import fresh_python, tiny_scenario
 
 
 def read_csv(path):
@@ -49,6 +48,9 @@ def test_console_script_is_installed():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.strip() == dh.__version__
+    (entry,) = [ep for ep in importlib.metadata.entry_points(
+        group="console_scripts") if ep.name == "dpl-heatlab"]
+    assert entry.value == "dpl_heatlab.__main__:main"
 
 
 def test_field_run_writes_csv_plot_and_manifest(tmp_path):
@@ -286,6 +288,8 @@ def test_grid_below_two_samples_exits_2_before_any_output(tmp_path, capsys,
      "--fdm-dt", "0.05", "--fdm-t-end", "1", "--fdm-hx", "0",
      "--fdm-sigma", "1.0"],
     ["field", "--scenario", ".", "--t", "1"],
+    ["peak-sweep", "--scenario", "lst_default", "--t", "27.5",
+     "--truncations", "6,12", "--grid", "51,41", "--modes", "0,0"],
 ], ids=["field-modes-0x3", "profile-modes-3x-1", "sweep-modes-0x2",
         "sweep-tau-q-abc", "oracle-modes-0x4", "peak-sweep-0", "peak-sweep-4x0",
         "profile-line-y-without-y0", "profile-y0-off-plate",
@@ -295,7 +299,7 @@ def test_grid_below_two_samples_exits_2_before_any_output(tmp_path, capsys,
         "oracle-sigma-under-resolved", "oracle-negative-dt",
         "oracle-store-every-0-without-fdm-block", "field-times-share-a-name",
         "sweep-tau-q-repeated", "peak-sweep-second-t", "oracle-negative-hx",
-        "oracle-zero-hx", "scenario-is-a-directory"])
+        "oracle-zero-hx", "scenario-is-a-directory", "peak-sweep-modes"])
 def test_bad_flags_exit_2_before_any_output(tmp_path, monkeypatch, capsys,
                                             argv):
     # Without its own --scenario a case runs on ct_alpha2_q1_T1.
@@ -557,10 +561,7 @@ def test_sweep_inputs_give_a_code_or_finite_output(name, times, modes, lists,
 def test_cli_import_loads_no_scipy():
     code = ("import sys, dpl_heatlab.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    src = str(Path(dh.__file__).resolve().parents[1])
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, check=True, cwd=src)
-    assert proc.stdout.strip() == "[]"
+    assert fresh_python(code).strip() == "[]"
     assert callable(dh.solve_fdm)
 
 
@@ -568,10 +569,7 @@ def test_fdm_import_loads_no_scipy_sparse():
     code = ("import sys, dpl_heatlab.fdm; "
             "print(sorted(m for m in sys.modules "
             "if m.startswith('scipy.sparse')))")
-    src = str(Path(dh.__file__).resolve().parents[1])
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, check=True, cwd=src)
-    assert proc.stdout.strip() == "[]"
+    assert fresh_python(code).strip() == "[]"
 
 
 def test_oracle_run_loads_no_scipy(tmp_path):
@@ -587,11 +585,8 @@ def test_oracle_run_loads_no_scipy(tmp_path):
         " '--fdm-store-every', '40', '--out', sys.argv[1]])\n"
         "print(rc, sorted(m for m in sys.modules"
         " if m.split('.')[0] == 'scipy'))\n")
-    src = str(Path(dh.__file__).resolve().parents[1])
     out = tmp_path / "o"
-    proc = subprocess.run([sys.executable, "-c", code, str(out)],
-                          capture_output=True, text=True, check=True, cwd=src)
-    assert proc.stdout.strip().splitlines()[-1] == "0 []"
+    assert fresh_python(code, str(out)).strip().splitlines()[-1] == "0 []"
     assert (out / "series_t5.csv").is_file()
 
 
