@@ -26,8 +26,8 @@ _EXPORTS = {
             "project_gaussian_source_series", "solve_fdm"),
     "model": ("FdmConfig", "GridSpec", "PlateScenario", "TemperatureField",
               "Trajectory", "bundled_scenario_names", "default_peak_grid",
-              "format_scenario", "load_bundled", "load_scenario",
-              "load_scenario_file", "save_scenario", "validate_scenario"),
+              "format_scenario", "load_bundled", "load_scenario_file",
+              "save_scenario", "validate_scenario"),
     "modes": ("ModeTable", "build_mode_table"),
     "series": ("SeriesSolution", "default_truncation", "mode_coefficients",
                "solve_series", "temperature"),

@@ -66,7 +66,7 @@ def _fit_refine(patch: np.ndarray) -> tuple[float, float]:
     return du, dv
 
 
-def _peak(sol: SeriesSolution, grid: GridSpec, truncation, refine,
+def _peak(sol: SeriesSolution, grid: GridSpec, truncation,
           mode_mask=None) -> PeakReport:
     s = sol.s
     field = sol.field(grid, mode_mask=mode_mask)
@@ -81,18 +81,17 @@ def _peak(sol: SeriesSolution, grid: GridSpec, truncation, refine,
     x_pk, y_pk = float(xs[ix]), float(ys[iy])
     t_pk = float(values[ix, iy])
 
-    if refine:
-        patch = values[ix - 1:ix + 2, iy - 1:iy + 2]
-        du, dv = _fit_refine(patch)
-        if du != 0.0 or dv != 0.0:
-            hx = xs[1] - xs[0]
-            hy = ys[1] - ys[0]
-            x_try = x_pk + du * hx
-            y_try = y_pk + dv * hy
-            t_try = float(sol.at([x_try], [y_try], mode_mask=mode_mask)[0])
-            # Never report a worse point than the grid argmax.
-            if t_try >= t_pk:
-                x_pk, y_pk, t_pk = x_try, y_try, t_try
+    patch = values[ix - 1:ix + 2, iy - 1:iy + 2]
+    du, dv = _fit_refine(patch)
+    if du != 0.0 or dv != 0.0:
+        hx = xs[1] - xs[0]
+        hy = ys[1] - ys[0]
+        x_try = x_pk + du * hx
+        y_try = y_pk + dv * hy
+        t_try = float(sol.at([x_try], [y_try], mode_mask=mode_mask)[0])
+        # Never report a worse point than the grid argmax.
+        if t_try >= t_pk:
+            x_pk, y_pk, t_pk = x_try, y_try, t_try
 
     x_src, y_src = position(s.trajectory, sol.t)
     dist = math.hypot(x_pk - x_src, y_pk - y_src)
@@ -102,12 +101,12 @@ def _peak(sol: SeriesSolution, grid: GridSpec, truncation, refine,
 
 
 def locate_peak(s: PlateScenario, t: float, M: int | None = None,
-                N: int | None = None, grid: GridSpec | None = None,
-                refine: bool = True) -> PeakReport:
-    """Grid argmax of the series field, optionally refined inside the cell."""
+                N: int | None = None, grid: GridSpec | None = None
+                ) -> PeakReport:
+    """Grid argmax of the series field, refined inside its cell."""
     sol = solve_series(s, t, M, N)
     return _peak(sol, grid or default_peak_grid(s),
-                 (sol.table.M, sol.table.N), refine)
+                 (sol.table.M, sol.table.N))
 
 
 def line_profile_y(s: PlateScenario, t: float, y0: float,
@@ -146,8 +145,8 @@ def trajectory_profile(s: PlateScenario, t: float,
 
 
 def source_peak_distance_sweep(s: PlateScenario, t: float,
-                               truncations, grid: GridSpec | None = None,
-                               refine: bool = True) -> list[PeakReport]:
+                               truncations, grid: GridSpec | None = None
+                               ) -> list[PeakReport]:
     """Peak reports across truncations, sharing one coefficient table.
 
     Coefficients are computed once at the largest requested truncation;
@@ -157,12 +156,15 @@ def source_peak_distance_sweep(s: PlateScenario, t: float,
     truncations = [(int(mm), int(nn)) for mm, nn in truncations]
     if not truncations:
         raise ValueError("truncation list must not be empty")
+    for mm, nn in truncations:
+        if mm < 1 or nn < 1:
+            raise ValueError(f"truncation must be at least 1x1, got {mm}x{nn}")
     grid = grid or default_peak_grid(s)
     m_max = max(mm for mm, _ in truncations)
     n_max = max(nn for _, nn in truncations)
     sol = solve_series(s, t, m_max, n_max)
     table = sol.table
-    return [_peak(sol, grid, (mm, nn), refine,
+    return [_peak(sol, grid, (mm, nn),
                   mode_mask=(table.m <= mm) & (table.n <= nn))
             for mm, nn in truncations]
 

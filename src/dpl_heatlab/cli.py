@@ -7,9 +7,9 @@ manifest fields and its text for stdout (empty but for ``oracle``).
 ``--out``.  A run that exits 2 or 3 writes nothing; output appears only
 once every result is computed.
 
-Exit codes: 0 success, 2 configuration/usage error, 3 numerical failure
-(unstable stepping, degenerate peak, arithmetic overflow), 4 output I/O
-error.
+Exit codes: 0 success, 2 configuration/usage error (any ValueError),
+3 numerical failure (unstable stepping, degenerate peak, arithmetic
+overflow, out of memory), 4 output I/O error.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ import numpy as np
 
 from . import __version__
 from .analysis import (
+    _fmt,
     line_profile_y,
     source_peak_distance_sweep,
     trajectory_profile,
@@ -35,18 +36,11 @@ from .analysis import (
     write_profile_csv,
     write_sweep_csv,
 )
-from .errors import (
-    ConfigFormatError,
-    PeakOnBoundary,
-    ScenarioValidationError,
-    TrajectoryNotClosed,
-    UnstableConfig,
-)
+from .errors import ConfigFormatError, PeakOnBoundary, UnstableConfig
 from .model import (
     FIELD_TYPES,
     FdmConfig,
     GridSpec,
-    bundled_scenario_names,
     default_peak_grid,
     load_bundled,
     load_scenario_file,
@@ -107,10 +101,6 @@ fig.savefig("peak_sweep.png", dpi=160, bbox_inches="tight")
 '''
 
 
-def _fmt(x) -> str:
-    return repr(float(x))
-
-
 def _parse_pair(text: str, flag: str) -> tuple[int, int]:
     parts = text.split(",")
     if len(parts) != 2:
@@ -133,33 +123,20 @@ def _parse_float_list(text: str, flag: str) -> list[float]:
     return [_parse_float_token(p) for p in items]
 
 
-def _check_truncation(a: int, b: int, flag: str) -> tuple[int, int]:
-    if min(a, b) < 1:
-        raise ValueError(f"{flag} counts must be at least 1, got {a}x{b}")
-    return a, b
-
-
 def _parse_truncations(text: str) -> list[tuple[int, int]]:
     items = [p for p in (part.strip() for part in text.split(",")) if p]
     out = []
     for item in items:
         a, b = item.split("x", 1) if "x" in item else (item, item)
-        out.append(_check_truncation(int(a), int(b), "--truncations"))
-    if not out:
-        raise ValueError("truncation list must not be empty")
+        out.append((int(a), int(b)))
     return out
 
 
 def _load_scenario_arg(arg: str):
-    path = Path(arg)
-    if path.exists():
-        return load_scenario_file(path)
-    stem = arg[:-4] if arg.endswith(".cfg") else arg
-    if stem in bundled_scenario_names():
-        return load_bundled(stem)
-    raise ConfigFormatError(
-        f"scenario {arg!r} is neither a readable file nor a bundled name "
-        f"(bundled: {', '.join(bundled_scenario_names())})")
+    """An existing path is a scenario file; anything else a bundled name."""
+    if Path(arg).exists():
+        return load_scenario_file(arg)
+    return load_bundled(arg)
 
 
 def _fdm_flag(f) -> str:
@@ -213,7 +190,7 @@ def _emit(args, files, extra: dict) -> None:
 def _resolve_modes(args, s) -> tuple[int, int]:
     if args.modes is None:
         return resolve_truncation(s)
-    return _check_truncation(*_parse_pair(args.modes, "--modes"), "--modes")
+    return _parse_pair(args.modes, "--modes")
 
 
 def _cmd_field(args):
@@ -241,8 +218,9 @@ def _cmd_field(args):
 def _cmd_profile(args):
     s, _fdm = _load_scenario_arg(args.scenario)
     modes = _resolve_modes(args, s)
-    if args.kind == "line-y" and args.y0 is None:
-        raise ValueError("--y0 is required for --kind line-y")
+    if (args.kind == "line-y") != (args.y0 is not None):
+        raise ValueError("--y0 is required for --kind line-y and applies "
+                         "to no other kind")
     profiles = []
     for t in args.t:
         if args.kind == "line-y":
@@ -434,8 +412,7 @@ def main(argv=None) -> int:
         _emit(args, files, extra)
         sys.stdout.write(stdout)
         return 0
-    except (ConfigFormatError, ScenarioValidationError, TrajectoryNotClosed,
-            FileNotFoundError, ValueError) as exc:
+    except (ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (UnstableConfig, PeakOnBoundary) as exc:
@@ -443,6 +420,9 @@ def main(argv=None) -> int:
         return 3
     except ArithmeticError as exc:
         print(f"error: numerical failure: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -7,7 +7,6 @@ from dataclasses import dataclass
 NON_POSITIVE_GEOMETRY = "NonPositiveGeometry"
 NEGATIVE_LAG = "NegativeLag"
 TRAJECTORY_ESCAPES_PLATE = "TrajectoryEscapesPlate"
-ZERO_ANGULAR_VELOCITY = "ZeroAngularVelocity"
 NON_FINITE_VALUE = "NonFiniteValue"
 
 

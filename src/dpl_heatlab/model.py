@@ -323,23 +323,22 @@ def load_scenario_file(path):
     return _load_text(text)
 
 
-def load_scenario(path) -> PlateScenario:
-    return load_scenario_file(path)[0]
-
-
 def bundled_scenario_names() -> list[str]:
     root = resources.files(__package__) / "scenarios"
     return sorted(p.name[:-4] for p in root.iterdir() if p.name.endswith(".cfg"))
 
 
 def load_bundled(name: str):
-    """Load a scenario shipped with the package, by bare name or filename."""
+    """Load a scenario shipped with the package, by bare name or filename.
+
+    Any other name, one with a path in it included, is a ConfigFormatError
+    that lists the bundled names.
+    """
     if name.endswith(".cfg"):
         name = name[:-4]
+    known = bundled_scenario_names()
+    if name not in known:
+        raise ConfigFormatError(
+            f"no bundled scenario {name!r}; known: {', '.join(known)}")
     node = resources.files(__package__) / "scenarios" / f"{name}.cfg"
-    try:
-        text = node.read_text(encoding="utf-8")
-    except FileNotFoundError:
-        known = ", ".join(bundled_scenario_names())
-        raise ConfigFormatError(f"no bundled scenario {name!r}; known: {known}") from None
-    return _load_text(text)
+    return _load_text(node.read_text(encoding="utf-8"))

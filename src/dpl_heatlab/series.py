@@ -73,15 +73,12 @@ def resolve_truncation(s: PlateScenario, M: int | None = None,
     return M, N
 
 
-def prefactor(s: PlateScenario, classical: bool | None = None) -> float:
+def prefactor(s: PlateScenario, *, classical: bool) -> float:
     """Scalar multiplying gain * P_mn in the temperature series.
 
-    ``classical`` pins the branch to the one the mode table chose (the
-    table may demote an unresolvably small tau_q to the zero-lag branch);
-    None falls back to tau_q == 0.
+    ``classical`` is the branch the mode table chose (``table.classical``):
+    the table may demote an unresolvably small tau_q to the zero-lag branch.
     """
-    if classical is None:
-        classical = s.tau_q == 0.0
     if classical:
         return 4.0 * s.alpha * s.theta / (s.L * s.H * s.k)
     return 4.0 * s.alpha * s.theta / (s.L * s.H * s.tau_q * s.k)

@@ -10,6 +10,7 @@ from dpl_heatlab.analysis import (line_profile_y, locate_peak,
                                   write_profile_csv, write_sweep_csv)
 from dpl_heatlab.errors import (NegativeElapsed, PeakOnBoundary,
                                 TrajectoryNotClosed)
+from dpl_heatlab.series import solve_series
 from helpers import tiny_scenario
 
 
@@ -52,12 +53,14 @@ def test_huge_time_reports_the_source_at_the_fmod_phase():
 def test_refined_peak_dominates_grid_samples():
     s, _ = dh.load_bundled("ct_alpha2_q1_T1")
     grid = dh.GridSpec(41, 41)
-    refined = locate_peak(s, 12.0, M=12, N=12, grid=grid, refine=True)
-    raw = locate_peak(s, 12.0, M=12, N=12, grid=grid, refine=False)
-    assert refined.peak_value >= raw.peak_value
+    refined = locate_peak(s, 12.0, M=12, N=12, grid=grid)
+    values = solve_series(s, 12.0, 12, 12).field(grid).values
+    ix, iy = np.unravel_index(np.argmax(values), values.shape)
+    xs, ys = grid.axes(s.L, s.H)
+    assert refined.peak_value >= values[ix, iy]
     # refinement never leaves the argmax cell
-    assert abs(refined.peak_position[0] - raw.peak_position[0]) <= 1.0 / 40 + 1e-12
-    assert abs(refined.peak_position[1] - raw.peak_position[1]) <= 1.0 / 40 + 1e-12
+    assert abs(refined.peak_position[0] - xs[ix]) <= 1.0 / 40 + 1e-12
+    assert abs(refined.peak_position[1] - ys[iy]) <= 1.0 / 40 + 1e-12
 
 
 def test_flat_field_peak_is_reported_on_boundary():
@@ -148,6 +151,14 @@ def test_sweep_masking_matches_direct_truncation():
 def test_sweep_rejects_empty_list():
     with pytest.raises(ValueError):
         source_peak_distance_sweep(tiny_scenario(), 5.0, [])
+
+
+def test_sweep_rejects_a_truncation_below_one_before_any_work():
+    # An empty mode subset would otherwise give a flat field and a
+    # PeakOnBoundary; the count is an input error, like build_mode_table's.
+    with pytest.raises(ValueError, match="truncation must be at least 1x1"):
+        source_peak_distance_sweep(tiny_scenario(), 5.0, [(0, 4), (4, 4)],
+                                   dh.GridSpec(21, 21))
 
 
 # --- CSV emission ----------------------------------------------------------

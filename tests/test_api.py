@@ -94,10 +94,12 @@ def test_cli_entry_pins_blas_before_numpy_loads(caller):
 
 # Still in the package as the tests' reference integrator, but not public.
 UNEXPORTED = ("QuadratureSpec", "integrate_columns", "QuadratureNotConverged")
+# Unused names deleted outright, with the module they left.
+REMOVED = {"load_scenario": "model", "ZERO_ANGULAR_VELOCITY": "errors"}
 
 
 def test_test_only_names_left_the_package():
-    for name, module in MOVED.items():
+    for name, module in {**MOVED, **REMOVED}.items():
         assert name not in dh.__all__
         assert not hasattr(dh, name)
         assert not hasattr(importlib.import_module(f"dpl_heatlab.{module}"),
@@ -121,3 +123,34 @@ def test_no_package_module_imports_scipy():
             else:
                 continue
             assert not any(n.split(".")[0] == "scipy" for n in names), path.name
+
+
+# The FDM oracle cross-checks the series solver, so its march and input
+# checks must stay an independent discretization of the PDE.
+ORACLE_FUNCTIONS = ("solve_fdm", "checked_grid", "_source_grid", "_jury_scan",
+                    "_axis_counts")
+
+
+def test_fdm_march_uses_nothing_from_the_series_solver():
+    from dpl_heatlab import fdm
+
+    tree = ast.parse(Path(fdm.__file__).read_text(encoding="utf-8"))
+    from_series = set()
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                # ``from . import series`` binds the module itself.
+                module = (node.module or alias.name).split(".")[-1]
+                assert module != "modes"
+                if module == "series":
+                    from_series.add(alias.asname or alias.name)
+        elif isinstance(node, ast.Import):
+            assert not any(alias.name.split(".")[-1] in ("modes", "series")
+                           for alias in node.names)
+    assert from_series   # the matched series does use them
+    defs = {node.name: node for node in tree.body
+            if isinstance(node, ast.FunctionDef)}
+    for name in ORACLE_FUNCTIONS:
+        used = {node.id for node in ast.walk(defs[name])
+                if isinstance(node, ast.Name)}
+        assert not used & from_series, (name, used & from_series)

@@ -176,6 +176,17 @@ def test_unstable_stepping_exits_3(tmp_path, monkeypatch, capsys):
     assert not out.exists()
 
 
+def test_out_of_memory_exits_3_before_any_output(tmp_path, capsys):
+    # t_end / dt steps need a time array of about 178 PiB, more than any
+    # address space, so the allocation fails at once and takes no memory.
+    out = tmp_path / "X"
+    rc = main(["oracle", "--scenario", "ct_alpha2_q5_T1", "--modes", "8,8",
+               "--fdm-dt", "1e-15", "--out", str(out)])
+    assert rc == 3
+    assert "error: out of memory" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_peak_on_the_edge_exits_3_before_any_output(tmp_path, capsys):
     # At t = 0 nothing has been deposited, so the peak search fails.
     out = tmp_path / "o"
@@ -266,6 +277,8 @@ def test_grid_below_two_samples_exits_2_before_any_output(tmp_path, capsys,
      "--samples", "1"],
     ["profile", "--scenario", "lst_default", "--t", "5", "--modes", "3,3",
      "--kind", "trajectory"],
+    ["profile", "--t", "5", "--modes", "3,3", "--kind", "trajectory",
+     "--y0", "0.3"],
     ["sweep", "--t", "5", "--modes", "2,2", "--samples", "1"],
     ["sweep", "--scenario", "ct_default", "--t", "5", "--modes", "2,2",
      "--tau-q", "1,-1"],
@@ -294,7 +307,8 @@ def test_grid_below_two_samples_exits_2_before_any_output(tmp_path, capsys,
         "sweep-tau-q-abc", "oracle-modes-0x4", "peak-sweep-0", "peak-sweep-4x0",
         "profile-line-y-without-y0", "profile-y0-off-plate",
         "profile-line-y-1-sample", "profile-trajectory-1-sample",
-        "profile-trajectory-on-a-line", "sweep-1-sample",
+        "profile-trajectory-on-a-line", "profile-trajectory-with-y0",
+        "sweep-1-sample",
         "sweep-negative-tau-q", "field-second-t-negative",
         "oracle-sigma-under-resolved", "oracle-negative-dt",
         "oracle-store-every-0-without-fdm-block", "field-times-share-a-name",

@@ -253,6 +253,14 @@ def test_bundled_scenarios_all_validate():
         dh.validate_scenario(s)
 
 
+def test_load_bundled_takes_bundled_names_only():
+    assert dh.load_bundled("ct_default.cfg") == dh.load_bundled("ct_default")
+    for name in ("../scenarios/ct_default", "scenarios/ct_default.cfg",
+                 "no_such_case", ""):
+        with pytest.raises(ConfigFormatError, match="known: .*ct_default"):
+            dh.load_bundled(name)
+
+
 def test_bundled_defaults_match_reference_cases():
     lst, _ = dh.load_bundled("lst_default")
     assert (lst.L, lst.H) == (0.5, 0.4)

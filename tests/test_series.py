@@ -48,13 +48,16 @@ def point_factor(s, table, m, n, taus):
 def test_prefactor_branches():
     s = tiny_scenario(L=0.5, H=0.4, theta=2.5e4, k=51.4, alpha=1.29e-5,
                       tau_q=2.0)
-    assert math.isclose(prefactor(s),
+    assert math.isclose(prefactor(s, classical=False),
                         4.0 * 1.29e-5 * 2.5e4 / (0.5 * 0.4 * 2.0 * 51.4),
                         rel_tol=1e-15)
     c = classical(s)
-    assert math.isclose(prefactor(c),
+    assert math.isclose(prefactor(c, classical=True),
                         4.0 * 1.29e-5 * 2.5e4 / (0.5 * 0.4 * 51.4),
                         rel_tol=1e-15)
+    # The branch is the mode table's to choose, never inferred from tau_q.
+    with pytest.raises(TypeError):
+        prefactor(s)
 
 
 def test_source_factor_zero_lag_is_plain_eigenfunction():
@@ -296,7 +299,8 @@ def test_amplitudes_combine_prefactor_and_gain():
     table = build_mode_table(s, 3, 3)
     coeffs = np.linspace(1.0, 2.0, table.nmodes)
     amps = amplitudes(s, table, coeffs)
-    assert np.allclose(amps, prefactor(s) * table.gain * coeffs, rtol=1e-15)
+    assert np.allclose(amps, prefactor(s, classical=True) * table.gain
+                       * coeffs, rtol=1e-15)
 
 
 # --- separable evaluation ---------------------------------------------------
