@@ -30,7 +30,7 @@ _EXPORTS = {
               "save_scenario", "validate_scenario"),
     "modes": ("ModeTable", "build_mode_table"),
     "series": ("SeriesSolution", "default_truncation", "mode_coefficients",
-               "solve_series", "temperature"),
+               "solve_series"),
     "trajectory": ("period", "position", "velocity"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -1,11 +1,14 @@
 """Command-line front end: scenario files in, CSV + plot scripts out.
 
-Each ``_cmd_*`` handler computes all of its results first and returns
-its outputs as an ordered list of (file name, text or writer), its
-manifest fields and its text for stdout (empty but for ``oracle``).
-``main`` then hands them to ``_emit``, the one place that creates
-``--out``.  A run that exits 2 or 3 writes nothing; output appears only
-once every result is computed.
+``main`` loads the scenario and resolves the truncation (``--modes`` or
+the scenario's default) once, and adds ``times`` and ``truncation`` to
+the manifest of the commands that take ``--t`` and ``--modes``.  Each
+``_cmd_*`` handler takes (args, scenario, fdm block, truncation),
+computes all of its results first and returns its outputs as an ordered
+list of (file name, text or writer), its own manifest fields and its
+text for stdout (empty but for ``oracle``).  ``main`` hands them to
+``_emit``, the one place that creates ``--out``.  A run that exits 2 or
+3 writes nothing; output appears only once every result is computed.
 
 Exit codes: 0 success, 2 configuration/usage error (any ValueError),
 3 numerical failure (unstable stepping, degenerate peak, arithmetic
@@ -46,7 +49,7 @@ from .model import (
     load_scenario_file,
     validate_scenario,
 )
-from .series import resolve_threads, resolve_truncation, temperature
+from .series import resolve_threads, resolve_truncation, solve_series
 from .trajectory import position
 
 _FIELD_PLOT = '''"""Render {csv} as a heat map with the source path overlay."""
@@ -116,7 +119,11 @@ def _parse_float_token(token: str) -> float:
     return float(token)
 
 
-def _parse_float_list(text: str, flag: str) -> list[float]:
+def _parse_float_list(text: str | None, flag: str,
+                      default: float) -> list[float]:
+    """The values of a comma-list flag, or [default] when it is absent."""
+    if text is None:
+        return [default]
     items = [p for p in (part.strip() for part in text.split(",")) if p]
     if not items:
         raise ValueError(f"{flag} must list at least one value")
@@ -187,21 +194,26 @@ def _emit(args, files, extra: dict) -> None:
             content(out / name)
 
 
-def _resolve_modes(args, s) -> tuple[int, int]:
-    if args.modes is None:
-        return resolve_truncation(s)
-    return _parse_pair(args.modes, "--modes")
+def _grid_arg(args, s) -> GridSpec:
+    """The ``--grid`` counts, or the scenario's peak-search grid."""
+    if args.grid is None:
+        return default_peak_grid(s)
+    return GridSpec(*_parse_pair(args.grid, "--grid"))
 
 
-def _cmd_field(args):
-    s, _fdm = _load_scenario_arg(args.scenario)
-    modes = _resolve_modes(args, s)
-    grid = (default_peak_grid(s) if args.grid is None
-            else GridSpec(*_parse_pair(args.grid, "--grid")))
+def _profile(s, t, y0, modes, samples):
+    """The profile along the cut y = y0, or the closed path if y0 is None."""
+    if y0 is None:
+        return trajectory_profile(s, t, *modes, samples)
+    return line_profile_y(s, t, y0, *modes, samples)
+
+
+def _cmd_field(args, s, _fdm, modes):
+    grid = _grid_arg(args, s)
     traj = s.trajectory
     files = []
     for t in args.t:
-        field = temperature(s, grid, t, modes[0], modes[1])
+        field = solve_series(s, t, *modes).field(grid)
         stem = f"field_t{t:g}"
         x_src, y_src = position(traj, t)
         script = _FIELD_PLOT.format(
@@ -211,54 +223,41 @@ def _cmd_field(args):
             y_src=_fmt(y_src), t=f"{t:g}", stem=stem)
         files += [(f"{stem}.csv", partial(write_field_csv, field, s)),
                   (f"plot_{stem}.py", script)]
-    return files, {"times": args.t, "truncation": list(modes),
-                   "grid": [grid.nx, grid.ny]}, ""
+    return files, {"grid": [grid.nx, grid.ny]}, ""
 
 
-def _cmd_profile(args):
-    s, _fdm = _load_scenario_arg(args.scenario)
-    modes = _resolve_modes(args, s)
+def _cmd_profile(args, s, _fdm, modes):
     if (args.kind == "line-y") != (args.y0 is not None):
         raise ValueError("--y0 is required for --kind line-y and applies "
                          "to no other kind")
     profiles = []
     for t in args.t:
-        if args.kind == "line-y":
-            prof = line_profile_y(s, t, args.y0, modes[0], modes[1],
-                                  args.samples)
-            name = f"profile_line_y{args.y0:g}_t{t:g}.csv"
-        else:
-            prof = trajectory_profile(s, t, modes[0], modes[1],
-                                      args.samples)
-            name = f"profile_trajectory_t{t:g}.csv"
-        profiles.append((name, prof))
+        name = (f"profile_trajectory_t{t:g}.csv" if args.y0 is None
+                else f"profile_line_y{args.y0:g}_t{t:g}.csv")
+        profiles.append((name, _profile(s, t, args.y0, modes, args.samples)))
     files = _profile_outputs(
-        profiles, "x" if args.kind == "line-y" else "central angle")
-    return files, {"times": args.t, "truncation": list(modes),
-                   "kind": args.kind, "y0": args.y0,
+        profiles, "central angle" if args.y0 is None else "x")
+    return files, {"kind": args.kind, "y0": args.y0,
                    "samples": args.samples}, ""
 
 
-def _cmd_peak_sweep(args):
+def _cmd_peak_sweep(args, s, _fdm, _modes):
     if len(args.t) > 1:
         raise ValueError(f"peak-sweep takes one --t, got {len(args.t)}")
-    s, _fdm = _load_scenario_arg(args.scenario)
     truncations = _parse_truncations(args.truncations)
-    grid = (default_peak_grid(s) if args.grid is None
-            else GridSpec(*_parse_pair(args.grid, "--grid")))
+    grid = _grid_arg(args, s)
     reports = source_peak_distance_sweep(s, args.t[0], truncations, grid)
     files = [("peak_sweep.csv", partial(write_sweep_csv, reports)),
              ("plot_peak_sweep.py", _SWEEP_PLOT.format(csv="peak_sweep.csv"))]
-    return files, {"times": args.t, "grid": [grid.nx, grid.ny],
+    return files, {"grid": [grid.nx, grid.ny],
                    "truncations": [list(p) for p in truncations]}, ""
 
 
-def _cmd_oracle(args):
+def _cmd_oracle(args, s, fdm_cfg, modes):
     # Only the oracle imports fdm, so series-only commands skip its import
     # (about 5.5 ms measured with -X importtime).
     from . import fdm
 
-    s, fdm_cfg = _load_scenario_arg(args.scenario)
     merged = asdict(fdm_cfg) if fdm_cfg is not None else {}
     flags = {f.name: getattr(args, f"fdm_{f.name}") for f in fields(FdmConfig)}
     merged.update((name, v) for name, v in flags.items() if v is not None)
@@ -268,7 +267,6 @@ def _cmd_oracle(args):
         raise ConfigFormatError(
             f"scenario has no fdm block; supply {', '.join(missing)}")
     fdm_cfg = FdmConfig(**merged)
-    modes = _resolve_modes(args, s)
 
     # The matched series goes first: its tile temporaries set the peak RSS,
     # and the march's stored fields would otherwise sit beneath them.
@@ -283,21 +281,18 @@ def _cmd_oracle(args):
     files += [(f"series_t{final.t:g}.csv",
                partial(write_field_csv, series_field, s)),
               ("report.json", _json_text(report))]
-    extra = {"truncation": list(modes),
-             "fdm": dict(asdict(fdm_cfg), sigma=fdm_cfg.resolved_sigma())}
+    extra = {"fdm": dict(asdict(fdm_cfg), sigma=fdm_cfg.resolved_sigma())}
     return files, extra, (f"rms_rel={report['rms_rel']:.6g} "
                           f"max_abs={report['max_abs']:.6g}\n")
 
 
-def _cmd_sweep(args):
-    s, _fdm = _load_scenario_arg(args.scenario)
-    modes = _resolve_modes(args, s)
-    qs = (_parse_float_list(args.tau_q, "--tau-q")
-          if args.tau_q else [s.tau_q])
-    ts_lag = (_parse_float_list(args.tau_T, "--tau-T")
-              if args.tau_T else [s.tau_T])
-    ws = _parse_float_list(args.w, "--w") if args.w else [s.trajectory.w]
-    closed = s.trajectory.kind in ("circle", "ellipse")
+def _cmd_sweep(args, s, _fdm, modes):
+    qs = _parse_float_list(args.tau_q, "--tau-q", s.tau_q)
+    ts_lag = _parse_float_list(args.tau_T, "--tau-T", s.tau_T)
+    ws = _parse_float_list(args.w, "--w", s.trajectory.w)
+    # A closed path is profiled along itself, a line along its own height.
+    y0 = (None if s.trajectory.kind in ("circle", "ellipse")
+          else s.trajectory.cy)
 
     summary = ["tau_q,tau_T,w,t,peak\n"]
     profiles = []
@@ -308,22 +303,16 @@ def _cmd_sweep(args):
                     s, tau_q=q, tau_T=lag_t,
                     trajectory=replace(s.trajectory, w=w)))
                 for t in args.t:
-                    if closed:
-                        prof = trajectory_profile(
-                            variant, t, modes[0], modes[1], args.samples)
-                    else:
-                        prof = line_profile_y(
-                            variant, t, variant.trajectory.cy, modes[0],
-                            modes[1], args.samples)
+                    prof = _profile(variant, t, y0, modes, args.samples)
                     name = f"sweep_q{q:g}_T{lag_t:g}_w{w:g}_t{t:g}.csv"
                     profiles.append((name, prof))
                     summary.append(
                         f"{_fmt(q)},{_fmt(lag_t)},{_fmt(w)},{_fmt(t)},"
                         f"{_fmt(np.max(prof.values))}\n")
-    files = _profile_outputs(profiles, "central angle" if closed else "x")
+    files = _profile_outputs(profiles,
+                             "central angle" if y0 is None else "x")
     files.append(("summary.csv", "".join(summary)))
-    return files, {"times": args.t, "truncation": list(modes),
-                   "tau_q": qs, "tau_T": ts_lag, "w": ws,
+    return files, {"tau_q": qs, "tau_T": ts_lag, "w": ws,
                    "samples": args.samples}, ""
 
 
@@ -408,8 +397,17 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         resolve_threads(args.threads)
-        files, extra, stdout = _DISPATCH[args.command](args)
-        _emit(args, files, extra)
+        s, fdm_block = _load_scenario_arg(args.scenario)
+        extra, modes = {}, None
+        if "t" in args:
+            extra["times"] = args.t
+        if "modes" in args:
+            modes = (resolve_truncation(s) if args.modes is None
+                     else _parse_pair(args.modes, "--modes"))
+            extra["truncation"] = list(modes)
+        files, own, stdout = _DISPATCH[args.command](args, s, fdm_block,
+                                                     modes)
+        _emit(args, files, extra | own)
         sys.stdout.write(stdout)
         return 0
     except (ValueError, FileNotFoundError) as exc:

@@ -154,9 +154,9 @@ def checked_grid(s: PlateScenario, cfg: FdmConfig) -> GridSpec:
 def solve_fdm(s: PlateScenario, cfg: FdmConfig, *, initial=None):
     """March the lagged heat equation; returns the stored field sequence.
 
-    ``initial`` is a test-only hook: a callable (x, y) -> T or an
-    (nx, ny) array overriding the uniform T0 start (the initial rate
-    stays zero).  The production path always starts quiescent.
+    ``initial`` is a test-only hook: a callable (x, y) -> T overriding
+    the uniform T0 start at the interior nodes (the initial rate stays
+    zero).  The production path always starts quiescent.
     """
     grid = checked_grid(s, cfg)
     nx, ny, hx, hy = _axis_counts(cfg, s.L, s.H)
@@ -172,14 +172,9 @@ def solve_fdm(s: PlateScenario, cfg: FdmConfig, *, initial=None):
 
     if initial is None:
         u_prev = np.zeros((nx - 2, ny - 2))
-    elif callable(initial):
+    else:
         xx, yy = np.meshgrid(xi, yi, indexing="ij")
         u_prev = np.asarray(initial(xx, yy), dtype=float) - s.T0
-    else:
-        arr = np.asarray(initial, dtype=float)
-        if arr.shape != (nx, ny):
-            raise ValueError(f"initial field must be {(nx, ny)}, got {arr.shape}")
-        u_prev = arr[1:-1, 1:-1] - s.T0
 
     def snapshot(u, t):
         values = np.pad(u + s.T0, 1, constant_values=float(s.T0))

@@ -383,10 +383,3 @@ def solve_series(s: PlateScenario, t: float, M: int | None = None,
     coeffs = mode_coefficients(s, table, t, factors_factory=factors_factory)
     return SeriesSolution(s=s, table=table, coeffs=coeffs, t=float(t))
 
-
-def temperature(s: PlateScenario, grid: GridSpec, t: float,
-                M: int | None = None,
-                N: int | None = None) -> TemperatureField:
-    """Temperature field on the grid at time t via the truncated series."""
-    return solve_series(s, t, M, N).field(grid)
-

@@ -19,7 +19,7 @@ from dpl_heatlab.fdm import (deviation_report, project_gaussian_source_series,
 from dpl_heatlab.modes import (CRITICAL, OSCILLATORY, OVERDAMPED,
                                build_mode_table, kernel_matrix)
 from dpl_heatlab.series import (assemble_field, default_truncation,
-                                mode_coefficients, solve_series, temperature)
+                                mode_coefficients, solve_series)
 from dpl_heatlab.trajectory import position, velocity
 from coefficient_history import CoefficientHistory
 
@@ -111,11 +111,11 @@ def test_acceptance_03_boundary_and_initial_values_are_ambient():
             trajectory=dh.Trajectory(kind=kind, A=A, B=B,
                                      w=float(rng.uniform(0.1, 1.5)))))
         grid = dh.GridSpec(17, 13)
-        hot = temperature(s, grid, float(rng.uniform(0.5, 3.0)), 12, 12)
-        v = hot.values
+        hot = solve_series(s, float(rng.uniform(0.5, 3.0)), 12, 12)
+        v = hot.field(grid).values
         edge = max(np.abs(row - s.T0).max() for row in
                    (v[0, :], v[-1, :], v[:, 0], v[:, -1]))
-        start = float(np.abs(temperature(s, grid, 0.0, 12, 12).values
+        start = float(np.abs(solve_series(s, 0.0, 12, 12).field(grid).values
                              - s.T0).max())
         worst_edge = max(worst_edge, float(edge))
         worst_start = max(worst_start, start)

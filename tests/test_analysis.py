@@ -193,7 +193,7 @@ def test_sweep_csv_header_and_rows(tmp_path):
 
 def test_field_csv_layout(tmp_path):
     s = tiny_scenario()
-    field = dh.temperature(s, dh.GridSpec(3, 2), 1.0, M=2, N=2)
+    field = dh.solve_series(s, 1.0, M=2, N=2).field(dh.GridSpec(3, 2))
     path = tmp_path / "field.csv"
     write_field_csv(field, s, path)
     lines = path.read_text().splitlines()

@@ -95,7 +95,8 @@ def test_cli_entry_pins_blas_before_numpy_loads(caller):
 # Still in the package as the tests' reference integrator, but not public.
 UNEXPORTED = ("QuadratureSpec", "integrate_columns", "QuadratureNotConverged")
 # Unused names deleted outright, with the module they left.
-REMOVED = {"load_scenario": "model", "ZERO_ANGULAR_VELOCITY": "errors"}
+REMOVED = {"load_scenario": "model", "ZERO_ANGULAR_VELOCITY": "errors",
+           "temperature": "series"}
 
 
 def test_test_only_names_left_the_package():

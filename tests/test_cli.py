@@ -76,6 +76,55 @@ def test_field_run_writes_csv_plot_and_manifest(tmp_path):
     assert manifest["tool_version"] == dh.__version__
 
 
+# Each subcommand, a small run of it, and whether it takes --t and --modes.
+_MANIFEST_RUNS = {
+    "field": (["--t", "1", "--t", "2", "--modes", "3,4", "--grid", "5,4"],
+              True, True),
+    "profile": (["--t", "1", "--modes", "3,4", "--y0", "0.5",
+                 "--samples", "5"], True, True),
+    "peak-sweep": (["--t", "2.5", "--truncations", "4", "--grid", "21,21"],
+                   True, False),
+    "oracle": (["--modes", "3,4", "--fdm-hx", "0.1", "--fdm-hy", "0.1",
+                "--fdm-dt", "0.1", "--fdm-t-end", "0.5", "--fdm-sigma",
+                "0.3"], False, True),
+    "sweep": (["--t", "1", "--t", "2", "--modes", "3,4", "--samples", "5"],
+              True, True),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_MANIFEST_RUNS))
+def test_manifest_records_times_and_truncation_of_their_flags(tmp_path,
+                                                              command):
+    # times exactly when the command takes --t, truncation exactly when it
+    # takes --modes, each as the flags give it.
+    argv, takes_t, takes_modes = _MANIFEST_RUNS[command]
+    out = tmp_path / "o"
+    with contextlib.redirect_stdout(io.StringIO()):
+        rc = main([command, "--scenario", "ct_alpha2_q1_T1", *argv,
+                   "--out", str(out)])
+    assert rc == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert ("times" in manifest) == takes_t
+    assert ("truncation" in manifest) == takes_modes
+    if takes_t:
+        assert manifest["times"] == [float(v) for flag, v
+                                     in zip(argv, argv[1:]) if flag == "--t"]
+    if takes_modes:
+        assert manifest["truncation"] == [3, 4]
+
+
+def test_field_defaults_record_the_scenario_truncation_and_grid(tmp_path):
+    out = tmp_path / "o"
+    rc = main(["field", "--scenario", "ct_alpha2_q5_T1", "--t", "5",
+               "--out", str(out)])
+    assert rc == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    s, _ = dh.load_bundled("ct_alpha2_q5_T1")
+    assert manifest["truncation"] == list(dh.default_truncation(s)) == [40, 40]
+    grid = dh.default_peak_grid(s)
+    assert manifest["grid"] == [grid.nx, grid.ny] == [201, 201]
+
+
 def test_field_runs_are_deterministic(tmp_path):
     args = ["field", "--scenario", "ct_alpha2_q1_T1", "--t", "2.5",
             "--modes", "6,6", "--grid", "7,5"]
@@ -303,6 +352,12 @@ def test_grid_below_two_samples_exits_2_before_any_output(tmp_path, capsys,
     ["field", "--scenario", ".", "--t", "1"],
     ["peak-sweep", "--scenario", "lst_default", "--t", "27.5",
      "--truncations", "6,12", "--grid", "51,41", "--modes", "0,0"],
+    ["sweep", "--scenario", "ct_alpha2_q5_T1", "--t", "25", "--modes", "8,8",
+     "--samples", "24", "--tau-q="],
+    ["sweep", "--scenario", "ct_alpha2_q5_T1", "--t", "25", "--modes", "8,8",
+     "--samples", "24", "--tau-T="],
+    ["sweep", "--scenario", "ct_alpha2_q5_T1", "--t", "25", "--modes", "8,8",
+     "--samples", "24", "--w="],
 ], ids=["field-modes-0x3", "profile-modes-3x-1", "sweep-modes-0x2",
         "sweep-tau-q-abc", "oracle-modes-0x4", "peak-sweep-0", "peak-sweep-4x0",
         "profile-line-y-without-y0", "profile-y0-off-plate",
@@ -313,7 +368,8 @@ def test_grid_below_two_samples_exits_2_before_any_output(tmp_path, capsys,
         "oracle-sigma-under-resolved", "oracle-negative-dt",
         "oracle-store-every-0-without-fdm-block", "field-times-share-a-name",
         "sweep-tau-q-repeated", "peak-sweep-second-t", "oracle-negative-hx",
-        "oracle-zero-hx", "scenario-is-a-directory", "peak-sweep-modes"])
+        "oracle-zero-hx", "scenario-is-a-directory", "peak-sweep-modes",
+        "sweep-tau-q-empty", "sweep-tau-T-empty", "sweep-w-empty"])
 def test_bad_flags_exit_2_before_any_output(tmp_path, monkeypatch, capsys,
                                             argv):
     # Without its own --scenario a case runs on ct_alpha2_q1_T1.

@@ -463,9 +463,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         solve_fdm(s, dh.FdmConfig(hx=0.1, hy=0.1, dt=0.1, t_end=1.0,
                                   store_every=0))
-    with pytest.raises(ValueError):
-        solve_fdm(s, dh.FdmConfig(hx=0.1, hy=0.1, dt=0.1, t_end=1.0),
-                  initial=np.zeros((3, 3)))
 
 
 def test_deviation_report_semantics():

@@ -131,13 +131,13 @@ def test_scalar_and_batch_coefficients_agree():
 
 def test_field_at_time_zero_is_ambient():
     s = tiny_scenario(T0=300.0)
-    field = dh.temperature(s, dh.GridSpec(9, 7), 0.0, M=3, N=3)
+    field = dh.solve_series(s, 0.0, M=3, N=3).field(dh.GridSpec(9, 7))
     assert np.array_equal(field.values, np.full((9, 7), 300.0))
 
 
 def test_boundary_samples_are_exactly_ambient():
     s = tiny_scenario(T0=250.0)
-    field = dh.temperature(s, dh.GridSpec(13, 11), 4.0, M=6, N=6)
+    field = dh.solve_series(s, 4.0, M=6, N=6).field(dh.GridSpec(13, 11))
     v = field.values
     assert (v[0, :] == 250.0).all() and (v[-1, :] == 250.0).all()
     assert (v[:, 0] == 250.0).all() and (v[:, -1] == 250.0).all()
@@ -147,7 +147,8 @@ def test_boundary_samples_are_exactly_ambient():
 
 def test_negative_time_rejected():
     with pytest.raises(NegativeElapsed):
-        dh.temperature(tiny_scenario(), dh.GridSpec(5, 5), -1.0, M=2, N=2)
+        dh.solve_series(tiny_scenario(), -1.0, M=2, N=2).field(
+            dh.GridSpec(5, 5))
 
 
 @pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
@@ -160,7 +161,7 @@ def test_non_finite_time_rejected(t):
 def test_point_evaluation_matches_grid_sample():
     s = tiny_scenario()
     grid = dh.GridSpec(11, 9)
-    field = dh.temperature(s, grid, 3.0, M=5, N=5)
+    field = dh.solve_series(s, 3.0, M=5, N=5).field(grid)
     sol = dh.solve_series(s, 3.0, M=5, N=5)
     xs, ys = grid.axes(s.L, s.H)
     for i, j in [(0, 0), (3, 4), (10, 8), (5, 2)]:
@@ -172,15 +173,15 @@ def test_doubling_strength_doubles_excess_temperature():
     s = tiny_scenario(theta=137.0, T0=10.0)
     s2 = dataclasses.replace(s, theta=274.0)
     grid = dh.GridSpec(7, 7)
-    a = dh.temperature(s, grid, 2.5, M=4, N=4).values
-    b = dh.temperature(s2, grid, 2.5, M=4, N=4).values
+    a = dh.solve_series(s, 2.5, M=4, N=4).field(grid).values
+    b = dh.solve_series(s2, 2.5, M=4, N=4).field(grid).values
     assert np.allclose(b - 10.0, 2.0 * (a - 10.0), rtol=1e-13, atol=1e-13)
 
 
 def test_stationary_field_inherits_plate_symmetry():
     s = stationary_scenario()
     grid = dh.GridSpec(9, 9)
-    v = dh.temperature(s, grid, 10.0, M=7, N=7).values
+    v = dh.solve_series(s, 10.0, M=7, N=7).field(grid).values
     assert np.allclose(v, v[::-1, :], rtol=1e-11, atol=1e-11)
     assert np.allclose(v, v[:, ::-1], rtol=1e-11, atol=1e-11)
 
