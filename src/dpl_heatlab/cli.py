@@ -42,6 +42,7 @@ from .analysis import (
 from .errors import ConfigFormatError, PeakOnBoundary, UnstableConfig
 from .model import (
     FIELD_TYPES,
+    LINE,
     FdmConfig,
     GridSpec,
     default_peak_grid,
@@ -291,8 +292,7 @@ def _cmd_sweep(args, s, _fdm, modes):
     ts_lag = _parse_float_list(args.tau_T, "--tau-T", s.tau_T)
     ws = _parse_float_list(args.w, "--w", s.trajectory.w)
     # A closed path is profiled along itself, a line along its own height.
-    y0 = (None if s.trajectory.kind in ("circle", "ellipse")
-          else s.trajectory.cy)
+    y0 = s.trajectory.cy if s.trajectory.kind == LINE else None
 
     summary = ["tau_q,tau_T,w,t,peak\n"]
     profiles = []

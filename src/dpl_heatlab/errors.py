@@ -7,6 +7,7 @@ from dataclasses import dataclass
 NON_POSITIVE_GEOMETRY = "NonPositiveGeometry"
 NEGATIVE_LAG = "NegativeLag"
 TRAJECTORY_ESCAPES_PLATE = "TrajectoryEscapesPlate"
+INCONSISTENT_KIND = "InconsistentTrajectoryKind"
 NON_FINITE_VALUE = "NonFiniteValue"
 
 

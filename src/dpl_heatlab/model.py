@@ -14,6 +14,7 @@ from importlib import resources
 import numpy as np
 
 from .errors import (
+    INCONSISTENT_KIND,
     NEGATIVE_LAG,
     NON_FINITE_VALUE,
     NON_POSITIVE_GEOMETRY,
@@ -27,8 +28,6 @@ LINE = "line"
 CIRCLE = "circle"
 ELLIPSE = "ellipse"
 KINDS = (LINE, CIRCLE, ELLIPSE)
-
-INCONSISTENT_KIND = "InconsistentTrajectoryKind"
 
 
 @dataclass(frozen=True)
@@ -197,15 +196,20 @@ def validate_scenario(s: PlateScenario) -> PlateScenario:
                 f"got A={traj.A!r}, B={traj.B!r}"))
 
     if not violations:
-        # Geometry is sane, so the escape scan is meaningful.
-        from .trajectory import earliest_escape_time
-
-        t_escape = earliest_escape_time(traj, s.L, s.H)
-        if t_escape is not None:
+        # A moving source passes every phase once a period, so it covers the
+        # box cx +- A, cy +- B; a parked one (w = 0) stays at (cx + A, cy).
+        # The plate is open: a path that touches a wall escapes.
+        if traj.w:
+            xs = (traj.cx - traj.A, traj.cx + traj.A)
+            ys = (traj.cy - traj.B, traj.cy + traj.B)
+        else:
+            xs, ys = (traj.cx + traj.A,) * 2, (traj.cy,) * 2
+        if not (0.0 < xs[0] and xs[1] < s.L and 0.0 < ys[0] and ys[1] < s.H):
             violations.append(Violation(
                 TRAJECTORY_ESCAPES_PLATE,
-                "trajectory leaves the open plate interior, earliest offending "
-                f"t = {t_escape!r}"))
+                f"trajectory spans x in [{xs[0]!r}, {xs[1]!r}], "
+                f"y in [{ys[0]!r}, {ys[1]!r}], which leaves the open plate "
+                f"(0, {s.L!r}) x (0, {s.H!r})"))
 
     if violations:
         raise ScenarioValidationError(violations)
@@ -273,10 +277,7 @@ def _build(cls, mapping: dict, **given):
 
 
 def scenario_from_mapping(mapping: dict) -> PlateScenario:
-    s = _build(PlateScenario, mapping, trajectory=_build(Trajectory, mapping))
-    if s.trajectory.kind not in KINDS:
-        raise ConfigFormatError(f"unknown traj.kind {s.trajectory.kind!r}")
-    return s
+    return _build(PlateScenario, mapping, trajectory=_build(Trajectory, mapping))
 
 
 def fdm_from_mapping(mapping: dict) -> FdmConfig | None:

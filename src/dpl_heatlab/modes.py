@@ -43,8 +43,9 @@ class ModeTable:
     ``damping`` holds b1 for the lagged branch and the generalized decay
     rate alpha k2 / (1 + alpha tau_T k2) for the diffusive branch.  ``gain``
     is the diffusive amplitude factor 1 / (1 + alpha tau_T k2), identically
-    1 for the lagged branch.  ``slow`` is the cancellation-free b1 - b2 for
-    overdamped modes (equal to ``damping`` elsewhere, unused).
+    1 for the lagged branch.  ``slow`` is the real part of the slower rate
+    r1 on every mode: the cancellation-free b1 - b2 for overdamped modes,
+    ``damping`` elsewhere.
     """
 
     M: int

@@ -234,8 +234,7 @@ def _harmonic_coefficients(s: PlateScenario, table: ModeTable, t: float,
         harmonics = slice(qt // 2 + 1)
         regime, splitting = table.regime[sel], table.splitting[sel]
         osc = regime == OSCILLATORY
-        rate = np.where(regime == OVERDAMPED, table.slow[sel],
-                        table.damping[sel]).astype(complex)
+        rate = table.slow[sel].astype(complex)
         rate[osc] -= 1j * splitting[osc]
         # e^(-r1 t) is exactly 0 once Re(r1) t > 800; skipping those modes
         # keeps r1 t finite for any finite t (|Im r1| < Re r1).

@@ -1,4 +1,4 @@
-"""Source kinematics: position, velocity, period, and containment checks."""
+"""Source kinematics: position, velocity and period."""
 
 from __future__ import annotations
 
@@ -38,67 +38,3 @@ def period(traj: Trajectory) -> float:
     if traj.w == 0.0:
         raise ZeroAngularVelocity("trajectory has w = 0, no period exists")
     return 2.0 * math.pi / abs(traj.w)
-
-
-# --- containment -----------------------------------------------------------
-
-
-def _first_phase_cos(c: float, a: float, wall: float, direction: int):
-    """Earliest phase where c + a*cos(phase) crosses the wall (a > 0).
-
-    direction +1 looks for >= wall, -1 for <= wall.  cos starts at its
-    maximum, so a >=-crossing can only appear immediately.
-    """
-    ratio = (wall - c) / a
-    if direction > 0:
-        return 0.0 if ratio <= 1.0 else None
-    if ratio >= 1.0:
-        return 0.0
-    if ratio >= -1.0:
-        return math.acos(ratio)
-    return None
-
-
-def _first_phase_sin(c: float, b: float, wall: float, direction: int):
-    """Earliest phase where c + b*sin(phase) crosses the wall (any b)."""
-    if b == 0.0:
-        hit = c >= wall if direction > 0 else c <= wall
-        return 0.0 if hit else None
-    ratio = (wall - c) / b
-    need_ge = (direction > 0) == (b > 0.0)
-    if need_ge:
-        if ratio <= 0.0:
-            return 0.0
-        if ratio <= 1.0:
-            return math.asin(ratio)
-        return None
-    if ratio >= 0.0:
-        return 0.0
-    if ratio >= -1.0:
-        return math.pi + math.asin(-ratio)
-    return None
-
-
-def earliest_escape_time(traj: Trajectory, L: float, H: float):
-    """First t >= 0 at which the source leaves the open plate interior.
-
-    Returns None when the path stays strictly inside.  The answer is exact:
-    the earliest wall-crossing phase of cos/sin (or the parked position
-    when w = 0).
-    """
-    if traj.w == 0.0:
-        x0, y0 = traj.cx + traj.A, traj.cy
-        inside = 0.0 < x0 < L and 0.0 < y0 < H
-        return None if inside else 0.0
-
-    b = traj.B * math.copysign(1.0, traj.w)
-    candidates = [
-        _first_phase_cos(traj.cx, traj.A, L, +1),
-        _first_phase_cos(traj.cx, traj.A, 0.0, -1),
-        _first_phase_sin(traj.cy, b, H, +1),
-        _first_phase_sin(traj.cy, b, 0.0, -1),
-    ]
-    hits = [phi for phi in candidates if phi is not None]
-    if not hits:
-        return None
-    return min(hits) / abs(traj.w)

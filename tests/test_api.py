@@ -96,7 +96,7 @@ def test_cli_entry_pins_blas_before_numpy_loads(caller):
 UNEXPORTED = ("QuadratureSpec", "integrate_columns", "QuadratureNotConverged")
 # Unused names deleted outright, with the module they left.
 REMOVED = {"load_scenario": "model", "ZERO_ANGULAR_VELOCITY": "errors",
-           "temperature": "series"}
+           "temperature": "series", "earliest_escape_time": "trajectory"}
 
 
 def test_test_only_names_left_the_package():

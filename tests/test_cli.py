@@ -163,6 +163,24 @@ def test_invalid_scenario_file_exits_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("traj,fragment", [
+    (dh.Trajectory(kind="circle", A=0.25, B=0.25, w=1.0, cx=0.75, cy=0.5),
+     "trajectory spans x in [0.5, 1.0], y in [0.25, 0.75]"),
+    (dh.Trajectory(kind="spiral", A=0.25, B=0.25, w=1.0),
+     "unknown trajectory kind 'spiral'"),
+], ids=["touches-wall", "unknown-kind"])
+def test_rejected_path_exits_2_before_any_output(tmp_path, capsys, traj,
+                                                 fragment):
+    path = tmp_path / "case.cfg"
+    dh.save_scenario(tiny_scenario(trajectory=traj), path)
+    out = tmp_path / "o"
+    rc = main(["field", "--scenario", str(path), "--t", "1.0",
+               "--out", str(out)])
+    assert rc == 2
+    assert f"error: {fragment}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_profile_line_requires_y0(tmp_path, capsys):
     rc = main(["profile", "--scenario", "lst_default", "--t", "1.0",
                "--kind", "line-y", "--out", str(tmp_path / "o")])

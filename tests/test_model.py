@@ -3,16 +3,18 @@ import math
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import dpl_heatlab as dh
-from dpl_heatlab.errors import (NEGATIVE_LAG, NON_FINITE_VALUE,
-                                NON_POSITIVE_GEOMETRY,
+from dpl_heatlab.errors import (INCONSISTENT_KIND, NEGATIVE_LAG,
+                                NON_FINITE_VALUE, NON_POSITIVE_GEOMETRY,
                                 TRAJECTORY_ESCAPES_PLATE, ConfigFormatError,
                                 ScenarioValidationError)
-from dpl_heatlab.model import (INCONSISTENT_KIND, fdm_from_mapping,
+from dpl_heatlab.model import (CIRCLE, ELLIPSE, LINE, fdm_from_mapping,
                                parse_config_text, scenario_from_mapping)
+from dpl_heatlab.trajectory import period, position
 from helpers import classical, tiny_scenario, with_lags
 
 
@@ -39,8 +41,74 @@ def test_escaping_circle_rejected_with_earliest_time():
     with pytest.raises(ScenarioValidationError) as err:
         dh.validate_scenario(s)
     assert err.value.codes() == {TRAJECTORY_ESCAPES_PLATE}
-    # 0.5 + 0.6 > 1: the source already starts outside, so earliest t is 0.
-    assert "t = 0.0" in str(err.value)
+    # The message gives the path's box, cx +- A by cy +- B, and the plate.
+    lo, hi = 0.5 - 0.6, 0.5 + 0.6
+    assert str(err.value) == (
+        f"trajectory spans x in [{lo!r}, {hi!r}], y in [{lo!r}, {hi!r}], "
+        "which leaves the open plate (0, 1.0) x (0, 1.0)")
+
+
+# A dense scan of n samples over one period misses an extreme of the path
+# by at most A (1 - cos(pi / (n - 1))) < 3e-7 A, so a path that comes
+# closer to a wall than SCAN_TOL is left undecided by the scan.
+SCAN_SAMPLES = 4097
+SCAN_TOL = 1e-6
+
+
+def scan_wall_distance(traj, L, H):
+    """Least distance from the path to a wall, negative once outside: over
+    a dense scan of one period, or at the parked point when w = 0."""
+    ts = np.linspace(0.0, period(traj), SCAN_SAMPLES) if traj.w else 0.0
+    xs, ys = position(traj, ts)
+    return float(np.min([xs, L - xs, ys, H - ys]))
+
+
+@st.composite
+def _paths(draw):
+    """A scenario whose path has A > 0, B >= 0 and w parked or of either
+    sign, its centre often put where an extreme lands on a wall."""
+    L, H = draw(st.floats(0.2, 2.0)), draw(st.floats(0.2, 2.0))
+    A = draw(st.floats(0.01, L))
+    B = draw(st.one_of(st.just(0.0), st.just(A), st.floats(0.0, H)))
+    w = draw(st.one_of(st.just(0.0), st.floats(0.05, 2.0),
+                       st.floats(-2.0, -0.05)))
+    cx = draw(st.one_of(st.floats(0.0, L), st.sampled_from([A, L - A])))
+    cy = draw(st.one_of(st.floats(0.0, H), st.sampled_from([B, H - B])))
+    kind = LINE if B == 0.0 else CIRCLE if A == B else ELLIPSE
+    traj = dh.Trajectory(kind=kind, A=A, B=B, w=w, cx=cx, cy=cy)
+    return tiny_scenario(L=L, H=H, trajectory=traj)
+
+
+@settings(max_examples=300, deadline=None)
+@given(s=_paths())
+def test_escape_verdict_matches_a_dense_scan(s):
+    try:
+        dh.validate_scenario(s)
+        rejected = False
+    except ScenarioValidationError as err:
+        assert err.codes() == {TRAJECTORY_ESCAPES_PLATE}
+        rejected = True
+    gap = scan_wall_distance(s.trajectory, s.L, s.H)
+    if gap <= 0.0:
+        assert rejected
+    elif gap > SCAN_TOL:
+        assert not rejected
+
+
+@pytest.mark.parametrize("traj", [
+    dh.Trajectory(kind="circle", A=0.25, B=0.25, w=1.0, cx=0.75, cy=0.5),
+    dh.Trajectory(kind="line", A=0.25, B=0.0, w=-1.0, cx=0.25, cy=0.5),
+    dh.Trajectory(kind="circle", A=0.25, B=0.25, w=0.0, cx=0.75, cy=0.5),
+], ids=["circle-cx+A=L", "line-cx-A=0", "parked-cx+A=L"])
+def test_path_touching_a_wall_escapes(traj):
+    # The plate is open: an extreme exactly on a wall escapes, and one ulp
+    # of the centre towards the middle brings the path back inside.
+    assert traj.cx + traj.A == 1.0 or traj.cx - traj.A == 0.0
+    with pytest.raises(ScenarioValidationError) as err:
+        dh.validate_scenario(tiny_scenario(trajectory=traj))
+    assert err.value.codes() == {TRAJECTORY_ESCAPES_PLATE}
+    inward = dataclasses.replace(traj, cx=math.nextafter(traj.cx, 0.5))
+    dh.validate_scenario(tiny_scenario(trajectory=inward))
 
 
 def test_negative_lag_rejected():
@@ -151,11 +219,13 @@ def test_missing_required_key_rejected():
     assert "alpha" in str(err.value)
 
 
-def test_custom_kind_not_representable_in_files():
-    mapping = parse_config_text(dh.format_scenario(tiny_scenario()))
-    mapping["traj.kind"] = "custom"
-    with pytest.raises(ConfigFormatError):
-        scenario_from_mapping(mapping)
+def test_custom_kind_not_representable_in_files(tmp_path):
+    path = tmp_path / "case.cfg"
+    path.write_text(dh.format_scenario(tiny_scenario()).replace(
+        "traj.kind = circle", "traj.kind = custom"), encoding="utf-8")
+    with pytest.raises(ScenarioValidationError) as err:
+        dh.load_scenario_file(path)
+    assert err.value.codes() == {INCONSISTENT_KIND}
 
 
 def test_fdm_block_roundtrip(tmp_path):

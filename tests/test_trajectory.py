@@ -7,9 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import dpl_heatlab as dh
 from dpl_heatlab.errors import ZeroAngularVelocity
-from dpl_heatlab.trajectory import (earliest_escape_time, period, position,
-                                    velocity)
-from helpers import tiny_scenario
+from dpl_heatlab.trajectory import period, position, velocity
 
 
 def source_state(traj, t):
@@ -108,69 +106,3 @@ def test_velocity_matches_difference_quotient(kind, w, t):
     scale = max(abs(vx), abs(vy), 1e-3)
     assert abs((xp - xm) / (2 * h) - vx) < 1e-7 * scale + 1e-9
     assert abs((yp - ym) / (2 * h) - vy) < 1e-7 * scale + 1e-9
-
-
-# --- escape detection ------------------------------------------------------
-
-
-def scan_escape(traj, L, H, t_max=60.0, n=200_001):
-    """Independent dense-grid first-exit scan (no bisection refinement)."""
-    ts = np.linspace(0.0, t_max, n)
-    xs, ys = position(traj, ts)
-    out = (xs < 0) | (xs > L) | (ys < 0) | (ys > H)
-    idx = np.flatnonzero(out)
-    return None if idx.size == 0 else ts[idx[0]]
-
-
-def test_escape_immediately_outside():
-    traj = dh.Trajectory(kind="circle", A=0.6, B=0.6, w=1.0, cx=0.5, cy=0.5)
-    assert earliest_escape_time(traj, 1.0, 1.0) == 0.0
-
-
-def test_escape_time_matches_dense_scan():
-    # Crosses the top wall first: y = 0.5 + 0.55 sin(w t) hits 1.
-    traj = dh.Trajectory(kind="ellipse", A=0.3, B=0.55, w=0.2 * math.pi,
-                         cx=0.5, cy=0.5)
-    t = earliest_escape_time(traj, 1.0, 1.0)
-    expected = math.asin(0.5 / 0.55) / (0.2 * math.pi)
-    assert math.isclose(t, expected, rel_tol=1e-12)
-    assert math.isclose(t, scan_escape(traj, 1.0, 1.0), abs_tol=1e-3)
-
-
-def test_contained_trajectories_never_escape():
-    assert earliest_escape_time(ct_traj(), 1.0, 1.0) is None
-    assert earliest_escape_time(lst_traj(), 0.5, 0.4) is None
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    A=st.floats(0.05, 0.7),
-    B=st.floats(0.05, 0.7),
-    cx=st.floats(0.1, 0.9),
-    cy=st.floats(0.1, 0.9),
-    w=st.floats(0.1, 1.5),
-    flip=st.booleans(),
-)
-def test_escape_agrees_with_scan(A, B, cx, cy, w, flip):
-    traj = dh.Trajectory(kind="ellipse" if A != B else "circle", A=A, B=B,
-                         w=-w if flip else w, cx=cx, cy=cy)
-    got = earliest_escape_time(traj, 1.0, 1.0)
-    ref = scan_escape(traj, 1.0, 1.0, t_max=2.0 * period(traj))
-    if got is None:
-        # The open-interior convention counts a wall touch as an escape,
-        # so a strict scan certainly finds nothing either.
-        assert ref is None
-        return
-    # Reported time sits on or beyond a wall ...
-    x, y = position(traj, got)
-    eps = 1e-9
-    assert x <= eps or x >= 1.0 - eps or y <= eps or y >= 1.0 - eps
-    # ... and is not later than the first strictly-outside sample ...
-    if ref is not None:
-        assert got <= ref + 1e-9
-    # ... with every earlier sample still inside the closed plate.
-    if got > 1e-6:
-        ts = np.linspace(0.0, got - 1e-6, 2001)
-        xs, ys = position(traj, ts)
-        assert ((xs >= -eps) & (xs <= 1.0 + eps)
-                & (ys >= -eps) & (ys <= 1.0 + eps)).all()
