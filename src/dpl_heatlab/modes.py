@@ -78,7 +78,9 @@ def build_mode_table(s: PlateScenario, M: int, N: int) -> ModeTable:
 
     Regimes follow the exact sign of the discriminant
     (1 + alpha tau_T k2)^2 - 4 alpha tau_q k2; tau_q = 0 selects the
-    diffusive branch for the whole table.
+    diffusive branch for the whole table.  A stiffness 1 + alpha tau_T k2
+    or a lagged discriminant that overflows raises ``OverflowError``: the
+    rates would be inf or 0.
     """
     if M < 1 or N < 1:
         raise ValueError(f"truncation must be at least 1x1, got {M}x{N}")
@@ -88,15 +90,26 @@ def build_mode_table(s: PlateScenario, M: int, N: int) -> ModeTable:
     ky = n * (np.pi / s.H)
     k2 = kx * kx + ky * ky
 
-    stiffness = 1.0 + s.alpha * s.tau_T * k2
     # A lag so small that the fast rate stiffness/(2 tau_q) or the slow
     # rate's numerator alpha k2 / tau_q overflows is numerically
     # indistinguishable from the zero-lag branch; fall through rather than
     # propagate infs into the kernels; the last mode (M, N) has the max k2.
-    with np.errstate(over="ignore"):
+    # Past that, a stiffness or lagged discriminant that overflows has no
+    # finite rates, and raises.
+    with np.errstate(over="ignore", invalid="ignore"):
+        stiffness = 1.0 + s.alpha * s.tau_T * k2
         lag_resolvable = s.tau_q > 0.0 and bool(
             np.isfinite(stiffness[-1] / (2.0 * s.tau_q))
             and np.isfinite(s.alpha * k2[-1] / s.tau_q))
+        disc = (stiffness * stiffness - 4.0 * s.alpha * s.tau_q * k2
+                if lag_resolvable else stiffness)
+    if not np.isfinite(disc).all():
+        i = np.flatnonzero(~np.isfinite(disc))[0]
+        term = ("(1 + alpha tau_T k2)^2 - 4 alpha tau_q k2" if lag_resolvable
+                else "1 + alpha tau_T k2")
+        raise OverflowError(
+            f"mode ({m[i]}, {n[i]}): {term} overflows at alpha = "
+            f"{s.alpha!r}, tau_q = {s.tau_q!r}, tau_T = {s.tau_T!r}")
     if not lag_resolvable:
         gain = 1.0 / stiffness
         damping = s.alpha * k2 * gain
@@ -106,7 +119,6 @@ def build_mode_table(s: PlateScenario, M: int, N: int) -> ModeTable:
     else:
         gain = np.ones_like(k2)
         damping = stiffness / (2.0 * s.tau_q)
-        disc = stiffness * stiffness - 4.0 * s.alpha * s.tau_q * k2
         regime = np.where(disc > 0.0, OVERDAMPED,
                           np.where(disc < 0.0, OSCILLATORY, CRITICAL))
         regime = regime.astype(np.int8)

@@ -25,8 +25,11 @@ with period T = 2 pi / |w|, or is parked (w = 0), so the coefficients come
 from the source's harmonics: one FFT of the factors over a period, then a
 closed-form convolution of each harmonic with the kernel's exponentials,
 with the phase taken from fmod(t, T); cost and accuracy do not depend on
-t.  It walks the row-major (m, n) modes in one thread, in tiles of whole
-m-rows (or n-ranges of one row).  A point-source tile samples the period
+t.  The response is real: one real factor E = 1 / |s1 s2|^2 per
+(harmonic, mode), harmonic sums taken as BLAS products, and numerators
+written so that start-up times cancel nothing (``_start_up``).  It walks
+the row-major (m, n) modes in one thread, in tiles of whole m-rows (or
+n-ranges of one row).  A point-source tile samples the period
 only as finely as its own largest rates need (``_harmonic_samples``); the
 Gaussian source's wall terms are not band-limited by the rates, so its
 tiles keep the samples of the solve's largest rates.
@@ -35,8 +38,9 @@ The basis is separable.  The source factors are per-axis tables, built
 once per solve at the solve's samples, and each tile takes the FFT of its
 block of their product, scaled to one-sided amplitudes by powers of two.
 On a line (B = 0) y and vy do not move, so every factor is an x-table
-times one row sin(ky cy): the tile transforms its x-table alone, sums it
-against the response over the harmonics and scales the sums by that row.
+times one row sin(ky cy): the tile transforms its x-table alone, takes
+its weighted harmonics against E as one real product per m-row and
+scales the sums by that row.
 Assembly sums the series as SX @ A @ SY.T on a grid, or as the row sums
 of (SX @ A) * SY at paired points, with A the (M, N) amplitude matrix and
 SX, SY the per-axis sine tables.
@@ -183,6 +187,79 @@ def _harmonic_samples(s: PlateScenario, kx: float, ky: float) -> int:
     return 1 << math.ceil(math.log2(2.0 * (rho + 12.0 * rho ** (1 / 3) + 8.0)))
 
 
+# Taylor coefficients, highest power first, of phi_a(x) / x^2 with
+# phi_a(x) = 1 - e^(-x) (1 + x), of phi_b(y) / y with
+# phi_b(y) = 1 - (1 - e^(-y)) / y, and of (sin u - u) / u^3 and
+# (cos u - 1 + u^2 / 2) / u^4 in u^2.  Below |x|, |y| = 1/2 and |u| = 1,
+# where the closed forms cancel, the first term left out is under 1e-16
+# of the sum.
+_PHI_A = [(-1) ** k * (k - 1) / math.factorial(k) for k in range(17, 1, -1)]
+_PHI_B = [(-1) ** (k + 1) / math.factorial(k + 1) for k in range(16, 0, -1)]
+_SIN_LESS = [(-1) ** k / math.factorial(2 * k + 1) for k in range(10, 0, -1)]
+_COS_LESS = [(-1) ** k / math.factorial(2 * k) for k in range(10, 1, -1)]
+
+# Response terms: (harmonic vector, power of w) per row, the harmonic
+# vectors being 0: e^(i w t') - 1, 1: -i (e^(i w t') - 1), 2: e^(i w t') - 1
+# - i w t (+ (w t)^2 / 2 in form 3), 3: -i times that, 4: 1 and 5: -i.
+# Lagged rows 3-5 serve the modes that take form 2 or 3.
+_LAGGED = (np.array([0, 0, 1, 2, 2, 3, 4, 5, 4, 5]),
+           np.array([0, 2, 1, 0, 2, 1, 0, 1, 2, 3]))
+_CLASSICAL = (np.array([0, 1, 4, 5]), np.array([0, 1, 0, 1]))
+
+
+def _cancel_free(z, cut, series, closed):
+    """series(z) where |z| < cut, closed(z) elsewhere."""
+    near = np.abs(z) < cut
+    out = np.empty_like(z)
+    out[near] = series(z[near])
+    out[~near] = closed(z[~near])
+    return out
+
+
+def _start_up(table: ModeTable, t: float):
+    """Per-mode (kappa1, Lambda, form2) of the response numerators.
+
+    kappa = e^(-r1 t) (1 + r1 h) and lambda = e^(-r1 t) h (the kernel at
+    t) are real in every regime.  The numerator e^(i w t') - kappa -
+    i w lambda is taken as (e^(i w t') - 1) + kappa1 + i w Lambda with
+    Lambda = -lambda (form 1) or, for the modes still starting up
+    (``form2``: |t - lambda| < |lambda|), as (e^(i w t') - 1 - i w t) +
+    kappa1 + i w Lambda with Lambda = t - lambda (form 2).  With x = r1 t
+    and y = g t, kappa1 = 1 - kappa = phi_a(x) + x e^(-x) phi_b(y) and
+    t - lambda = t (1 - e^(-x) + e^(-x) phi_b(y)) do not cancel; the
+    diffusive kappa1 is 1 - e^(-r t).
+    """
+    kappa1, lam = np.ones(table.nmodes), np.zeros(table.nmodes)
+    form2 = np.zeros(table.nmodes, dtype=bool)
+    # e^(-r1 t) is exactly 0 once Re(r1) t > 800; skipping those modes
+    # keeps r1 t finite for any finite t.
+    with np.errstate(over="ignore"):
+        live = table.slow * t < 800.0
+    if table.classical:
+        kappa1[live] = -np.expm1(-table.slow[live] * t)
+        return kappa1, lam, form2
+    regime, splitting = table.regime[live], table.splitting[live]
+    x = table.slow[live] * t
+    y = np.where(regime == OVERDAMPED, 2.0 * splitting * t, 0.0)
+    osc = regime == OSCILLATORY
+    if osc.any():   # complex only where the rates are
+        turn = np.where(osc, splitting * t, 0.0)
+        x, y = x - 1j * turn, y + 2j * turn
+    decay = np.exp(-x)
+    phi_b = _cancel_free(y, 0.5, lambda y: y * np.polyval(_PHI_B, y),
+                         lambda y: 1.0 + np.expm1(-y) / y)
+    held = _cancel_free(y, 0.5, lambda y: 1.0 - y * np.polyval(_PHI_B, y),
+                        lambda y: -np.expm1(-y) / y)      # h / t
+    phi_a = _cancel_free(x, 0.5, lambda x: x * x * np.polyval(_PHI_A, x),
+                         lambda x: -np.expm1(-x) - x * np.exp(-x))
+    kappa1[live] = (phi_a + x * decay * phi_b).real
+    kernel = t * (decay * held).real
+    rest = t * (decay * phi_b - np.expm1(-x)).real
+    form2[live] = np.abs(rest) < np.abs(kernel)
+    lam[live] = np.where(form2[live], rest, -kernel)
+    return kappa1, lam, form2
+
+
 def _harmonic_coefficients(s: PlateScenario, table: ModeTable, t: float,
                            factory) -> np.ndarray:
     """Closed-form coefficients of a periodic (or parked, w = 0) source.
@@ -191,11 +268,28 @@ def _harmonic_coefficients(s: PlateScenario, table: ModeTable, t: float,
     Every lagged kernel is (e^(-r1 D) - e^(-r2 D)) / g with g = r2 - r1:
     r1 = slow and g = 2 b2 when overdamped, r1 = b1 - i |b2| and g = 2 i |b2|
     when oscillatory, r1 = b1 and g -> 0 when critical.  Each harmonic then
-    convolves exactly; with s1 = r1 + i w_j, h = -expm1(-g t) / g (t when
-    g = 0) and t' = fmod(t, T):
+    convolves exactly; with s1 = r1 + i w_j, s2 = s1 + g and t' = fmod(t, T)
+    the coefficient is Re sum_j F_j times
 
-      diffusive  (e^(i w_j t') - e^(-r1 t)) / s1
-      lagged     (e^(i w_j t') - e^(-r1 t) (1 + s1 h)) / (s1 (s1 + g))
+      diffusive  (e^(i w_j t') - kappa) / s1
+      lagged     (e^(i w_j t') - kappa - i w_j lambda) / (s1 s2)
+
+    with the real per-mode kappa and lambda of ``_start_up``, whose
+    numerator forms keep every digit at start-up times.  P = r1 r2 and
+    S = r1 + r2 are real in every regime, so 1 / (s1 s2) = (P - w^2 -
+    i w S) E and 1 / s1 = (r - i w) E with one real factor E per
+    (harmonic, mode), itself one small matrix product and a reciprocal.
+    Each coefficient is then a sum of per-mode terms (rows of ``terms``)
+    times sum_j Re(F_j V_j) w_j^p E_j over a few harmonic vectors V
+    (``vectors``, indexed by ``_LAGGED`` or ``_CLASSICAL``).  A line tile
+    takes those sums as one real (K x J) @ (J x C) product per m-row, its
+    x-spectrum's weights with E; a circle or ellipse tile as one
+    (K x 2J) @ (2J x P) product, the weights with E Re F over E Im F.
+    The DC harmonic is exactly kappa1 / P (kappa1 / r), and each tile
+    divides its rates and w by one power of two, so E keeps the range of
+    the complex division it replaced.  Mode constants times harmonic sums
+    cancel near a resonance w = b2 of a lightly damped oscillatory mode:
+    there about log10(b2 / b1) digits are lost.
     """
     M, N = table.M, table.N
     kx, ky = table.kx[::N], table.ky[:N]
@@ -206,8 +300,56 @@ def _harmonic_coefficients(s: PlateScenario, table: ModeTable, t: float,
         period = source_period(s.trajectory)
         taus = np.arange(q) * (period / q)
         base, phase = 2.0 * math.pi / period, math.fmod(t, period)
-    omega = 1j * base * np.arange(q // 2 + 1)[:, None]
-    wave = np.exp(omega * phase)
+    # Until the source's band (Jacobi-Anger, as in ``_harmonic_samples``)
+    # has turned by a radian, the form-2 modes also take out the leading
+    # term t^2 / 2 of their response (form 3): their numerators drop
+    # t^2 / 2 s1 s2, and each tile adds t^2 / 2 times its amplitudes' sum.
+    traj = s.trajectory
+    turn = base * (kx[-1] * abs(traj.A) + ky[-1] * abs(traj.B) + 1.0)
+    kappa1, lam, form2 = _start_up(table, t)
+    lead = (np.where(form2, 0.5 * t * t, 0.0)
+            if turn > 0.0 and t <= 1.0 / turn else None)
+    slow = table.slow
+    if table.classical:
+        order, (vec, power) = 1, _CLASSICAL
+        dens = slow[None]
+        terms = np.stack([slow, np.ones_like(slow), slow * kappa1, kappa1])
+        dc = kappa1 / slow
+    else:
+        order, (vec, power) = 2, _LAGGED
+        osc = table.regime == OSCILLATORY
+        split = table.splitting
+        gap = np.where(table.regime == OVERDAMPED, 2.0 * split, 0.0)
+        prod, total = slow * (slow + gap), 2.0 * slow + gap
+        prod[osc] += split[osc] ** 2
+        if lead is not None:
+            kappa1, lam = kappa1 - prod * lead, lam - total * lead
+        # |s1 s2|^2 = w^4 + (S^2 - 2 P) w^2 + P^2 with S^2 - 2 P =
+        # u1 |u1| + u2 |u2|: r1^2 + r2^2, or 2 (b1^2 - b2^2) if oscillatory.
+        dens = np.stack([slow, slow + gap, prod, total])
+        b1, b2 = slow[osc], split[osc]
+        dens[:2, osc] = np.copysign(np.sqrt(np.abs((b1 - b2) * (b1 + b2))),
+                                    b1 - b2)
+        two = form2.astype(float)
+        one = 1.0 - two
+        terms = np.stack([prod * one, -one, total * one, prod * two, -two,
+                          total * two, prod * kappa1,
+                          total * kappa1 - prod * lam, total * lam - kappa1,
+                          lam])
+        dc = kappa1 / prod
+    freq = base * np.arange(q // 2 + 1)
+    theta = freq * phase
+    wave = -2.0 * np.sin(0.5 * theta) ** 2 + 1j * np.sin(theta)
+    late = wave   # form 2: e^(i w t') - 1 - i w t; form 3: + (w t)^2 / 2
+    if form2.any():
+        less = _cancel_free(
+            theta, 1.0, lambda u: u ** 3 * np.polyval(_SIN_LESS, u * u),
+            lambda u: np.sin(u) - u) + (theta - freq * t)
+        late = wave.real + 1j * less if lead is None else _cancel_free(
+            theta, 1.0, lambda u: u ** 4 * np.polyval(_COS_LESS, u * u),
+            lambda u: 0.5 * u * u - 2.0 * np.sin(0.5 * u) ** 2) + 1j * less
+    vectors = np.stack([wave, -1j * wave, late, -1j * late,
+                        np.ones_like(wave), np.full_like(wave, -1j)])
     factors = factory(s, kx, ky, taus)
     rows, cols = max(1, HARMONIC_CHUNK // N), min(N, HARMONIC_CHUNK)
     tiles = []
@@ -226,39 +368,65 @@ def _harmonic_coefficients(s: PlateScenario, table: ModeTable, t: float,
     # mapping and faulting in fresh pages.
     tiles.sort(key=lambda tile: tile[4] * (tile[2] - tile[0])
                * (tile[3] - tile[1]), reverse=True)
-    out = np.empty(table.nmodes)
+    out, cache = np.empty(table.nmodes), {}
+    # powers of the tile's scale in u1, u2, P and S (r on the diffusive branch)
+    units = np.array([[1]] if table.classical else [[1], [1], [2], [1]])
     for m0, n0, m1, n1, qt in tiles:
         sel = slice(m0 * N + n0, (m1 - 1) * N + n1)
         spec, row = factors.spectrum(slice(m0, m1), slice(n0, n1),
                                      slice(None, None, q // qt))
-        harmonics = slice(qt // 2 + 1)
-        regime, splitting = table.regime[sel], table.splitting[sel]
-        osc = regime == OSCILLATORY
-        rate = table.slow[sel].astype(complex)
-        rate[osc] -= 1j * splitting[osc]
-        # e^(-r1 t) is exactly 0 once Re(r1) t > 800; skipping those modes
-        # keeps r1 t finite for any finite t (|Im r1| < Re r1).
-        with np.errstate(over="ignore"):
-            live = rate.real * t < 800.0
-        decay = np.zeros(rate.shape, dtype=complex)
-        decay[live] = np.exp(-rate[live] * t)
-        s1 = rate + omega[harmonics]
-        if table.classical:
-            resp = (wave[harmonics] - decay) / s1
-        else:
-            gap = np.where(regime == OVERDAMPED, 2.0 * splitting,
-                           0.0).astype(complex)
-            gap[osc] = 2j * splitting[osc]
-            ramp = np.full(gap.shape, t, dtype=complex)
-            split = live & (gap != 0.0)
-            ramp[split] = -np.expm1(-gap[split] * t) / gap[split]
-            resp = ((wave[harmonics] - (decay + s1 * (decay * ramp)))
-                    / (s1 * (s1 + gap)))
-        if row is None:
-            out[sel] = np.einsum("jp,jp->p", spec, resp).real
-        else:   # sum each x-spectrum over the harmonics, then scale by row
-            out[sel] = (np.einsum("jr,jrc->rc", spec, resp.reshape(
-                len(spec), m1 - m0, -1)).real * row).ravel()
+        line = slice(None) if row is None else np.s_[:, None]
+        grid = (-1,) if row is None else (m1 - m0, -1)
+        coeffs = spec[0].real[line] * dc[sel].reshape(grid)
+        if lead is not None:
+            coeffs += spec.real.sum(axis=0)[line] * lead[sel].reshape(grid)
+        harm = qt // 2
+        if harm:
+            # Rates and w are divided by 2^scale, which centres log |s1 s2|
+            # (log |s1|) between the tile's first mode at w_1 and its last
+            # at w_harm.
+            ends = np.abs(dens[:order, [sel.start, sel.stop - 1]]).tolist()
+            scale = round(sum(math.log2(max(lo, base)) + math.log2(
+                max(hi, freq[harm])) for lo, hi in ends) / (2 * order))
+            key = (harm, scale)
+            if key not in cache:
+                omega = np.ldexp(freq[1:harm + 1], -scale)
+                weights = vectors[vec, 1:harm + 1] * omega ** power[:, None]
+                cache[key] = (np.hstack([weights.real, -weights.imag]),
+                              omega[:, None] ** np.arange(2 * order, -1, -2))
+            weights, left = cache[key]
+            d = dens[:, sel] * np.ldexp(1.0, -units * scale)
+            if table.classical:
+                right = np.stack([np.ones_like(d[0]), d[0] * d[0]])
+            else:
+                right = np.stack([np.ones_like(d[0]), d[0] * np.abs(d[0])
+                                  + d[1] * np.abs(d[1]), d[2] * d[2]])
+            gain = left @ right
+            weak = d[0] < 0.0   # b2 > b1: near w = b2 that sum cancels
+            if weak.any():
+                sq = left[:, 1:2]
+                fix = d[2][weak] - sq
+                fix *= fix
+                fix += sq * d[3][weak] ** 2   # (P - w^2)^2 + (w S)^2
+                gain[:, weak] = fix
+            np.reciprocal(gain, out=gain)
+            part = terms[:, sel] * np.ldexp(1.0, (power[:, None] - order)
+                                            * scale)
+            fs = spec[1:]
+            if row is None:
+                stack = np.empty((2 * harm, gain.shape[1]))
+                np.multiply(gain, fs.real, out=stack[:harm])
+                np.multiply(gain, fs.imag, out=stack[harm:])
+                part = np.einsum("kp,kp->p", part, weights @ stack)
+            else:
+                fs = fs.T[:, None, :]
+                sums = (fs.real * weights[:, :harm]
+                        + fs.imag * weights[:, harm:]) @ gain.reshape(
+                            harm, m1 - m0, -1).transpose(1, 0, 2)
+                part = np.einsum("rkc,krc->rc", sums,
+                                 part.reshape(len(part), m1 - m0, -1))
+            coeffs = coeffs + np.ldexp(part, -order * scale)
+        out[sel] = (coeffs if row is None else coeffs * row).ravel()
     return out
 
 

@@ -296,6 +296,21 @@ def test_overflowing_time_exits_3(tmp_path, monkeypatch, capsys):
     assert not out.exists()
 
 
+def test_overflowing_mode_table_exits_3_before_any_output(tmp_path, capsys):
+    # lst_q1_T1 at alpha = 1e200 used to write NaN at every sample and
+    # exit 0; the lagged discriminant overflows, so the run fails instead.
+    s, _ = dh.load_bundled("lst_q1_T1")
+    path = tmp_path / "case.cfg"
+    dh.save_scenario(dataclasses.replace(s, alpha=1e200), path)
+    out = tmp_path / "o"
+    rc = main(["profile", "--scenario", str(path), "--t", "25",
+               "--modes", "6,6", "--kind", "line-y", "--y0", "0.2",
+               "--samples", "5", "--out", str(out)])
+    assert rc == 3
+    assert "error: numerical failure: mode (1, 1)" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_huge_time_writes_the_periodic_state(tmp_path):
     s, _ = dh.load_bundled("ct_alpha2_q1_T1")
     period = 2.0 * math.pi / abs(s.trajectory.w)

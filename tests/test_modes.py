@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import mpmath
@@ -72,6 +73,32 @@ def test_classical_branch_rates():
     stiff = 1.0 + smoothed.alpha * smoothed.tau_T * t2.k2
     assert np.allclose(t2.gain, 1.0 / stiff, rtol=1e-15)
     assert np.allclose(t2.damping, smoothed.alpha * t2.k2 / stiff, rtol=1e-15)
+
+
+@pytest.mark.parametrize("change,term", [
+    ({"alpha": 1e200}, r"\(1 \+ alpha tau_T k2\)\^2 - 4 alpha tau_q k2"),
+    ({"alpha": 1.0, "tau_T": 1e308}, r"1 \+ alpha tau_T k2"),
+], ids=["discriminant", "stiffness"])
+def test_overflowing_rates_raise(change, term):
+    # alpha = 1e200 on lst_q1_T1: (1 + alpha tau_T k2)^2 overflows, so the
+    # rates would be inf.  alpha = 1, tau_T = 1e308: 1 + alpha tau_T k2
+    # itself overflows, which once demoted the table to the diffusive
+    # branch with zero rates.  Both used to give NaN coefficients.
+    s, _ = dh.load_bundled("lst_q1_T1")
+    with pytest.raises(OverflowError,
+                       match=rf"mode \(1, 1\): {term} overflows"):
+        build_mode_table(dataclasses.replace(s, **change), 6, 6)
+
+
+def test_classical_branch_keeps_huge_diffusivities():
+    # The classical table has no discriminant: at alpha = 1e200 its rates
+    # and coefficients stay finite.
+    s, _ = dh.load_bundled("lst_default")
+    s = dataclasses.replace(s, alpha=1e200)
+    table = build_mode_table(s, 6, 6)
+    assert table.classical and np.isfinite(table.slow).all()
+    coeffs = mode_coefficients(s, table, 25.0)
+    assert np.isfinite(coeffs).all() and np.abs(coeffs).max() > 0.0
 
 
 def test_table_sorted_and_indexable():

@@ -16,8 +16,9 @@ from dpl_heatlab.series import (PointSourceFactors, amplitudes,
                                 prefactor, resolve_threads,
                                 resolve_truncation)
 from coefficient_history import CoefficientHistory
-from helpers import (classical, kahan_mode_sum, simpson_mode_coefficient,
-                     tiny_scenario, with_lags)
+from helpers import (classical, complex_response_coefficients,
+                     kahan_mode_sum, simpson_mode_coefficient, tiny_scenario,
+                     with_lags)
 
 
 def stationary_scenario(**overrides):
@@ -756,8 +757,10 @@ def _general_path(base):
 @pytest.mark.parametrize("gaussian", [False, True], ids=["point", "gaussian"])
 @pytest.mark.parametrize("name,lags", [("lst_default", None),
                                        ("lst_q1_T1", None),
-                                       ("lst_q1_T1", (0.0, 1.0))],
-                         ids=["classical", "lagged", "tau_T-only"])
+                                       ("lst_q1_T1", (0.0, 1.0)),
+                                       ("lst_q1_T1", (5.0, 1.0))],
+                         ids=["classical", "lagged", "tau_T-only",
+                              "oscillatory"])
 def test_line_spectrum_matches_the_product_path(name, lags, gaussian):
     from dpl_heatlab.fdm import GaussianSourceFactors
 
@@ -793,3 +796,75 @@ def test_huge_times_give_the_periodic_state(name, t):
     scale = np.abs(ref).max()
     assert scale > 0.0
     assert np.abs(huge - ref).max() <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("t", [1e-3, 1e-2])
+@pytest.mark.parametrize("name", ["lst_q1_T1", "lst_default",
+                                  "ct_alpha2_q5_T1"])
+def test_start_up_coefficients_match_brute_force_simpson(name, t):
+    # Long before the slowest modes decay, e^(i w t') - kappa - i w lambda
+    # is a difference of nearly equal terms; written as form 2 (or 3) it
+    # keeps every digit.  The complex division of the harmonics missed
+    # Simpson by 6.7e-8 (lst_q1_T1), 1.2e-11 (lst_default) and 6.6e-11
+    # (ct_alpha2_q5_T1) of max|c| at t = 1e-3.
+    s, _ = dh.load_bundled(name)
+    table = build_mode_table(s, 12, 12)
+    coeffs = mode_coefficients(s, table, t)
+    scale = np.abs(coeffs).max()
+    for m, n in [(1, 1), (1, 2), (2, 3), (4, 1), (5, 7), (9, 4), (12, 12)]:
+        ref = simpson_mode_coefficient(s, m, n, t, panels=2_000, table=table)
+        assert abs(coeffs[table.index_of(m, n)] - ref) <= 1e-13 * scale, (m, n)
+
+
+@pytest.mark.parametrize("name", dh.bundled_scenario_names())
+def test_real_response_matches_the_complex_reference(name):
+    # One real factor per (harmonic, mode) and BLAS sums against one
+    # complex division per pair, at every bundled scenario's default
+    # truncation and times past the start-up.
+    s, _ = dh.load_bundled(name)
+    table = build_mode_table(s, *default_truncation(s))
+    for t in (7.0, 25.0, 365.0 if s.trajectory.kind == "line" else 360.0):
+        got = mode_coefficients(s, table, t)
+        ref = complex_response_coefficients(s, table, t)
+        assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max(), t
+
+
+@pytest.mark.parametrize("tau_q", [5.0, 50.0])
+def test_lightly_damped_modes_match_the_complex_reference(tau_q):
+    # tau_T = 0 leaves oscillatory modes with b2 up to 90 (tau_q = 5) and
+    # 285 (tau_q = 50) times b1, where the expanded |s1 s2|^2 cancels near
+    # w = b2; written there as (P - w^2)^2 + (w S)^2 it keeps the sums
+    # within 3.4e-14 of max|c|, against 7.6e-13 without.
+    s, _ = dh.load_bundled("ct_alpha2_q5_T1")
+    s = with_lags(s, tau_q, 0.0)
+    table = build_mode_table(s, 40, 40)
+    assert (table.splitting > 50.0 * table.damping).any()
+    got = mode_coefficients(s, table, 25.0)
+    ref = complex_response_coefficients(s, table, 25.0)
+    assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+EXTREMES = {"alpha=1e-300": {"alpha": 1e-300},
+            "tau_q=1e-200": {"tau_q": 1e-200},
+            "w=1e100": {"w": 1e100}, "w=1e-200": {"w": 1e-200}}
+
+
+@pytest.mark.parametrize("change", list(EXTREMES))
+@pytest.mark.parametrize("name", ["lst_q1_T1", "lst_default"])
+def test_extreme_rates_and_frequencies_keep_the_complex_range(name, change):
+    # Without the exact DC term and the per-tile power of two, 1 / |s1 s2|^2
+    # overflows or underflows here while a complex division does not.
+    s, _ = dh.load_bundled(name)
+    fields = dict(EXTREMES[change])
+    if "w" in fields:
+        fields = {"trajectory": dataclasses.replace(s.trajectory,
+                                                    w=fields["w"])}
+    s = dh.validate_scenario(dataclasses.replace(s, **fields))
+    table = build_mode_table(s, 6, 6)
+    ref = complex_response_coefficients(s, table, 25.0)
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        got = mode_coefficients(s, table, 25.0)
+    assert np.isfinite(got).all()
+    scale = np.abs(ref).max()
+    assert 0.0 < scale < np.inf
+    assert np.abs(got - ref).max() <= 1e-12 * scale
