@@ -105,11 +105,19 @@ fig.savefig("peak_sweep.png", dpi=160, bbox_inches="tight")
 '''
 
 
+def _read(parse, token: str, flag: str, text: str):
+    """parse(token), or a ValueError that names the flag and its value."""
+    try:
+        return parse(token)
+    except ValueError:
+        raise ValueError(f"{flag} cannot read {token!r} in {text!r}") from None
+
+
 def _parse_pair(text: str, flag: str) -> tuple[int, int]:
     parts = text.split(",")
     if len(parts) != 2:
         raise ValueError(f"{flag} expects 'A,B', got {text!r}")
-    return int(parts[0]), int(parts[1])
+    return _read(int, parts[0], flag, text), _read(int, parts[1], flag, text)
 
 
 def _parse_float_token(token: str) -> float:
@@ -128,16 +136,18 @@ def _parse_float_list(text: str | None, flag: str,
     items = [p for p in (part.strip() for part in text.split(",")) if p]
     if not items:
         raise ValueError(f"{flag} must list at least one value")
-    return [_parse_float_token(p) for p in items]
+    return [_read(_parse_float_token, p, flag, text) for p in items]
+
+
+def _parse_truncation(item: str) -> tuple[int, int]:
+    a, b = item.split("x", 1) if "x" in item else (item, item)
+    return int(a), int(b)
 
 
 def _parse_truncations(text: str) -> list[tuple[int, int]]:
     items = [p for p in (part.strip() for part in text.split(",")) if p]
-    out = []
-    for item in items:
-        a, b = item.split("x", 1) if "x" in item else (item, item)
-        out.append((int(a), int(b)))
-    return out
+    return [_read(_parse_truncation, item, "--truncations", text)
+            for item in items]
 
 
 def _load_scenario_arg(arg: str):

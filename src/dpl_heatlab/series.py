@@ -29,7 +29,9 @@ t.  The response is real: one real factor E = 1 / |s1 s2|^2 per
 (harmonic, mode), harmonic sums taken as BLAS products, and numerators
 written so that start-up times cancel nothing (``_start_up``).  It walks
 the row-major (m, n) modes in one thread, in tiles of whole m-rows (or
-n-ranges of one row).  A point-source tile samples the period
+even n-ranges of one row) whose largest array holds at most
+``TILE_BUDGET`` = 2^15 doubles (``_tile_plan``), so that a tile's
+working set stays about L2-sized.  A point-source tile samples the period
 only as finely as its own largest rates need (``_harmonic_samples``); the
 Gaussian source's wall terms are not band-limited by the rates, so its
 tiles keep the samples of the solve's largest rates.
@@ -59,7 +61,12 @@ from .modes import OSCILLATORY, OVERDAMPED, ModeTable, build_mode_table
 from .trajectory import period as source_period
 from .trajectory import position, velocity
 
-HARMONIC_CHUNK = 256
+# Doubles in a tile's largest array (``_tile_plan``): 256 KB, so that a
+# tile's working set stays about L2-sized.  Tiles of 240 modes held 1 MB
+# arrays on the 80x80 circle and ellipse (512 samples), and this budget
+# made those solves about 30 % faster.  2^14 was slower on every scenario
+# measured; 2^16 was no faster on them and grows the largest line tile.
+TILE_BUDGET = 1 << 15
 
 
 def default_truncation(s: PlateScenario) -> tuple[int, int]:
@@ -187,6 +194,59 @@ def _harmonic_samples(s: PlateScenario, kx: float, ky: float) -> int:
     return 1 << math.ceil(math.log2(2.0 * (rho + 12.0 * rho ** (1 / 3) + 8.0)))
 
 
+def _tile_plan(s: PlateScenario, kx: np.ndarray, ky: np.ndarray, q: int,
+               factors) -> list[tuple[int, int, int, int, int]]:
+    """Tiles (m0, n0, m1, n1, qt) of the M x N modes, largest first.
+
+    Each tile is a run of the row-major table: whole m-rows m0 ... m1 - 1,
+    or one row's n-range n0 ... n1 - 1, sampled at the qt of its largest
+    rates (the solve's q unless ``factors`` are band-limited).  It takes
+    the most modes whose largest array holds at most ``TILE_BUDGET``
+    doubles: qt samples per mode on a circle or ellipse (the factor block,
+    its rfft and the E-weighted stack), qt / 2 harmonics per mode on a
+    line (E).  A row over budget splits into the fewest even n-ranges that
+    fit; a single mode over budget is a tile of its own.
+    """
+    M, N = len(kx), len(ky)
+    kx, ky = kx.tolist(), ky.tolist()   # Python floats: faster scalar sums
+
+    def samples(m, n):
+        return (_harmonic_samples(s, kx[m], ky[n])
+                if factors.band_limited and q > 1 else q)
+
+    def per_mode(qt):   # doubles of the largest array
+        return max(1, qt // 2 if factors.still else qt)
+
+    row_qt = [samples(m, N - 1) for m in range(M)]
+    tiles, m0 = [], 0
+    while m0 < M:
+        m1 = m0 + 1
+        over = N * per_mode(row_qt[m0])
+        if over > TILE_BUDGET:
+            # The fewest even n-ranges that fit, or single modes.
+            for parts in range(min(N, -(-over // TILE_BUDGET)), N + 1):
+                cuts = [i * N // parts for i in range(parts + 1)]
+                split = [(n0, n1, samples(m0, n1 - 1))
+                         for n0, n1 in zip(cuts, cuts[1:])]
+                if all((n1 - n0) * per_mode(qt) <= TILE_BUDGET
+                       for n0, n1, qt in split):
+                    break
+            tiles += [(m0, n0, m1, n1, qt) for n0, n1, qt in split]
+        else:
+            while (m1 < M and (m1 + 1 - m0) * N * per_mode(row_qt[m1])
+                   <= TILE_BUDGET):
+                m1 += 1
+            tiles.append((m0, 0, m1, N, row_qt[m1 - 1]))
+        m0 = m1
+    # Largest tiles (qt times modes) first: each fills only its own run of
+    # the coefficients, and once the largest temporaries are freed, glibc's
+    # raised mmap threshold lets the smaller ones reuse that heap instead
+    # of mapping and faulting in fresh pages.
+    tiles.sort(key=lambda tile: tile[4] * (tile[2] - tile[0])
+               * (tile[3] - tile[1]), reverse=True)
+    return tiles
+
+
 # Taylor coefficients, highest power first, of phi_a(x) / x^2 with
 # phi_a(x) = 1 - e^(-x) (1 + x), of phi_b(y) / y with
 # phi_b(y) = 1 - (1 - e^(-y)) / y, and of (sin u - u) / u^3 and
@@ -291,7 +351,7 @@ def _harmonic_coefficients(s: PlateScenario, table: ModeTable, t: float,
     cancel near a resonance w = b2 of a lightly damped oscillatory mode:
     there about log10(b2 / b1) digits are lost.
     """
-    M, N = table.M, table.N
+    N = table.N
     kx, ky = table.kx[::N], table.ky[:N]
     if s.trajectory.w == 0.0:
         q, taus, base, phase = 1, np.zeros(1), 0.0, 0.0
@@ -351,28 +411,12 @@ def _harmonic_coefficients(s: PlateScenario, table: ModeTable, t: float,
     vectors = np.stack([wave, -1j * wave, late, -1j * late,
                         np.ones_like(wave), np.full_like(wave, -1j)])
     factors = factory(s, kx, ky, taus)
-    rows, cols = max(1, HARMONIC_CHUNK // N), min(N, HARMONIC_CHUNK)
-    tiles = []
-    for m0 in range(0, M, rows):
-        for n0 in range(0, N, cols):
-            # Whole rows, or part of one row: either way a run of the table.
-            m1, n1 = min(m0 + rows, M), min(n0 + cols, N)
-            # q and qt are powers of two: the tile reads every (q/qt)-th
-            # sample.
-            qt = (_harmonic_samples(s, kx[m1 - 1], ky[n1 - 1])
-                  if factors.band_limited and q > 1 else q)
-            tiles.append((m0, n0, m1, n1, qt))
-    # Largest tiles (qt times modes) first: each fills only its own run of
-    # ``out``, and once the largest temporaries are freed, glibc's raised
-    # mmap threshold lets the smaller ones reuse that heap instead of
-    # mapping and faulting in fresh pages.
-    tiles.sort(key=lambda tile: tile[4] * (tile[2] - tile[0])
-               * (tile[3] - tile[1]), reverse=True)
     out, cache = np.empty(table.nmodes), {}
     # powers of the tile's scale in u1, u2, P and S (r on the diffusive branch)
     units = np.array([[1]] if table.classical else [[1], [1], [2], [1]])
-    for m0, n0, m1, n1, qt in tiles:
+    for m0, n0, m1, n1, qt in _tile_plan(s, kx, ky, q, factors):
         sel = slice(m0 * N + n0, (m1 - 1) * N + n1)
+        # q and qt are powers of two: the tile reads every (q/qt)-th sample.
         spec, row = factors.spectrum(slice(m0, m1), slice(n0, n1),
                                      slice(None, None, q // qt))
         line = slice(None) if row is None else np.s_[:, None]

@@ -91,7 +91,7 @@ def complex_response_coefficients(s, table, t, factory=None):
     from dpl_heatlab import series
     from dpl_heatlab.modes import OSCILLATORY, OVERDAMPED
 
-    M, N = table.M, table.N
+    N = table.N
     kx, ky = table.kx[::N], table.ky[:N]
     if s.trajectory.w == 0.0:
         q, taus, base, phase = 1, np.zeros(1), 0.0, 0.0
@@ -103,45 +103,39 @@ def complex_response_coefficients(s, table, t, factory=None):
     omega = 1j * base * np.arange(q // 2 + 1)[:, None]
     wave = np.expm1(omega * phase)   # e^(i w t') - 1
     factors = (factory or series.PointSourceFactors)(s, kx, ky, taus)
-    chunk = series.HARMONIC_CHUNK
-    rows, cols = max(1, chunk // N), min(N, chunk)
     out = np.empty(table.nmodes)
-    for m0 in range(0, M, rows):
-        for n0 in range(0, N, cols):
-            m1, n1 = min(m0 + rows, M), min(n0 + cols, N)
-            qt = (series._harmonic_samples(s, kx[m1 - 1], ky[n1 - 1])
-                  if factors.band_limited and q > 1 else q)
-            sel = slice(m0 * N + n0, (m1 - 1) * N + n1)
-            spec, row = factors.spectrum(slice(m0, m1), slice(n0, n1),
-                                         slice(None, None, q // qt))
-            harmonics = slice(qt // 2 + 1)
-            regime, splitting = table.regime[sel], table.splitting[sel]
-            osc = regime == OSCILLATORY
-            rate = table.slow[sel].astype(complex)
-            rate[osc] -= 1j * splitting[osc]
-            with np.errstate(over="ignore"):
-                live = rate.real * t < 800.0
-            decay = np.zeros(rate.shape, dtype=complex)
-            decay[live] = np.exp(-rate[live] * t)
-            rest = np.ones(rate.shape, dtype=complex)   # 1 - e^(-r1 t)
-            rest[live] = -np.expm1(-rate[live] * t)
-            s1 = rate + omega[harmonics]
-            if table.classical:
-                resp = (wave[harmonics] + rest) / s1
-            else:
-                gap = np.where(regime == OVERDAMPED, 2.0 * splitting,
-                               0.0).astype(complex)
-                gap[osc] = 2j * splitting[osc]
-                ramp = np.full(gap.shape, t, dtype=complex)
-                split = live & (gap != 0.0)
-                ramp[split] = -np.expm1(-gap[split] * t) / gap[split]
-                resp = ((wave[harmonics] + rest - s1 * (decay * ramp))
-                        / (s1 * (s1 + gap)))
-            if row is None:
-                out[sel] = np.einsum("jp,jp->p", spec, resp).real
-            else:
-                out[sel] = (np.einsum("jr,jrc->rc", spec, resp.reshape(
-                    len(spec), m1 - m0, -1)).real * row).ravel()
+    for m0, n0, m1, n1, qt in series._tile_plan(s, kx, ky, q, factors):
+        sel = slice(m0 * N + n0, (m1 - 1) * N + n1)
+        spec, row = factors.spectrum(slice(m0, m1), slice(n0, n1),
+                                     slice(None, None, q // qt))
+        harmonics = slice(qt // 2 + 1)
+        regime, splitting = table.regime[sel], table.splitting[sel]
+        osc = regime == OSCILLATORY
+        rate = table.slow[sel].astype(complex)
+        rate[osc] -= 1j * splitting[osc]
+        with np.errstate(over="ignore"):
+            live = rate.real * t < 800.0
+        decay = np.zeros(rate.shape, dtype=complex)
+        decay[live] = np.exp(-rate[live] * t)
+        rest = np.ones(rate.shape, dtype=complex)   # 1 - e^(-r1 t)
+        rest[live] = -np.expm1(-rate[live] * t)
+        s1 = rate + omega[harmonics]
+        if table.classical:
+            resp = (wave[harmonics] + rest) / s1
+        else:
+            gap = np.where(regime == OVERDAMPED, 2.0 * splitting,
+                           0.0).astype(complex)
+            gap[osc] = 2j * splitting[osc]
+            ramp = np.full(gap.shape, t, dtype=complex)
+            split = live & (gap != 0.0)
+            ramp[split] = -np.expm1(-gap[split] * t) / gap[split]
+            resp = ((wave[harmonics] + rest - s1 * (decay * ramp))
+                    / (s1 * (s1 + gap)))
+        if row is None:
+            out[sel] = np.einsum("jp,jp->p", spec, resp).real
+        else:
+            out[sel] = (np.einsum("jr,jrc->rc", spec, resp.reshape(
+                len(spec), m1 - m0, -1)).real * row).ravel()
     return out
 
 

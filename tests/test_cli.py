@@ -391,6 +391,9 @@ def test_grid_below_two_samples_exits_2_before_any_output(tmp_path, capsys,
      "--samples", "24", "--tau-T="],
     ["sweep", "--scenario", "ct_alpha2_q5_T1", "--t", "25", "--modes", "8,8",
      "--samples", "24", "--w="],
+    ["field", "--t", "5", "--modes", "3,"],
+    ["field", "--t", "5", "--modes", "3,3", "--grid", "5,"],
+    ["peak-sweep", "--t", "5", "--truncations", "10x"],
 ], ids=["field-modes-0x3", "profile-modes-3x-1", "sweep-modes-0x2",
         "sweep-tau-q-abc", "oracle-modes-0x4", "peak-sweep-0", "peak-sweep-4x0",
         "profile-line-y-without-y0", "profile-y0-off-plate",
@@ -402,7 +405,8 @@ def test_grid_below_two_samples_exits_2_before_any_output(tmp_path, capsys,
         "oracle-store-every-0-without-fdm-block", "field-times-share-a-name",
         "sweep-tau-q-repeated", "peak-sweep-second-t", "oracle-negative-hx",
         "oracle-zero-hx", "scenario-is-a-directory", "peak-sweep-modes",
-        "sweep-tau-q-empty", "sweep-tau-T-empty", "sweep-w-empty"])
+        "sweep-tau-q-empty", "sweep-tau-T-empty", "sweep-w-empty",
+        "field-modes-3x", "field-grid-5x", "peak-sweep-10x"])
 def test_bad_flags_exit_2_before_any_output(tmp_path, monkeypatch, capsys,
                                             argv):
     # Without its own --scenario a case runs on ct_alpha2_q1_T1.
@@ -415,6 +419,26 @@ def test_bad_flags_exit_2_before_any_output(tmp_path, monkeypatch, capsys,
     rc = main([*argv, "--out", str(out)])
     assert rc == 2
     assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv,flag,token,text", [
+    (["field", "--t", "5", "--modes", "3,"], "--modes", "", "3,"),
+    (["field", "--t", "5", "--modes", "3,3", "--grid", "5,"], "--grid", "",
+     "5,"),
+    (["peak-sweep", "--t", "5", "--truncations", "10x"], "--truncations",
+     "10x", "10x"),
+    (["sweep", "--t", "5", "--modes", "2,2", "--tau-q", "1,abc"], "--tau-q",
+     "abc", "1,abc"),
+], ids=["modes", "grid", "truncations", "tau-q"])
+def test_malformed_numbers_name_the_flag_and_the_item(tmp_path, capsys, argv,
+                                                      flag, token, text):
+    out = tmp_path / "o"
+    rc = main([argv[0], "--scenario", "ct_alpha2_q1_T1", *argv[1:],
+               "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"error: {flag} cannot read {token!r} in {text!r}" in err
     assert not out.exists()
 
 

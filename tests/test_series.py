@@ -322,45 +322,145 @@ def test_point_factors_match_per_mode_formula_bitwise():
     assert np.array_equal(got, expected)
 
 
+def _plan_factors(name, modes, gaussian=False, parked=False):
+    """(scenario, kx, ky, q, factors) of a solve, as the engine plans it."""
+    from dpl_heatlab.fdm import GaussianSourceFactors
+
+    s, _ = dh.load_bundled(name)
+    if parked:
+        s = dataclasses.replace(s, trajectory=dataclasses.replace(
+            s.trajectory, w=0.0))
+    kx, ky = axis_rates(build_mode_table(s, *modes))
+    q = 1 if parked else series._harmonic_samples(s, kx[-1], ky[-1])
+    factors = (GaussianSourceFactors(s, kx, ky, np.zeros(1), 0.02)
+               if gaussian else PointSourceFactors(s, kx, ky, np.zeros(1)))
+    return s, kx, ky, q, factors
+
+
+@pytest.mark.parametrize("budget", [1, 3000, 1 << 15, 10 ** 9])
+@pytest.mark.parametrize("name,modes,gaussian,parked", [
+    ("ct_default", (80, 80), False, False),
+    ("et_default", (30, 50), False, False),
+    ("lst_default", (80, 80), False, False),
+    ("lst_q1_T1", (60, 60), False, False),
+    ("ct_alpha2_q5_T1", (40, 40), True, False),
+    ("lst_default", (80, 80), True, False),
+    ("ct_alpha2_q5_T1", (3, 300), False, False),
+    ("et_default", (20, 20), False, True),
+], ids=["circle", "ellipse", "line", "lagged-line", "gaussian-circle",
+        "gaussian-line", "3x300", "parked"])
+def test_tile_plan_covers_the_table_in_budget_largest_first(
+        monkeypatch, name, modes, gaussian, parked, budget):
+    monkeypatch.setattr(series, "TILE_BUDGET", budget)
+    s, kx, ky, q, factors = _plan_factors(name, modes, gaussian, parked)
+    M, N = modes
+    tiles = series._tile_plan(s, kx, ky, q, factors)
+
+    def size(tile):   # of the tile's largest array
+        m0, n0, m1, n1, qt = tile
+        return (m1 - m0) * (n1 - n0) * max(1, qt // 2 if factors.still else qt)
+
+    # Runs of the row-major table that cover every mode exactly once:
+    # whole rows, or one row's n-range.
+    runs = sorted((m0 * N + n0, (m1 - 1) * N + n1) for m0, n0, m1, n1, _ in tiles)
+    assert [a for a, _ in runs] == [0] + [b for _, b in runs[:-1]]
+    assert runs[-1][1] == M * N
+    for m0, n0, m1, n1, qt in tiles:
+        assert (n0, n1) == (0, N) or m1 == m0 + 1
+        assert qt == (series._harmonic_samples(s, kx[m1 - 1], ky[n1 - 1])
+                      if factors.band_limited and not parked else q)
+    # Within the budget, unless a single mode is over it on its own.
+    for tile in tiles:
+        assert size(tile) <= budget or (tile[2] - tile[0]) * (
+            tile[3] - tile[1]) == 1
+    # The most modes: a whole-row tile cannot take the next row, and a
+    # split row is over budget whole and splits into the fewest even
+    # n-ranges that fit.
+    rows = {tile[0]: tile for tile in tiles if tile[3] - tile[1] < N}
+    for m0, n0, m1, n1, qt in tiles:
+        if (n0, n1) == (0, N) and m1 < M:
+            wider = series._harmonic_samples(s, kx[m1], ky[-1]) if (
+                factors.band_limited and not parked) else q
+            assert size((m0, 0, m1 + 1, N, wider)) > budget
+    for m in rows:
+        parts = sorted(tile for tile in tiles if tile[0] == m)
+        assert size((m, 0, m + 1, N, parts[-1][4])) > budget
+        assert max(t[3] - t[1] for t in parts) - min(
+            t[3] - t[1] for t in parts) <= 1
+        if 2 < len(parts) < N:
+            fewer = len(parts) - 1
+            cuts = [i * N // fewer for i in range(fewer + 1)]
+            assert any(size((m, a, m + 1, b, series._harmonic_samples(
+                s, kx[m], ky[b - 1]) if factors.band_limited else q)) > budget
+                for a, b in zip(cuts, cuts[1:]))
+    # Largest first (qt times modes).
+    keys = [(m1 - m0) * (n1 - n0) * qt for m0, n0, m1, n1, qt in tiles]
+    assert keys == sorted(keys, reverse=True)
+    if budget == 1:
+        assert len(tiles) == M * N
+    if budget == 10 ** 9:
+        assert len(tiles) == 1
+
+
 @pytest.mark.parametrize("gaussian", [False, True], ids=["point", "gaussian"])
 @pytest.mark.parametrize("modes", [(7, 13), (3, 300), (300, 2)],
                          ids=["7x13", "3x300", "300x2"])
 def test_tiling_does_not_change_the_coefficients(monkeypatch, modes,
                                                  gaussian):
-    # Chunks of 1 and 7 split rows into partial tiles, 10**6 takes the
-    # whole table at once, and N = 300 exceeds the default chunk.
+    # A budget of 1 makes every mode its own tile, 3000 splits the rows of
+    # N = 300 into n-ranges and groups the others, and 10**9 takes the
+    # whole table at once.
     from dpl_heatlab.fdm import GaussianSourceFactors
 
     s, fdm_cfg = dh.load_bundled("ct_alpha2_q5_T1")
     table = build_mode_table(s, *modes)
     base = GaussianSourceFactors if gaussian else PointSourceFactors
     extra = (fdm_cfg.resolved_sigma(),) if gaussian else ()
-    widths = []
+    blocks = []
 
     class Recorded(base):
         def __call__(self, rows, cols, samples):
             block = super().__call__(rows, cols, samples)
-            widths.append(block.shape[1])
+            blocks.append(block.shape)
             return block
 
     def factory(sc, kx, ky, taus):
         return Recorded(sc, kx, ky, taus, *extra)
 
     ref = mode_coefficients(s, table, 7.0, factors_factory=factory)
-    assert max(widths) <= series.HARMONIC_CHUNK
+    assert max(qt * width for qt, width in blocks) <= series.TILE_BUDGET
     scale = np.abs(ref).max()
-    for chunk in (1, 7, 10 ** 6):
-        widths.clear()
-        monkeypatch.setattr(series, "HARMONIC_CHUNK", chunk)
+    for budget, count in ((1, table.nmodes), (3000, None), (10 ** 9, 1)):
+        blocks.clear()
+        monkeypatch.setattr(series, "TILE_BUDGET", budget)
         got = mode_coefficients(s, table, 7.0, factors_factory=factory)
-        assert max(widths) <= chunk
-        assert sum(widths) == table.nmodes
+        assert all(qt * width <= budget or width == 1
+                   for qt, width in blocks)
+        assert sum(width for _, width in blocks) == table.nmodes
+        assert count is None or len(blocks) == count
         assert np.abs(got - ref).max() <= 1e-15 * scale
+
+
+def test_circle_tiles_keep_the_traced_peak_small():
+    # ct_default at 80x80 takes Q = 512 samples; tiles of 240 modes held
+    # about 1 MB per array and traced a 5.3 MB peak.  Within the budget
+    # of 2^15 doubles the solve stays under 2.5 MB.
+    import tracemalloc
+
+    s, _ = dh.load_bundled("ct_default")
+    table = build_mode_table(s, 80, 80)
+    tracemalloc.start()
+    try:
+        mode_coefficients(s, table, 360.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5e6
 
 
 @pytest.mark.parametrize("gaussian", [False, True], ids=["point", "gaussian"])
 def test_factor_tables_are_built_once_per_solve(monkeypatch, gaussian):
-    # With a chunk of 1 every mode is its own tile, yet the trajectory and
+    # With a budget of 1 every mode is its own tile, yet the trajectory and
     # the per-axis tables are evaluated once for the whole solve.
     from dpl_heatlab import fdm
 
@@ -373,7 +473,7 @@ def test_factor_tables_are_built_once_per_solve(monkeypatch, gaussian):
             calls[_name] += 1
             return _fn(*args)
         monkeypatch.setattr(mod, name, counted)
-    monkeypatch.setattr(series, "HARMONIC_CHUNK", 1)
+    monkeypatch.setattr(series, "TILE_BUDGET", 1)
     factory = (partial(fdm.GaussianSourceFactors,
                        sigma=fdm_cfg.resolved_sigma()) if gaussian else None)
     mode_coefficients(s, table, 7.0, factors_factory=factory)
@@ -676,7 +776,7 @@ def test_line_tiles_evaluate_only_their_own_samples(monkeypatch):
 def test_line_spectra_hold_the_x_tables_and_rows_not_their_product(
         monkeypatch):
     # Each line tile hands the engine its (qt/2 + 1, R) x-spectrum and the
-    # C-value y row: sum (qt/2 + 1) R = 7,228 and 15 rows of 60, where the
+    # C-value y row: sum (qt/2 + 1) R = 7,228 and 14 rows of 60, where the
     # (qt/2 + 1, R C) product spectra held 433,680 values.
     s, _ = dh.load_bundled("lst_q1_T1")
     table = build_mode_table(s, 60, 60)
@@ -691,7 +791,7 @@ def test_line_spectra_hold_the_x_tables_and_rows_not_their_product(
             return spec, row
 
     mode_coefficients(s, table, 365.0, factors_factory=Held)
-    assert held == {"spectra": 7_228, "rows": 900}
+    assert held == {"spectra": 7_228, "rows": 840}
     assert sizes == {"blocks": 0, "transformed": 14_336}
 
 
@@ -699,17 +799,20 @@ def test_line_spectra_hold_the_x_tables_and_rows_not_their_product(
                                          ("et_default", False),
                                          ("ct_default", True)],
                          ids=["circle", "ellipse", "parked"])
-def test_spectrum_scaling_is_exactly_a_division_by_the_samples(name, parked):
+def test_spectrum_scaling_is_exactly_a_division_by_the_samples(monkeypatch,
+                                                               name, parked):
     # 2 / qt and the halved DC and Nyquist rows are powers of two, so each
     # tile's amplitudes are bit for bit rfft / qt with the negative
     # harmonics' rows 1 ... qt/2 - 1 doubled.  Only the sign of an exact
     # zero may differ: numpy divides by qt + 0j, and its (re + im * 0)
     # turns some -0.0 into +0.0, so both sides add +0.0 first.  A parked
-    # source (w = 0) takes one sample, whose only row is DC.
+    # source (w = 0) takes one sample, whose only row is DC; at one double
+    # per mode its table fits one tile, so a smaller budget splits it.
     s, _ = dh.load_bundled(name)
     if parked:
         s = dataclasses.replace(s, trajectory=dataclasses.replace(
             s.trajectory, w=0.0))
+        monkeypatch.setattr(series, "TILE_BUDGET", 1000)
     table = build_mode_table(s, *default_truncation(s))
     taken = []
 
