@@ -29,7 +29,7 @@ _EXPORTS = {
               "format_scenario", "load_bundled", "load_scenario_file",
               "save_scenario", "validate_scenario"),
     "modes": ("ModeTable", "build_mode_table"),
-    "series": ("SeriesSolution", "default_truncation", "mode_coefficients",
+    "series": ("SeriesSolution", "mode_coefficients", "resolve_truncation",
                "solve_series"),
     "trajectory": ("period", "position", "velocity"),
 }

@@ -120,34 +120,27 @@ def _parse_pair(text: str, flag: str) -> tuple[int, int]:
     return _read(int, parts[0], flag, text), _read(int, parts[1], flag, text)
 
 
-def _parse_float_token(token: str) -> float:
-    token = token.strip().lower()
-    if token.endswith("pi"):
-        head = token[:-2]
-        return (float(head) if head else 1.0) * math.pi
-    return float(token)
-
-
-def _parse_float_list(text: str | None, flag: str,
-                      default: float) -> list[float]:
-    """The values of a comma-list flag, or [default] when it is absent."""
-    if text is None:
-        return [default]
+def _parse_list(text: str, flag: str, parse) -> list:
+    """parse of each item of a comma-list flag, which lists at least one."""
     items = [p for p in (part.strip() for part in text.split(",")) if p]
     if not items:
         raise ValueError(f"{flag} must list at least one value")
-    return [_read(_parse_float_token, p, flag, text) for p in items]
+    return [_read(parse, item, flag, text) for item in items]
+
+
+def _parse_float_token(token: str) -> float:
+    """A float, or a multiple of pi: '0.1pi', 'pi' and '-pi' (a bare sign
+    before 'pi' is +-1)."""
+    token = token.lower()
+    if token.endswith("pi"):
+        head = token[:-2]
+        return float(head + "1" if head in ("", "+", "-") else head) * math.pi
+    return float(token)
 
 
 def _parse_truncation(item: str) -> tuple[int, int]:
     a, b = item.split("x", 1) if "x" in item else (item, item)
     return int(a), int(b)
-
-
-def _parse_truncations(text: str) -> list[tuple[int, int]]:
-    items = [p for p in (part.strip() for part in text.split(",")) if p]
-    return [_read(_parse_truncation, item, "--truncations", text)
-            for item in items]
 
 
 def _load_scenario_arg(arg: str):
@@ -255,7 +248,8 @@ def _cmd_profile(args, s, _fdm, modes):
 def _cmd_peak_sweep(args, s, _fdm, _modes):
     if len(args.t) > 1:
         raise ValueError(f"peak-sweep takes one --t, got {len(args.t)}")
-    truncations = _parse_truncations(args.truncations)
+    truncations = _parse_list(args.truncations, "--truncations",
+                              _parse_truncation)
     grid = _grid_arg(args, s)
     reports = source_peak_distance_sweep(s, args.t[0], truncations, grid)
     files = [("peak_sweep.csv", partial(write_sweep_csv, reports)),
@@ -298,9 +292,13 @@ def _cmd_oracle(args, s, fdm_cfg, modes):
 
 
 def _cmd_sweep(args, s, _fdm, modes):
-    qs = _parse_float_list(args.tau_q, "--tau-q", s.tau_q)
-    ts_lag = _parse_float_list(args.tau_T, "--tau-T", s.tau_T)
-    ws = _parse_float_list(args.w, "--w", s.trajectory.w)
+    # A list flag left out sweeps the scenario's own value.
+    qs, ts_lag, ws = (
+        [default] if text is None
+        else _parse_list(text, flag, _parse_float_token)
+        for text, flag, default in ((args.tau_q, "--tau-q", s.tau_q),
+                                    (args.tau_T, "--tau-T", s.tau_T),
+                                    (args.w, "--w", s.trajectory.w)))
     # A closed path is profiled along itself, a line along its own height.
     y0 = s.trajectory.cy if s.trajectory.kind == LINE else None
 

@@ -163,6 +163,10 @@ def validate_scenario(s: PlateScenario) -> PlateScenario:
         if not finite[name]:
             violations.append(Violation(
                 NON_FINITE_VALUE, f"{name} must be finite, got {value!r}"))
+    if finite["traj.w"] and traj.w and math.isinf(2.0 * math.pi / abs(traj.w)):
+        violations.append(Violation(
+            NON_FINITE_VALUE, f"traj.w = {traj.w!r} has no finite period: "
+                              f"2 pi / |w| overflows"))
 
     for name in ("L", "H", "theta", "k", "alpha"):
         if finite[name] and not values[name] > 0.0:

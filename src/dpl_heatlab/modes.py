@@ -32,7 +32,6 @@ OVERDAMPED = 0
 CRITICAL = 1
 OSCILLATORY = 2
 DIFFUSIVE = 3
-REGIME_NAMES = ("overdamped", "critical", "oscillatory", "diffusive")
 
 
 @dataclass(frozen=True)
@@ -66,12 +65,6 @@ class ModeTable:
     def nmodes(self) -> int:
         return self.m.size
 
-    def index_of(self, m: int, n: int) -> int:
-        if not (1 <= m <= self.M and 1 <= n <= self.N):
-            raise IndexError(f"mode ({m}, {n}) outside truncation "
-                             f"({self.M}, {self.N})")
-        return (m - 1) * self.N + (n - 1)
-
 
 def build_mode_table(s: PlateScenario, M: int, N: int) -> ModeTable:
     """Classify every mode of the M x N truncation for scenario s.
@@ -90,8 +83,8 @@ def build_mode_table(s: PlateScenario, M: int, N: int) -> ModeTable:
     ky = n * (np.pi / s.H)
     k2 = kx * kx + ky * ky
 
-    # A lag so small that the fast rate stiffness/(2 tau_q) or the slow
-    # rate's numerator alpha k2 / tau_q overflows is numerically
+    # A lag so small that the rates' sum r1 + r2 = stiffness / tau_q or
+    # their product alpha k2 / tau_q overflows is numerically
     # indistinguishable from the zero-lag branch; fall through rather than
     # propagate infs into the kernels; the last mode (M, N) has the max k2.
     # Past that, a stiffness or lagged discriminant that overflows has no
@@ -99,7 +92,7 @@ def build_mode_table(s: PlateScenario, M: int, N: int) -> ModeTable:
     with np.errstate(over="ignore", invalid="ignore"):
         stiffness = 1.0 + s.alpha * s.tau_T * k2
         lag_resolvable = s.tau_q > 0.0 and bool(
-            np.isfinite(stiffness[-1] / (2.0 * s.tau_q))
+            np.isfinite(stiffness[-1] / s.tau_q)
             and np.isfinite(s.alpha * k2[-1] / s.tau_q))
         disc = (stiffness * stiffness - 4.0 * s.alpha * s.tau_q * k2
                 if lag_resolvable else stiffness)

@@ -69,19 +69,12 @@ from .trajectory import position, velocity
 TILE_BUDGET = 1 << 15
 
 
-def default_truncation(s: PlateScenario) -> tuple[int, int]:
-    """Series length heuristic: slow diffusion needs the longer sum."""
-    return (80, 80) if s.alpha < 1e-3 else (40, 40)
-
-
 def resolve_truncation(s: PlateScenario, M: int | None = None,
                        N: int | None = None) -> tuple[int, int]:
-    """(M, N) with any count left as None taken from ``default_truncation``."""
-    if M is None or N is None:
-        dm, dn = default_truncation(s)
-        M = dm if M is None else M
-        N = dn if N is None else N
-    return M, N
+    """(M, N), any count left as None taken from the scenario: slow
+    diffusion (alpha < 1e-3) needs the longer sum, 80 modes, else 40."""
+    default = 80 if s.alpha < 1e-3 else 40
+    return (default if M is None else M, default if N is None else N)
 
 
 def prefactor(s: PlateScenario, *, classical: bool) -> float:
@@ -360,6 +353,9 @@ def _harmonic_coefficients(s: PlateScenario, table: ModeTable, t: float,
         period = source_period(s.trajectory)
         taus = np.arange(q) * (period / q)
         base, phase = 2.0 * math.pi / period, math.fmod(t, period)
+        if math.isinf(base * (q // 2)):
+            raise OverflowError(f"{q // 2} harmonics of w = {s.trajectory.w!r}"
+                                f" overflow at t = {t!r}")
     # Until the source's band (Jacobi-Anger, as in ``_harmonic_samples``)
     # has turned by a radian, the form-2 modes also take out the leading
     # term t^2 / 2 of their response (form 3): their numerators drop
@@ -490,8 +486,12 @@ def mode_coefficients(s: PlateScenario, table: ModeTable, t: float, *,
         raise NegativeElapsed(f"coefficients requested at negative time {t!r}")
     if t == 0.0:
         return np.zeros(table.nmodes)
-    return _harmonic_coefficients(s, table, t,
-                                  factors_factory or PointSourceFactors)
+    out = _harmonic_coefficients(s, table, t,
+                                 factors_factory or PointSourceFactors)
+    if not np.isfinite(out).all():
+        raise OverflowError(f"coefficients at w = {s.trajectory.w!r}, "
+                            f"t = {t!r} are not finite")
+    return out
 
 
 # --- field assembly --------------------------------------------------------

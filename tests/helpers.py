@@ -16,6 +16,17 @@ import numpy as np
 import dpl_heatlab
 from dpl_heatlab.modes import kernel_matrix
 
+# Names of the mode table's regime codes, in code order.
+REGIME_NAMES = ("overdamped", "critical", "oscillatory", "diffusive")
+
+
+def index_of(table, m, n):
+    """Row-major position of mode (m, n) in the mode table."""
+    if not (1 <= m <= table.M and 1 <= n <= table.N):
+        raise IndexError(f"mode ({m}, {n}) outside truncation "
+                         f"({table.M}, {table.N})")
+    return (m - 1) * table.N + (n - 1)
+
 
 def fresh_python(code, *args, env=None):
     """stdout of ``code`` run with ``args`` in a new interpreter that finds
@@ -60,7 +71,7 @@ def simpson_mode_coefficient(scenario, m, n, t, panels=250_000, table=None):
 
     if table is None:
         table = build_mode_table(scenario, m, n)
-    i = table.index_of(m, n)
+    i = index_of(table, m, n)
     kx, ky = table.kx[i], table.ky[i]
     taus = np.linspace(0.0, t, 2 * panels + 1)
     x, y, vx, vy = source_track(scenario, taus)
@@ -74,6 +85,30 @@ def simpson_mode_coefficient(scenario, m, n, t, panels=250_000, table=None):
                          table.splitting[one], table.slow[one],
                          t - taus)[:, 0]
     return simpson(f * kern, t / (2 * panels))
+
+
+def dirichlet_green(L, H, x, y, x0, y0, terms=400):
+    """Green's function of -Laplace on [0, L] x [0, H] with zero walls.
+
+    G = sum_m (2/L) sin(kx x) sin(kx x0) sinh(kx y<) sinh(kx (H - y>))
+    / (kx sinh(kx H)) converges like e^(-kx |y - y0|), so each point takes
+    this series or the same one with x and y swapped, whichever decays
+    faster.  sinh(a) sinh(b) / sinh(c), with a + b <= c, is written as
+    e^(a + b - c) (1 - e^(-2a)) (1 - e^(-2b)) / (2 (1 - e^(-2c))), so no
+    exponent is positive.  Shares no code with either solver.
+    """
+    def along(L, H, x, y, x0, y0):
+        k = np.arange(1, terms + 1) * (np.pi / L)
+        a = k * np.minimum(y, y0)[:, None]
+        b = k * (H - np.maximum(y, y0))[:, None]
+        ratio = (np.exp(a + b - k * H) * np.expm1(-2.0 * a)
+                 * np.expm1(-2.0 * b) / (-2.0 * np.expm1(-2.0 * k * H)))
+        return (2.0 / L) * (np.sin(k * x[:, None]) * np.sin(k * x0)
+                            * ratio / k).sum(axis=1)
+
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    return np.where(np.abs(y - y0) >= np.abs(x - x0),
+                    along(L, H, x, y, x0, y0), along(H, L, y, x, y0, x0))
 
 
 def complex_response_coefficients(s, table, t, factory=None):

@@ -18,8 +18,8 @@ from dpl_heatlab.fdm import (deviation_report, project_gaussian_source_series,
                              solve_fdm)
 from dpl_heatlab.modes import (CRITICAL, OSCILLATORY, OVERDAMPED,
                                build_mode_table, kernel_matrix)
-from dpl_heatlab.series import (assemble_field, default_truncation,
-                                mode_coefficients, solve_series)
+from dpl_heatlab.series import (assemble_field, mode_coefficients,
+                                resolve_truncation, solve_series)
 from dpl_heatlab.trajectory import position, velocity
 from coefficient_history import CoefficientHistory
 
@@ -232,7 +232,7 @@ def test_acceptance_07_series_matches_finite_difference_oracle():
     for name, budget in budgets.items():
         s, cfg = dh.load_bundled(name)
         final = solve_fdm(s, cfg)[-1]
-        M, N = default_truncation(s)
+        M, N = resolve_truncation(s)
         series = project_gaussian_source_series(
             s, cfg.resolved_sigma(), final.grid, final.t, M, N)
         measured[name] = deviation_report(final, series, s.T0)["rms_rel"]

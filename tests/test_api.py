@@ -16,7 +16,8 @@ BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 # Test-only code that moved into tests/, with the module it left.
 MOVED = {"CoefficientHistory": "series", "switch_on_transient": "series",
          "SourceState": "trajectory", "source_state": "trajectory",
-         "with_lags": "model", "classical": "model"}
+         "with_lags": "model", "classical": "model",
+         "REGIME_NAMES": "modes"}
 
 
 def test_every_exported_name_resolves():
@@ -96,7 +97,8 @@ def test_cli_entry_pins_blas_before_numpy_loads(caller):
 UNEXPORTED = ("QuadratureSpec", "integrate_columns", "QuadratureNotConverged")
 # Unused names deleted outright, with the module they left.
 REMOVED = {"load_scenario": "model", "ZERO_ANGULAR_VELOCITY": "errors",
-           "temperature": "series", "earliest_escape_time": "trajectory"}
+           "temperature": "series", "earliest_escape_time": "trajectory",
+           "default_truncation": "series"}
 
 
 def test_test_only_names_left_the_package():
@@ -108,6 +110,8 @@ def test_test_only_names_left_the_package():
     for name in UNEXPORTED:
         assert name not in dh.__all__
         assert not hasattr(dh, name)
+    # The mode lookup by (m, n) is tests/helpers.index_of.
+    assert not hasattr(dh.ModeTable, "index_of")
 
 
 def test_no_package_module_imports_scipy():

@@ -120,7 +120,7 @@ def test_field_defaults_record_the_scenario_truncation_and_grid(tmp_path):
     assert rc == 0
     manifest = json.loads((out / "manifest.json").read_text())
     s, _ = dh.load_bundled("ct_alpha2_q5_T1")
-    assert manifest["truncation"] == list(dh.default_truncation(s)) == [40, 40]
+    assert manifest["truncation"] == list(dh.resolve_truncation(s)) == [40, 40]
     grid = dh.default_peak_grid(s)
     assert manifest["grid"] == [grid.nx, grid.ny] == [201, 201]
 
@@ -228,6 +228,22 @@ def test_empty_truncation_list_exits_2(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("flag,argv", [
+    ("--truncations", ["peak-sweep", "--t", "5", "--truncations="]),
+    ("--tau-q", ["sweep", "--t", "5", "--modes", "2,2", "--tau-q="]),
+    ("--tau-T", ["sweep", "--t", "5", "--modes", "2,2", "--tau-T", " , "]),
+    ("--w", ["sweep", "--t", "5", "--modes", "2,2", "--w=,"]),
+], ids=["truncations", "tau-q", "tau-T", "w"])
+def test_empty_list_flags_name_the_flag(tmp_path, capsys, flag, argv):
+    out = tmp_path / "o"
+    rc = main([argv[0], "--scenario", "ct_alpha2_q1_T1", *argv[1:],
+               "--out", str(out)])
+    assert rc == 2
+    assert (f"error: {flag} must list at least one value"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
 def test_unstable_stepping_exits_3(tmp_path, monkeypatch, capsys):
     import dpl_heatlab.fdm as fdm_mod
     from dpl_heatlab.errors import UnstableConfig
@@ -308,6 +324,41 @@ def test_overflowing_mode_table_exits_3_before_any_output(tmp_path, capsys):
                "--samples", "5", "--out", str(out)])
     assert rc == 3
     assert "error: numerical failure: mode (1, 1)" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_rate_without_a_finite_period_exits_2_before_any_output(tmp_path,
+                                                                capsys):
+    # traj.w = 1e-310 has the period inf: the run wrote NaN at all 25
+    # nodes, the plate edges included, and exited 0.
+    s, _ = dh.load_bundled("ct_alpha2_q5_T1")
+    path = tmp_path / "case.cfg"
+    dh.save_scenario(dataclasses.replace(
+        s, trajectory=dataclasses.replace(s.trajectory, w=1e-310)), path)
+    out = tmp_path / "o"
+    rc = main(["field", "--scenario", str(path), "--t", "25",
+               "--modes", "4,4", "--grid", "5,5", "--out", str(out)])
+    assert rc == 2
+    assert ("error: traj.w = 1e-310 has no finite period"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name,w", [("lst_q1_T1", "1e300"),
+                                    ("ct_alpha2_q5_T1", "1e300"),
+                                    ("lst_q1_T1", "1e307")])
+def test_overflowing_coefficients_exit_3_before_any_output(tmp_path, capsys,
+                                                           name, w):
+    # At 1e300 the coefficients came out +-inf and summary.csv read nan
+    # with exit 0; at 1e307 a bare "cannot convert float infinity to
+    # integer" ended the run.
+    out = tmp_path / "o"
+    rc = main(["sweep", "--scenario", name, "--t", "25", "--modes", "6,6",
+               "--samples", "8", "--w", w, "--out", str(out)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "error: numerical failure: " in err
+    assert f"w = {float(w)!r}" in err and "t = 25.0" in err
     assert not out.exists()
 
 
@@ -863,3 +914,19 @@ def test_sweep_grid_and_pi_suffix(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["w"] == [0.1 * math.pi]
     assert (out / "sweep_q1_T1_w0.314159_t2.5.csv").exists()
+
+
+@pytest.mark.parametrize("flag,expected", [
+    ("--w=0.1pi,-pi", [0.1, -1.0]), ("--w=-pi", [-1.0]),
+    ("--w=+pi", [1.0]), ("--w=pi,-1pi", [1.0, -1.0])],
+    ids=["list", "minus", "plus", "bare-and-one"])
+def test_sweep_reads_a_bare_signed_pi(tmp_path, flag, expected):
+    # '-pi' and '+pi' exited 2 ("cannot read '-pi'") while '-1pi' was read.
+    # A lone '--w -pi' is taken by argparse for an option, hence '--w='.
+    out = tmp_path / "o"
+    rc = main(["sweep", "--scenario", "ct_alpha2_q5_T1", "--t", "25",
+               "--modes", "4,4", "--samples", "8", flag, "--out", str(out)])
+    assert rc == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["w"] == [c * math.pi for c in expected]
+    assert len(list(out.glob("sweep_*.csv"))) == len(expected)

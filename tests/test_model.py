@@ -166,6 +166,26 @@ def test_non_finite_value_rejected(field, value):
     assert f"{field} must be finite" in str(err.value)
 
 
+@pytest.mark.parametrize("w", [1e-310, -1e-310, 5e-324])
+def test_rate_without_a_finite_period_rejected(w):
+    # 2 pi / |w| overflows below |w| = 3.5e-308; the engine then sampled
+    # the path at arange(q) * inf and wrote NaN at every node.
+    s = tiny_scenario()
+    s = dataclasses.replace(s, trajectory=dataclasses.replace(s.trajectory,
+                                                              w=w))
+    with pytest.raises(ScenarioValidationError) as err:
+        dh.validate_scenario(s)
+    assert err.value.codes() == {NON_FINITE_VALUE}
+    assert f"traj.w = {w!r} has no finite period" in str(err.value)
+
+
+def test_slowest_rate_with_a_finite_period_is_kept():
+    s = tiny_scenario()
+    traj = dataclasses.replace(s.trajectory, w=3.6e-308)
+    s = dh.validate_scenario(dataclasses.replace(s, trajectory=traj))
+    assert math.isfinite(period(s.trajectory))
+
+
 # --- config codec ----------------------------------------------------------
 
 

@@ -9,16 +9,15 @@ import dpl_heatlab as dh
 from dpl_heatlab import series
 from dpl_heatlab.errors import NegativeElapsed
 from dpl_heatlab.modes import (CRITICAL, DIFFUSIVE, OSCILLATORY, OVERDAMPED,
-                               REGIME_NAMES, build_mode_table, kernel_matrix)
+                               build_mode_table, kernel_matrix)
 from dpl_heatlab.series import (PointSourceFactors, amplitudes,
                                 assemble_at_points, assemble_field,
-                                default_truncation, mode_coefficients,
-                                prefactor, resolve_threads,
+                                mode_coefficients, prefactor, resolve_threads,
                                 resolve_truncation)
 from coefficient_history import CoefficientHistory
-from helpers import (classical, complex_response_coefficients,
-                     kahan_mode_sum, simpson_mode_coefficient, tiny_scenario,
-                     with_lags)
+from helpers import (REGIME_NAMES, classical, complex_response_coefficients,
+                     dirichlet_green, index_of, kahan_mode_sum,
+                     simpson_mode_coefficient, tiny_scenario, with_lags)
 
 
 def stationary_scenario(**overrides):
@@ -43,7 +42,7 @@ def point_factors(s, table, taus):
 def point_factor(s, table, m, n, taus):
     """Mode (m, n)'s column of the point-source factors at taus."""
     taus = np.atleast_1d(np.asarray(taus, dtype=float))
-    return point_factors(s, table, taus)[:, table.index_of(m, n)]
+    return point_factors(s, table, taus)[:, index_of(table, m, n)]
 
 
 def test_prefactor_branches():
@@ -64,7 +63,7 @@ def test_prefactor_branches():
 def test_source_factor_zero_lag_is_plain_eigenfunction():
     s = classical(tiny_scenario())
     table = build_mode_table(s, 3, 3)
-    i = table.index_of(2, 3)
+    i = index_of(table, 2, 3)
     taus = np.linspace(0.0, 9.0, 11)
     x, y = dh.position(s.trajectory, taus)
     expected = np.sin(table.kx[i] * x) * np.sin(table.ky[i] * y)
@@ -84,7 +83,7 @@ def test_source_factor_at_turning_point_has_no_velocity_term():
     s = with_lags(s, 1.0, 1.0)
     table = build_mode_table(s, 4, 3)
     for m, n in [(1, 1), (4, 3)]:
-        i = table.index_of(m, n)
+        i = index_of(table, m, n)
         got = point_factor(s, table, m, n, 365.0)[0]
         expected = math.sin(table.kx[i] * 0.05) * math.sin(table.ky[i] * 0.2)
         assert math.isclose(got, expected, rel_tol=1e-9, abs_tol=1e-12)
@@ -100,7 +99,7 @@ def test_coefficients_vanish_at_time_zero():
 def test_stationary_classical_coefficient_closed_form():
     s = stationary_scenario()
     table = build_mode_table(s, 2, 2)
-    i = table.index_of(1, 1)
+    i = index_of(table, 1, 1)
     for t in (0.5, 5.0, 40.0):
         rate = s.alpha * table.k2[i]
         expected = (math.sin(table.kx[i] * 0.5) * math.sin(table.ky[i] * 0.5)
@@ -108,7 +107,7 @@ def test_stationary_classical_coefficient_closed_form():
         coeffs = mode_coefficients(s, table, t)
         assert math.isclose(coeffs[i], expected, rel_tol=1e-10)
         # even mode dies by parity
-        assert abs(coeffs[table.index_of(2, 1)]) < 1e-12
+        assert abs(coeffs[index_of(table, 2, 1)]) < 1e-12
 
 
 def test_coefficient_matches_brute_force_simpson():
@@ -126,7 +125,7 @@ def test_scalar_and_batch_coefficients_agree():
     batch = mode_coefficients(s, table, 7.0)
     for m, n in [(1, 1), (3, 2), (5, 5)]:
         direct = simpson_mode_coefficient(s, m, n, 7.0)
-        assert math.isclose(batch[table.index_of(m, n)], direct,
+        assert math.isclose(batch[index_of(table, m, n)], direct,
                             rel_tol=1e-9, abs_tol=1e-12)
 
 
@@ -265,8 +264,8 @@ def test_history_rejects_backward_steps():
 
 
 def test_default_truncation_scales_with_diffusivity():
-    assert default_truncation(tiny_scenario(alpha=1.29e-5)) == (80, 80)
-    assert default_truncation(tiny_scenario(alpha=1.29e-2)) == (40, 40)
+    assert resolve_truncation(tiny_scenario(alpha=1.29e-5)) == (80, 80)
+    assert resolve_truncation(tiny_scenario(alpha=1.29e-2)) == (40, 40)
 
 
 def test_resolve_truncation_fills_only_missing_counts():
@@ -512,7 +511,7 @@ def test_matrix_product_assembly_matches_per_mode_sum(masked):
 def test_masked_assembly_equals_truncated_table():
     s, big, coeffs = _assembly_case()
     small = build_mode_table(s, 5, 4)
-    sub = coeffs[[big.index_of(m, n) for m, n in zip(small.m, small.n)]]
+    sub = coeffs[[index_of(big, m, n) for m, n in zip(small.m, small.n)]]
     mask = (big.m <= 5) & (big.n <= 4)
     grid = dh.GridSpec(19, 13)
     masked = assemble_field(s, big, coeffs, grid, 4.0, mode_mask=mask)
@@ -587,12 +586,12 @@ def test_folded_coefficients_match_brute_force_simpson(name, regime, when):
     period = 2.0 * math.pi / abs(s.trajectory.w)
     t = SIMPSON_TIMES[when](period)
     table = build_mode_table(s, 3, 3)
-    assert REGIME_NAMES[table.regime[table.index_of(1, 1)]] == regime
+    assert REGIME_NAMES[table.regime[index_of(table, 1, 1)]] == regime
     coeffs = mode_coefficients(s, table, t)
     scale = np.abs(coeffs).max()
     for m, n in [(1, 1), (2, 3)]:
         ref = simpson_mode_coefficient(s, m, n, t, panels=100_000)
-        assert abs(coeffs[table.index_of(m, n)] - ref) <= 1e-9 * scale
+        assert abs(coeffs[index_of(table, m, n)] - ref) <= 1e-9 * scale
 
 
 @pytest.mark.parametrize("path", ["w = 0"])
@@ -607,7 +606,7 @@ def test_unfolded_paths_match_brute_force_simpson(path):
     scale = np.abs(coeffs).max()
     for m, n in [(1, 1), (2, 3)]:
         ref = simpson_mode_coefficient(s, m, n, t, panels=100_000)
-        assert abs(coeffs[table.index_of(m, n)] - ref) <= 1e-9 * scale
+        assert abs(coeffs[index_of(table, m, n)] - ref) <= 1e-9 * scale
 
 
 # (regime, damping b1, splitting b2, slow rate) of one mode, with b2 down
@@ -703,7 +702,7 @@ def test_per_tile_samples_match_four_times_the_samples(monkeypatch, name):
     # Each tile samples the point source for its own largest rates; the
     # Jacobi-Anger bound keeps that at rounding level against 4Q everywhere.
     s, _ = dh.load_bundled(name)
-    table = build_mode_table(s, *default_truncation(s))
+    table = build_mode_table(s, *resolve_truncation(s))
     times = (1e-3, 0.37, 7.0, 25.0, 365.0)
     got = [mode_coefficients(s, table, t) for t in times]
     _with_samples_everywhere(monkeypatch, s, table, 4)
@@ -813,7 +812,7 @@ def test_spectrum_scaling_is_exactly_a_division_by_the_samples(monkeypatch,
         s = dataclasses.replace(s, trajectory=dataclasses.replace(
             s.trajectory, w=0.0))
         monkeypatch.setattr(series, "TILE_BUDGET", 1000)
-    table = build_mode_table(s, *default_truncation(s))
+    table = build_mode_table(s, *resolve_truncation(s))
     taken = []
 
     class Checked(PointSourceFactors):
@@ -870,7 +869,7 @@ def test_line_spectrum_matches_the_product_path(name, lags, gaussian):
     s, _ = dh.load_bundled(name)
     if lags is not None:
         s = with_lags(s, *lags)
-    table = build_mode_table(s, *default_truncation(s))
+    table = build_mode_table(s, *resolve_truncation(s))
     base = GaussianSourceFactors if gaussian else PointSourceFactors
     sigma = {"sigma": 0.02} if gaussian else {}
     line = partial(base, **sigma)
@@ -916,7 +915,8 @@ def test_start_up_coefficients_match_brute_force_simpson(name, t):
     scale = np.abs(coeffs).max()
     for m, n in [(1, 1), (1, 2), (2, 3), (4, 1), (5, 7), (9, 4), (12, 12)]:
         ref = simpson_mode_coefficient(s, m, n, t, panels=2_000, table=table)
-        assert abs(coeffs[table.index_of(m, n)] - ref) <= 1e-13 * scale, (m, n)
+        err = abs(coeffs[index_of(table, m, n)] - ref)
+        assert err <= 1e-13 * scale, (m, n)
 
 
 @pytest.mark.parametrize("name", dh.bundled_scenario_names())
@@ -925,7 +925,7 @@ def test_real_response_matches_the_complex_reference(name):
     # complex division per pair, at every bundled scenario's default
     # truncation and times past the start-up.
     s, _ = dh.load_bundled(name)
-    table = build_mode_table(s, *default_truncation(s))
+    table = build_mode_table(s, *resolve_truncation(s))
     for t in (7.0, 25.0, 365.0 if s.trajectory.kind == "line" else 360.0):
         got = mode_coefficients(s, table, t)
         ref = complex_response_coefficients(s, table, t)
@@ -971,3 +971,58 @@ def test_extreme_rates_and_frequencies_keep_the_complex_range(name, change):
     scale = np.abs(ref).max()
     assert 0.0 < scale < np.inf
     assert np.abs(got - ref).max() <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("w", [1e300, 1e307])
+@pytest.mark.parametrize("name", ["lst_q1_T1", "ct_alpha2_q5_T1"])
+def test_overflowing_harmonics_raise_and_name_the_rate(name, w):
+    # At w = 1e300 the lagged coefficients came out +-inf; at 1e307 the
+    # top harmonic's frequency itself is inf.  Both raise, naming w and t.
+    s, _ = dh.load_bundled(name)
+    s = dataclasses.replace(s, trajectory=dataclasses.replace(s.trajectory,
+                                                              w=w))
+    table = build_mode_table(s, 6, 6)
+    with pytest.raises(OverflowError) as err:
+        mode_coefficients(s, table, 25.0)
+    assert f"w = {w!r}" in str(err.value) and "t = 25.0" in str(err.value)
+
+
+def _parked_steady_case():
+    """ct_alpha2_q5_T1 parked at (0.75, 0.5), the points of [0.05, 0.95]^2
+    on a 19 x 19 grid more than 0.15 from it, and (theta / k) G there."""
+    s, _ = dh.load_bundled("ct_alpha2_q5_T1")
+    s = dataclasses.replace(s, trajectory=dataclasses.replace(s.trajectory,
+                                                              w=0.0))
+    x0, y0 = dh.position(s.trajectory, 0.0)
+    assert (x0, y0) == (0.75, 0.5)
+    axis = np.linspace(0.05, 0.95, 19)
+    x, y = (c.ravel() for c in np.meshgrid(axis, axis, indexing="ij"))
+    far = np.hypot(x - x0, y - y0) > 0.15
+    x, y = x[far], y[far]
+    ref = s.theta / s.k * dirichlet_green(s.L, s.H, x, y, x0, y0)
+    return s, x, y, ref
+
+
+def test_parked_source_converges_to_the_green_function_at_second_order():
+    # The steady state of every branch is (theta / k) G.  Away from the
+    # source the truncated double series misses it by O(1 / M^2): measured
+    # 6.93e-3, 1.83e-3 and 4.65e-4 of the peak at 20, 40 and 80 modes per
+    # axis, ratios 3.78 and 3.94.
+    s, x, y, ref = _parked_steady_case()
+    peak = np.abs(ref).max()
+    errors = [np.abs(dh.solve_series(s, 1000.0, M, M).at(x, y) - s.T0
+                     - ref).max() / peak for M in (20, 40, 80)]
+    assert errors[0] / errors[1] >= 3.5 and errors[1] / errors[2] >= 3.5
+    assert errors[2] <= 5e-4
+
+
+def test_lags_drop_out_of_the_parked_steady_state():
+    # (5, 1) is oscillatory, (0, 0) classical and (1, 5) overdamped; at
+    # t = 1000 the slowest start-up term is e^(-125) and the three agree
+    # to 5.4e-16 of the peak (measured).
+    s, x, y, ref = _parked_steady_case()
+    values = [dh.solve_series(with_lags(s, q, lag_t), 1000.0, 80, 80).at(x, y)
+              for q, lag_t in ((5.0, 1.0), (0.0, 0.0), (1.0, 5.0))]
+    bound = 1e-14 * np.abs(ref).max()
+    for other in values[1:]:
+        assert np.abs(other - values[0]).max() <= bound
