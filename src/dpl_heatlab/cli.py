@@ -397,6 +397,7 @@ _DISPATCH = {
 }
 
 
+@np.errstate(all="ignore")   # non-finite results raise; no float warnings
 def main(argv=None) -> int:
     parser = build_parser()
     try:

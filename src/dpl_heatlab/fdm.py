@@ -91,10 +91,16 @@ def _jury_scan(s: PlateScenario, dt: float, hx: float, hy: float) -> None:
         ok = ((a - b - c >= -tol * scale)
               & (a + b - c >= -tol * scale)
               & (a - np.abs(c) >= -tol * scale))
+        terms = ("1 / (2 alpha dt)", sc), ("tau_q / (alpha dt^2)", p)
     else:
         num = np.abs(1.0 / (s.alpha * dt) - lam * (0.5 - s.tau_T / dt))
-        den = 1.0 / (s.alpha * dt) + lam * (0.5 + s.tau_T / dt)
-        ok = num <= den * (1.0 + tol)
+        scale = 1.0 / (s.alpha * dt) + lam * (0.5 + s.tau_T / dt)
+        ok = num <= scale * (1.0 + tol)
+        terms = (("1 / (alpha dt)", 1.0 / (s.alpha * dt)),)
+    for name, value in (*terms, ("a Laplacian row of the update", scale)):
+        if not np.isfinite(value).all():
+            raise OverflowError(f"FDM scheme overflows at alpha={s.alpha!r},"
+                                f" dt={dt!r}: {name} is not finite")
     if not ok.all():
         bad = lam[~ok][0]
         raise UnstableConfig(

@@ -338,11 +338,13 @@ def _harmonic_coefficients(s: PlateScenario, table: ModeTable, t: float,
     takes those sums as one real (K x J) @ (J x C) product per m-row, its
     x-spectrum's weights with E; a circle or ellipse tile as one
     (K x 2J) @ (2J x P) product, the weights with E Re F over E Im F.
-    The DC harmonic is exactly kappa1 / P (kappa1 / r), and each tile
-    divides its rates and w by one power of two, so E keeps the range of
-    the complex division it replaced.  Mode constants times harmonic sums
-    cancel near a resonance w = b2 of a lightly damped oscillatory mode:
-    there about log10(b2 / b1) digits are lost.
+    The DC harmonic is exactly kappa1 / P (kappa1 / r).  One power of two
+    per solve divides the rates and w (each term row takes it back after
+    its product with the sums): the rates of a solve spread by at most
+    about (M^2 + N^2) / 2 and its frequencies by q / 2, so the scaled
+    |s1 s2|^2 stays far inside the double range.  Mode constants times
+    harmonic sums cancel near a resonance w = b2 of a lightly damped
+    oscillatory mode: there about log10(b2 / b1) digits are lost.
     """
     N = table.N
     kx, ky = table.kx[::N], table.ky[:N]
@@ -367,12 +369,12 @@ def _harmonic_coefficients(s: PlateScenario, table: ModeTable, t: float,
             if turn > 0.0 and t <= 1.0 / turn else None)
     slow = table.slow
     if table.classical:
-        order, (vec, power) = 1, _CLASSICAL
+        order, (vec, power), units = 1, _CLASSICAL, [[1]]
         dens = slow[None]
         terms = np.stack([slow, np.ones_like(slow), slow * kappa1, kappa1])
         dc = kappa1 / slow
     else:
-        order, (vec, power) = 2, _LAGGED
+        order, (vec, power), units = 2, _LAGGED, [[1], [1], [2], [1]]
         osc = table.regime == OSCILLATORY
         split = table.splitting
         gap = np.where(table.regime == OVERDAMPED, 2.0 * split, 0.0)
@@ -386,8 +388,7 @@ def _harmonic_coefficients(s: PlateScenario, table: ModeTable, t: float,
         b1, b2 = slow[osc], split[osc]
         dens[:2, osc] = np.copysign(np.sqrt(np.abs((b1 - b2) * (b1 + b2))),
                                     b1 - b2)
-        two = form2.astype(float)
-        one = 1.0 - two
+        one, two = 1.0 - form2, form2.astype(float)
         terms = np.stack([prod * one, -one, total * one, prod * two, -two,
                           total * two, prod * kappa1,
                           total * kappa1 - prod * lam, total * lam - kappa1,
@@ -407,9 +408,21 @@ def _harmonic_coefficients(s: PlateScenario, table: ModeTable, t: float,
     vectors = np.stack([wave, -1j * wave, late, -1j * late,
                         np.ones_like(wave), np.full_like(wave, -1j)])
     factors = factory(s, kx, ky, taus)
-    out, cache = np.empty(table.nmodes), {}
-    # powers of the tile's scale in u1, u2, P and S (r on the diffusive branch)
-    units = np.array([[1]] if table.classical else [[1], [1], [2], [1]])
+    out = np.empty(table.nmodes)
+    if q > 1:
+        # 2^scale centres log |s1 s2| (log |s1|) between the solve's
+        # smallest rates at w_1 and its largest at w_(q/2).
+        ends = np.abs(dens[:order])
+        ends = np.log2([np.maximum(ends.min(axis=1), base),
+                        np.maximum(ends.max(axis=1), freq[-1])])
+        scale = round(ends.mean())
+        omega = np.ldexp(freq[1:], -scale)
+        weights = vectors[vec, 1:] * omega ** power[:, None]
+        re, im = weights.real, -weights.imag
+        left = omega[:, None] ** np.arange(2 * order, -1, -2)
+        # 2^-scale to the powers ``units`` of u1, u2, P and S (or of r)
+        units = -scale * np.array(units)
+        shift = ((power - 2 * order) * scale)[:, None]
     for m0, n0, m1, n1, qt in _tile_plan(s, kx, ky, q, factors):
         sel = slice(m0 * N + n0, (m1 - 1) * N + n1)
         # q and qt are powers of two: the tile reads every (q/qt)-th sample.
@@ -422,50 +435,26 @@ def _harmonic_coefficients(s: PlateScenario, table: ModeTable, t: float,
             coeffs += spec.real.sum(axis=0)[line] * lead[sel].reshape(grid)
         harm = qt // 2
         if harm:
-            # Rates and w are divided by 2^scale, which centres log |s1 s2|
-            # (log |s1|) between the tile's first mode at w_1 and its last
-            # at w_harm.
-            ends = np.abs(dens[:order, [sel.start, sel.stop - 1]]).tolist()
-            scale = round(sum(math.log2(max(lo, base)) + math.log2(
-                max(hi, freq[harm])) for lo, hi in ends) / (2 * order))
-            key = (harm, scale)
-            if key not in cache:
-                omega = np.ldexp(freq[1:harm + 1], -scale)
-                weights = vectors[vec, 1:harm + 1] * omega ** power[:, None]
-                cache[key] = (np.hstack([weights.real, -weights.imag]),
-                              omega[:, None] ** np.arange(2 * order, -1, -2))
-            weights, left = cache[key]
-            d = dens[:, sel] * np.ldexp(1.0, -units * scale)
-            if table.classical:
-                right = np.stack([np.ones_like(d[0]), d[0] * d[0]])
-            else:
-                right = np.stack([np.ones_like(d[0]), d[0] * np.abs(d[0])
-                                  + d[1] * np.abs(d[1]), d[2] * d[2]])
-            gain = left @ right
+            d = np.ldexp(dens[:, sel], units)   # in the solve's scale
+            gain = left[:harm] @ np.stack([np.ones_like(d[0]), (
+                d[:order] * np.abs(d[:order])).sum(axis=0), *(d[2:3] ** 2)])
             weak = d[0] < 0.0   # b2 > b1: near w = b2 that sum cancels
-            if weak.any():
-                sq = left[:, 1:2]
-                fix = d[2][weak] - sq
-                fix *= fix
-                fix += sq * d[3][weak] ** 2   # (P - w^2)^2 + (w S)^2
-                gain[:, weak] = fix
+            if weak.any():   # there take (P - w^2)^2 + (w S)^2
+                sq = left[:harm, 1:2]
+                gain[:, weak] = (d[2][weak] - sq) ** 2 + sq * d[3][weak] ** 2
             np.reciprocal(gain, out=gain)
-            part = terms[:, sel] * np.ldexp(1.0, (power[:, None] - order)
-                                            * scale)
-            fs = spec[1:]
+            fs = spec[1:] if row is None else spec[1:].T[:, None, :]
             if row is None:
                 stack = np.empty((2 * harm, gain.shape[1]))
                 np.multiply(gain, fs.real, out=stack[:harm])
                 np.multiply(gain, fs.imag, out=stack[harm:])
-                part = np.einsum("kp,kp->p", part, weights @ stack)
+                sums = np.hstack([re[:, :harm], im[:, :harm]]) @ stack
+                coeffs += np.ldexp(terms[:, sel] * sums, shift).sum(axis=0)
             else:
-                fs = fs.T[:, None, :]
-                sums = (fs.real * weights[:, :harm]
-                        + fs.imag * weights[:, harm:]) @ gain.reshape(
-                            harm, m1 - m0, -1).transpose(1, 0, 2)
-                part = np.einsum("rkc,krc->rc", sums,
-                                 part.reshape(len(part), m1 - m0, -1))
-            coeffs = coeffs + np.ldexp(part, -order * scale)
+                sums = (fs.real * re[:, :harm] + fs.imag * im[:, :harm]) @ (
+                    gain.reshape(harm, m1 - m0, -1).transpose(1, 0, 2))
+                part = terms[:, sel].reshape(len(terms), m1 - m0, -1)
+                coeffs += np.ldexp(sums * part.swapaxes(0, 1), shift).sum(1)
         out[sel] = (coeffs if row is None else coeffs * row).ravel()
     return out
 
@@ -526,7 +515,8 @@ def _series_sum(s: PlateScenario, table: ModeTable, amps: np.ndarray,
     With A the (M, N) amplitude matrix (zero outside ``mode_mask``, trimmed
     to the largest m and n in use) and SX, SY the per-axis sine tables, the
     sum on the xs-by-ys grid is SX @ A @ SY.T; with ``paired`` it is taken
-    at the points (xs[i], ys[i]) as the row sums of (SX @ A) * SY.
+    at the points (xs[i], ys[i]) as the row sums of (SX @ A) * SY.  Sums
+    that are not finite, or not once T0 is added, raise OverflowError.
     """
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     ys = np.atleast_1d(np.asarray(ys, dtype=float))
@@ -540,9 +530,11 @@ def _series_sum(s: PlateScenario, table: ModeTable, amps: np.ndarray,
     ky = table.ky[:N]                     # modes (1, n)
     sxa = _sin_table(xs, kx, s.L, "x") @ amp
     sy = _sin_table(ys, ky, s.H, "y")
-    if paired:
-        return np.einsum("ij,ij->i", sxa, sy)
-    return sxa @ sy.T
+    values = np.einsum("ij,ij->i", sxa, sy) if paired else sxa @ sy.T
+    ends = values.min(initial=0.0), values.max(initial=0.0)   # no temporary
+    if not np.isfinite(np.add(ends, s.T0)).all():
+        raise OverflowError("series temperatures are not finite")
+    return values
 
 
 def assemble_field(s: PlateScenario, table: ModeTable, coeffs: np.ndarray,

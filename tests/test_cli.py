@@ -4,8 +4,10 @@ import importlib.metadata
 import io
 import json
 import math
+import os
 import re
 import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -344,14 +346,14 @@ def test_rate_without_a_finite_period_exits_2_before_any_output(tmp_path,
     assert not out.exists()
 
 
-@pytest.mark.parametrize("name,w", [("lst_q1_T1", "1e300"),
-                                    ("ct_alpha2_q5_T1", "1e300"),
+@pytest.mark.parametrize("name,w", [("lst_q1_T1", "1e305"),
+                                    ("ct_alpha2_q5_T1", "1e304"),
                                     ("lst_q1_T1", "1e307")])
 def test_overflowing_coefficients_exit_3_before_any_output(tmp_path, capsys,
                                                            name, w):
-    # At 1e300 the coefficients came out +-inf and summary.csv read nan
-    # with exit 0; at 1e307 a bare "cannot convert float infinity to
-    # integer" ended the run.
+    # Past 1e304 (lst_q1_T1) and 1e303 (ct_alpha2_q5_T1) the harmonic sums
+    # overflow and summary.csv would read nan; at 1e307 a bare "cannot
+    # convert float infinity to integer" ended the run.
     out = tmp_path / "o"
     rc = main(["sweep", "--scenario", name, "--t", "25", "--modes", "6,6",
                "--samples", "8", "--w", w, "--out", str(out)])
@@ -359,6 +361,76 @@ def test_overflowing_coefficients_exit_3_before_any_output(tmp_path, capsys,
     err = capsys.readouterr().err
     assert "error: numerical failure: " in err
     assert f"w = {float(w)!r}" in err and "t = 25.0" in err
+    assert not out.exists()
+
+
+def test_overflow_prints_only_the_error_line(tmp_path):
+    # numpy's float warnings, each with its source line, came ahead of the
+    # error; a fresh interpreter shows what reaches stderr.
+    src = str(Path(dh.__file__).resolve().parents[1])
+    out = tmp_path / "o"
+    proc = subprocess.run(
+        [sys.executable, "-m", "dpl_heatlab", "sweep", "--scenario",
+         "lst_q1_T1", "--t", "25", "--modes", "6,6", "--samples", "8",
+         "--w", "1e305", "--out", str(out)],
+        capture_output=True, text=True, cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 3
+    assert proc.stderr == ("error: numerical failure: coefficients at "
+                           "w = 1e+305, t = 25.0 are not finite\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name", ["lst_q1_T1", "ct_alpha2_q5_T1"])
+def test_huge_rate_sweep_writes_finite_profiles(tmp_path, name):
+    # At w = 1e300 the lagged coefficients are finite; the run used to
+    # exit 3 on an overflow of the engine's scaling alone.
+    out = tmp_path / "o"
+    rc = main(["sweep", "--scenario", name, "--t", "25", "--modes", "6,6",
+               "--samples", "8", "--w", "1e300", "--out", str(out)])
+    assert rc == 0
+    _header, summary = read_csv(out / "summary.csv")
+    assert np.isfinite(summary).all()
+
+
+def test_overflowing_temperatures_exit_3_before_any_output(tmp_path, capsys):
+    # k = 1e-308 overflows the prefactor 4 alpha theta / (L H tau_q k):
+    # the field was written as nan with exit 0.
+    s, _ = dh.load_bundled("ct_alpha2_q5_T1")
+    path = tmp_path / "case.cfg"
+    dh.save_scenario(dataclasses.replace(s, k=1e-308), path)
+    out = tmp_path / "o"
+    rc = main(["field", "--scenario", str(path), "--t", "25",
+               "--modes", "6,6", "--grid", "5,5", "--out", str(out)])
+    assert rc == 3
+    assert capsys.readouterr().err == ("error: numerical failure: series "
+                                       "temperatures are not finite\n")
+    assert not out.exists()
+
+
+def test_overflowing_fdm_scheme_exits_3_and_names_the_coefficient(tmp_path,
+                                                                  capsys):
+    # alpha = 1e-305 overflows tau_q / (alpha dt^2), which a smaller dt
+    # only makes larger; the Jury scan reported a root-condition failure.
+    s, block = dh.load_bundled("ct_alpha2_q5_T1")
+    path = tmp_path / "case.cfg"
+    dh.save_scenario(dataclasses.replace(s, alpha=1e-305), path, fdm=block)
+    out = tmp_path / "o"
+    rc = main(["oracle", "--scenario", str(path), "--modes", "4,4",
+               "--out", str(out)])
+    assert rc == 3
+    assert capsys.readouterr().err == (
+        "error: numerical failure: FDM scheme overflows at alpha=1e-305, "
+        "dt=0.0125: tau_q / (alpha dt^2) is not finite\n")
+    assert not out.exists()
+
+
+def test_modes_with_one_item_exits_2_and_shows_the_form(tmp_path, capsys):
+    out = tmp_path / "o"
+    rc = main(["field", "--scenario", "ct_alpha2_q1_T1", "--t", "5",
+               "--modes", "3", "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: --modes expects 'A,B', got '3'\n"
     assert not out.exists()
 
 

@@ -7,7 +7,7 @@ import pytest
 
 import dpl_heatlab as dh
 from dpl_heatlab.errors import UnstableConfig
-from dpl_heatlab.fdm import (GaussianSourceFactors, _faddeeva,
+from dpl_heatlab.fdm import (GaussianSourceFactors, _faddeeva, checked_grid,
                              deviation_report, project_gaussian_source_series,
                              sine_projection, solve_fdm)
 from dpl_heatlab.modes import build_mode_table
@@ -432,6 +432,24 @@ def test_stability_scan_runs_before_stepping(monkeypatch):
     with pytest.raises(UnstableConfig):
         solve_fdm(tiny_scenario(), dh.FdmConfig(hx=0.1, hy=0.1, dt=0.1,
                                                 t_end=1.0))
+
+
+@pytest.mark.parametrize("change,name", [
+    ({"alpha": 1e-305}, "tau_q / (alpha dt^2)"),
+    ({"alpha": 1e-307, "tau_q": 0.0}, "1 / (alpha dt)"),
+    ({"tau_T": 1e306}, "a Laplacian row of the update"),
+], ids=["lagged-alpha", "classical-alpha", "tau_T"])
+def test_overflowing_scheme_coefficient_fails_the_scan(change, name):
+    # Valid scenarios whose scheme coefficients overflow: the scan used to
+    # report the NaN rows as a root-condition failure (or, on the
+    # diffusive branch, pass inf <= inf), and a smaller dt makes the
+    # first two larger still.
+    s, block = dh.load_bundled("ct_alpha2_q5_T1")
+    s = dh.validate_scenario(dataclasses.replace(s, **change))
+    with pytest.raises(OverflowError) as err, np.errstate(all="ignore"):
+        checked_grid(s, block)
+    assert str(err.value) == (f"FDM scheme overflows at alpha={s.alpha!r}, "
+                              f"dt=0.0125: {name} is not finite")
 
 
 @pytest.mark.parametrize("lagged", [True, False])

@@ -248,6 +248,18 @@ def test_custom_kind_not_representable_in_files(tmp_path):
     assert err.value.codes() == {INCONSISTENT_KIND}
 
 
+def test_negative_semi_axis_in_a_file_reports_both_rules(tmp_path):
+    # A circle with A = -0.25 breaks the sign rule and the kind's A = B.
+    path = tmp_path / "case.cfg"
+    path.write_text(dh.format_scenario(tiny_scenario()).replace(
+        "traj.A = 0.25", "traj.A = -0.25"), encoding="utf-8")
+    with pytest.raises(ScenarioValidationError) as err:
+        dh.load_scenario_file(path)
+    assert err.value.codes() == {NON_POSITIVE_GEOMETRY, INCONSISTENT_KIND}
+    assert "semi-axes must be nonnegative, got A=-0.25, B=0.25" in str(
+        err.value)
+
+
 def test_fdm_block_roundtrip(tmp_path):
     cfg = dh.FdmConfig(hx=0.0125, hy=0.0125, dt=0.0125, t_end=25.0,
                        sigma=0.0375, store_every=400)

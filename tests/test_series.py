@@ -950,12 +950,21 @@ def test_lightly_damped_modes_match_the_complex_reference(tau_q):
 EXTREMES = {"alpha=1e-300": {"alpha": 1e-300},
             "tau_q=1e-200": {"tau_q": 1e-200},
             "w=1e100": {"w": 1e100}, "w=1e-200": {"w": 1e-200}}
+# (scenario, change, modes per axis): every change at 6x6, and the widest
+# table the suite affords, where the solve's rates spread by 2e4 and its
+# frequencies by q / 2 under one power of two.
+EXTREME_CASES = ([(name, change, 6) for name in ("lst_q1_T1", "lst_default")
+                  for change in EXTREMES]
+                 + [("lst_default", "alpha=1e-300", 200),
+                    ("lst_default", "w=1e100", 200)])
 
 
-@pytest.mark.parametrize("change", list(EXTREMES))
-@pytest.mark.parametrize("name", ["lst_q1_T1", "lst_default"])
-def test_extreme_rates_and_frequencies_keep_the_complex_range(name, change):
-    # Without the exact DC term and the per-tile power of two, 1 / |s1 s2|^2
+@pytest.mark.parametrize("name,change,modes", EXTREME_CASES, ids=[
+    f"{name}-{change}" if modes == 6 else f"{name}-{modes}x{modes}-{change}"
+    for name, change, modes in EXTREME_CASES])
+def test_extreme_rates_and_frequencies_keep_the_complex_range(name, change,
+                                                              modes):
+    # Without the exact DC term and the solve's power of two, 1 / |s1 s2|^2
     # overflows or underflows here while a complex division does not.
     s, _ = dh.load_bundled(name)
     fields = dict(EXTREMES[change])
@@ -963,7 +972,7 @@ def test_extreme_rates_and_frequencies_keep_the_complex_range(name, change):
         fields = {"trajectory": dataclasses.replace(s.trajectory,
                                                     w=fields["w"])}
     s = dh.validate_scenario(dataclasses.replace(s, **fields))
-    table = build_mode_table(s, 6, 6)
+    table = build_mode_table(s, modes, modes)
     ref = complex_response_coefficients(s, table, 25.0)
     with np.errstate(over="raise", invalid="raise", divide="raise"):
         got = mode_coefficients(s, table, 25.0)
@@ -973,16 +982,44 @@ def test_extreme_rates_and_frequencies_keep_the_complex_range(name, change):
     assert np.abs(got - ref).max() <= 1e-12 * scale
 
 
-@pytest.mark.parametrize("w", [1e300, 1e307])
-@pytest.mark.parametrize("name", ["lst_q1_T1", "ct_alpha2_q5_T1"])
-def test_overflowing_harmonics_raise_and_name_the_rate(name, w):
-    # At w = 1e300 the lagged coefficients came out +-inf; at 1e307 the
-    # top harmonic's frequency itself is inf.  Both raise, naming w and t.
+def _with_rate(name, w):
     s, _ = dh.load_bundled(name)
-    s = dataclasses.replace(s, trajectory=dataclasses.replace(s.trajectory,
-                                                              w=w))
+    return dataclasses.replace(s, trajectory=dataclasses.replace(s.trajectory,
+                                                                 w=w))
+
+
+@pytest.mark.parametrize("w", [1e300, 1e303])
+@pytest.mark.parametrize("name", ["lst_q1_T1", "ct_alpha2_q5_T1"])
+def test_huge_rates_keep_lagged_coefficients_finite(name, w):
+    # The scale is about log2 w here, and each term row takes its power of
+    # two back only after its product with the sums: none of them flushes
+    # to 0 first (the coefficients came out +-inf when one did).  Every
+    # flag but underflow raises; terms such as P / w^4 lie below the
+    # double range and flush to 0.
+    s = _with_rate(name, w)
     table = build_mode_table(s, 6, 6)
-    with pytest.raises(OverflowError) as err:
+    with np.errstate(all="raise", under="ignore"):
+        got = mode_coefficients(s, table, 25.0)
+    with np.errstate(over="ignore"):   # the reference's s1 s2 ~ w^2 is inf
+        ref = complex_response_coefficients(s, table, 25.0)
+    scale = np.abs(ref).max()
+    assert np.isfinite(got).all() and 0.0 < scale < np.inf
+    assert np.abs(got - ref).max() <= 1e-15 * scale
+
+
+@pytest.mark.parametrize("name,w", [("lst_q1_T1", 1e305),
+                                    ("ct_alpha2_q5_T1", 1e304),
+                                    ("lst_q1_T1", 1e307),
+                                    ("ct_alpha2_q5_T1", 1e307)])
+def test_overflowing_harmonics_raise_and_name_the_rate(name, w):
+    # At 1e305 (lst_q1_T1) and 1e304 (ct_alpha2_q5_T1) the harmonic sums
+    # overflow, though the complex reference is still finite; at 1e307
+    # the top harmonic's frequency itself is inf.  Both raise, naming w
+    # and t.
+    s = _with_rate(name, w)
+    table = build_mode_table(s, 6, 6)
+    with (pytest.raises(OverflowError) as err,
+          np.errstate(over="ignore", invalid="ignore")):
         mode_coefficients(s, table, 25.0)
     assert f"w = {w!r}" in str(err.value) and "t = 25.0" in str(err.value)
 
