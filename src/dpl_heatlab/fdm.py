@@ -13,11 +13,15 @@ Laplacian, the update solves
       = [2 p I + (1/2) Lap] u[n]
       + [(s - p) I + (1/4 - tau_T/(2 dt)) Lap] u[n-1] + S[n]
 
-which a Jury analysis shows stable for every positive dt; the scan is
-still performed (and a blow-up sentinel kept) to honor the error
-contract for hand-built configurations.  tau_q = 0 drops to a two-level
+On an eigenvector of -Lap (eigenvalue lam >= 0) the update reads
+a u[n+1] = b u[n] + c u[n-1], stable (Jury) when a - b - c >= 0,
+a + b - c >= 0 and a >= |c|.  Here a - b - c = lam, a + b - c = 4 p, and
+a >= |c| for every lam iff tau_T >= 0 (a - c = 2 p + lam / 2,
+a + c = 2 s + lam tau_T / dt).  tau_q = 0 drops to a two-level
 Crank-Nicolson step with the gradient-lag term differenced across the
-level pair.
+level pair, stable by the triangle inequality when tau_T >= 0.  So
+``_scheme`` asks alpha > 0, tau_T >= 0 and finite coefficients at the
+march's step; a blow-up sentinel guards the march itself.
 
 Lap is the Kronecker sum of the 1-D second differences Dxx and Dyy, so on
 the (mx, my) state array Lap U = Dxx U + U Dyy, and every step matrix
@@ -70,42 +74,52 @@ from .trajectory import position, velocity
 BLOWUP_SENTINEL = 1e12
 
 
-def _axis_counts(cfg: FdmConfig, L: float, H: float):
+def _counts(cfg: FdmConfig, L: float, H: float):
+    """(nx, ny, hx, hy, nsteps, dt): nodes and steps of grid and march."""
     nx = max(3, int(round(L / cfg.hx)) + 1)
     ny = max(3, int(round(H / cfg.hy)) + 1)
-    return nx, ny, L / (nx - 1), H / (ny - 1)
+    if cfg.t_end / cfg.dt == math.inf:
+        raise OverflowError(f"FDM step count t_end / dt = {cfg.t_end!r} / "
+                            f"{cfg.dt!r} is not finite")
+    nsteps = max(1, int(round(cfg.t_end / cfg.dt)))
+    return nx, ny, L / (nx - 1), H / (ny - 1), nsteps, cfg.t_end / nsteps
 
 
-def _jury_scan(s: PlateScenario, dt: float, hx: float, hy: float) -> None:
-    """Root-condition check of the update over the Laplacian spectrum."""
-    lam_max = 4.0 / (hx * hx) + 4.0 / (hy * hy)
-    lam = np.concatenate([[1e-12], np.geomspace(1e-6, lam_max, 256)])
-    tol = 1e-9
-    if s.tau_q > 0.0:
-        sc = 1.0 / (2.0 * s.alpha * dt)
-        p = s.tau_q / (s.alpha * dt * dt)
-        a = sc + p + lam * (0.25 + s.tau_T / (2.0 * dt))
-        b = 2.0 * p - 0.5 * lam
-        c = sc - p - lam * (0.25 - s.tau_T / (2.0 * dt))
-        scale = np.maximum(np.abs(a), np.maximum(np.abs(b), np.abs(c)))
-        ok = ((a - b - c >= -tol * scale)
-              & (a + b - c >= -tol * scale)
-              & (a - np.abs(c) >= -tol * scale))
-        terms = ("1 / (2 alpha dt)", sc), ("tau_q / (alpha dt^2)", p)
-    else:
-        num = np.abs(1.0 / (s.alpha * dt) - lam * (0.5 - s.tau_T / dt))
-        scale = 1.0 / (s.alpha * dt) + lam * (0.5 + s.tau_T / dt)
-        ok = num <= scale * (1.0 + tol)
-        terms = (("1 / (alpha dt)", 1.0 / (s.alpha * dt)),)
-    for name, value in (*terms, ("a Laplacian row of the update", scale)):
+def _scheme(s: PlateScenario, dt: float, hx: float, hy: float):
+    """(A, B, C, shift) at step dt, each a pair (a, b) for a I + b Lap;
+    step n takes the source at (n + shift) dt.  Raises UnstableConfig
+    unless alpha > 0 and tau_T >= 0, and OverflowError naming the
+    quantity when a coefficient or the largest Laplacian row of A or of
+    A - C is not finite."""
+    if not (s.alpha > 0.0 and s.tau_T >= 0.0):
+        raise UnstableConfig(
+            f"the FDM scheme needs alpha > 0 and tau_T >= 0, got "
+            f"alpha={s.alpha!r}, tau_T={s.tau_T!r}")
+    # numpy scalars: an alpha dt or h^2 that underflows divides to inf.
+    alpha = np.float64(s.alpha)
+    with np.errstate(all="ignore"):
+        if s.tau_q > 0.0:
+            sc = 1.0 / (2.0 * alpha * dt)
+            p = s.tau_q / (alpha * dt * dt)
+            lag = s.tau_T / (2.0 * dt)
+            mats = ((sc + p, -(0.25 + lag)), (2.0 * p, 0.5),
+                    (sc - p, 0.25 - lag))
+            terms, shift = (("1 / (2 alpha dt)", sc),
+                            ("tau_q / (alpha dt^2)", p)), 0.0
+        else:
+            # Two-level Crank-Nicolson: no u[n-1] term, source at mid-step.
+            r = 1.0 / (alpha * dt)
+            mats = ((r, -(0.5 + s.tau_T / dt)), (r, 0.5 - s.tau_T / dt),
+                    (0.0, 0.0))
+            terms, shift = (("1 / (alpha dt)", r),), 0.5
+        (a, b), _, (c, d) = mats
+        lam_max = (4.0 / np.square([hx, hy])).sum()
+        rows = np.abs([[a, b], [a - c, b - d]]) @ [1.0, lam_max]
+    for name, value in (*terms, ("a Laplacian row of the update", rows)):
         if not np.isfinite(value).all():
             raise OverflowError(f"FDM scheme overflows at alpha={s.alpha!r},"
                                 f" dt={dt!r}: {name} is not finite")
-    if not ok.all():
-        bad = lam[~ok][0]
-        raise UnstableConfig(
-            f"time step dt={dt!r} fails the root condition at Laplacian "
-            f"eigenvalue {bad:.6g}; refine dt or the spatial steps")
+    return (*mats, shift)
 
 
 def _source_grid(s: PlateScenario, xi, yi, sigma, state):
@@ -139,12 +153,12 @@ def checked_grid(s: PlateScenario, cfg: FdmConfig) -> GridSpec:
 
     Steps and t_end must be positive and finite, sigma finite and at least
     twice the larger grid step and ``store_every`` at least 1 (ValueError),
-    and the step must pass the Jury scan (UnstableConfig).  ``solve_fdm``
+    and the march's step sound (``_counts``, ``_scheme``).  ``solve_fdm``
     calls it first; so does a caller that needs the grid before the march.
     """
     if not all(0.0 < v < math.inf for v in (cfg.hx, cfg.hy, cfg.dt, cfg.t_end)):
         raise ValueError("hx, hy, dt and t_end must be positive and finite")
-    nx, ny, hx, hy = _axis_counts(cfg, s.L, s.H)
+    nx, ny, hx, hy, _, dt = _counts(cfg, s.L, s.H)
     sigma = cfg.resolved_sigma()
     if not 2.0 * max(hx, hy) <= sigma < math.inf:
         raise ValueError(
@@ -153,7 +167,7 @@ def checked_grid(s: PlateScenario, cfg: FdmConfig) -> GridSpec:
             f"{2.0 * max(hx, hy)!r}")
     if cfg.store_every < 1:
         raise ValueError(f"store_every must be >= 1, got {cfg.store_every}")
-    _jury_scan(s, cfg.dt, hx, hy)
+    _scheme(s, dt, hx, hy)
     return GridSpec(nx, ny)
 
 
@@ -165,10 +179,9 @@ def solve_fdm(s: PlateScenario, cfg: FdmConfig, *, initial=None):
     zero).  The production path always starts quiescent.
     """
     grid = checked_grid(s, cfg)
-    nx, ny, hx, hy = _axis_counts(cfg, s.L, s.H)
+    nx, ny, hx, hy, nsteps, dt = _counts(cfg, s.L, s.H)
+    mat_a, mat_b, mat_c, shift = _scheme(s, dt, hx, hy)
     sigma = cfg.resolved_sigma()
-    nsteps = max(1, int(round(cfg.t_end / cfg.dt)))
-    dt = cfg.t_end / nsteps
     xi = np.linspace(0.0, s.L, nx)[1:-1]
     yi = np.linspace(0.0, s.H, ny)[1:-1]
     dxx, dyy = ((np.eye(m, k=-1) - 2.0 * np.eye(m) + np.eye(m, k=1)) / (h * h)
@@ -187,22 +200,6 @@ def solve_fdm(s: PlateScenario, cfg: FdmConfig, *, initial=None):
         return TemperatureField(grid=grid, t=float(t), values=values)
 
     stored = [snapshot(u_prev, 0.0)]
-
-    # Each scheme matrix is a pair (a, b) for a I + b Lap.
-    if s.tau_q > 0.0:
-        sc = 1.0 / (2.0 * s.alpha * dt)
-        p = s.tau_q / (s.alpha * dt * dt)
-        mat_a = (sc + p, -(0.25 + s.tau_T / (2.0 * dt)))
-        mat_b = (2.0 * p, 0.5)
-        mat_c = (sc - p, 0.25 - s.tau_T / (2.0 * dt))
-        shift = 0.0
-    else:
-        # Two-level Crank-Nicolson: no u[n-1] term, source at mid-step.
-        r = 1.0 / (s.alpha * dt)
-        mat_a = (r, -(0.5 + s.tau_T / dt))
-        mat_b = (r, 0.5 - s.tau_T / dt)
-        mat_c = (0.0, 0.0)
-        shift = 0.5
 
     def split(m, x):
         """(ratio, beta) with X = ratio M + beta I; b_M < 0 in every scheme."""

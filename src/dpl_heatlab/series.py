@@ -339,10 +339,11 @@ def _harmonic_coefficients(s: PlateScenario, table: ModeTable, t: float,
     x-spectrum's weights with E; a circle or ellipse tile as one
     (K x 2J) @ (2J x P) product, the weights with E Re F over E Im F.
     The DC harmonic is exactly kappa1 / P (kappa1 / r).  One power of two
-    per solve divides the rates and w (each term row takes it back after
-    its product with the sums): the rates of a solve spread by at most
-    about (M^2 + N^2) / 2 and its frequencies by q / 2, so the scaled
-    |s1 s2|^2 stays far inside the double range.  Mode constants times
+    per solve divides the rates and w, and another the spectra F once
+    tau_q |v| k passes 2^512 (each term row takes both back after its
+    product with the sums): the rates of a solve spread by at most about
+    (M^2 + N^2) / 2 and its frequencies by q / 2, so the scaled |s1 s2|^2
+    and E F stay far inside the double range.  Mode constants times
     harmonic sums cancel near a resonance w = b2 of a lightly damped
     oscillatory mode: there about log10(b2 / b1) digits are lost.
     """
@@ -422,7 +423,11 @@ def _harmonic_coefficients(s: PlateScenario, table: ModeTable, t: float,
         left = omega[:, None] ** np.arange(2 * order, -1, -2)
         # 2^-scale to the powers ``units`` of u1, u2, P and S (or of r)
         units = -scale * np.array(units)
-        shift = ((power - 2 * order) * scale)[:, None]
+        # |F_j| <= 2 max |f| grows like tau_q |v| k < tau_q turn: past 2^512,
+        # where E F could overflow, each tile divides F by 2^fexp too.
+        reach = s.tau_q * turn
+        fexp = math.frexp(reach)[1] if reach > 2.0 ** 512 else 0
+        shift = ((power - 2 * order) * scale + fexp)[:, None]
     for m0, n0, m1, n1, qt in _tile_plan(s, kx, ky, q, factors):
         sel = slice(m0 * N + n0, (m1 - 1) * N + n1)
         # q and qt are powers of two: the tile reads every (q/qt)-th sample.
@@ -443,6 +448,8 @@ def _harmonic_coefficients(s: PlateScenario, table: ModeTable, t: float,
                 sq = left[:harm, 1:2]
                 gain[:, weak] = (d[2][weak] - sq) ** 2 + sq * d[3][weak] ** 2
             np.reciprocal(gain, out=gain)
+            if fexp:
+                spec[1:] *= math.ldexp(1.0, -fexp)
             fs = spec[1:] if row is None else spec[1:].T[:, None, :]
             if row is None:
                 stack = np.empty((2 * harm, gain.shape[1]))

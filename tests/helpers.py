@@ -271,16 +271,14 @@ def sparse_lu_fdm(s, cfg):
     from scipy.sparse import diags, identity, kron
     from scipy.sparse.linalg import splu
 
-    from dpl_heatlab.fdm import _axis_counts
+    from dpl_heatlab.fdm import _counts
 
-    nx, ny, hx, hy = _axis_counts(cfg, s.L, s.H)
+    nx, ny, hx, hy, nsteps, dt = _counts(cfg, s.L, s.H)
     mx, my = nx - 2, ny - 2
     dxx = diags([1.0, -2.0, 1.0], [-1, 0, 1], shape=(mx, mx)) / (hx * hx)
     dyy = diags([1.0, -2.0, 1.0], [-1, 0, 1], shape=(my, my)) / (hy * hy)
     lap = (kron(dxx, identity(my)) + kron(identity(mx), dyy)).tocsc()
     ident = identity(mx * my, format="csc")
-    nsteps = max(1, int(round(cfg.t_end / cfg.dt)))
-    dt = cfg.t_end / nsteps
     sigma = cfg.resolved_sigma()
     xi = np.linspace(0.0, s.L, nx)[1:-1]
     yi = np.linspace(0.0, s.H, ny)[1:-1]

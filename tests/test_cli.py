@@ -247,17 +247,17 @@ def test_empty_list_flags_name_the_flag(tmp_path, capsys, flag, argv):
 
 
 def test_unstable_stepping_exits_3(tmp_path, monkeypatch, capsys):
+    # A sentinel below the first step's values makes the march blow up.
     import dpl_heatlab.fdm as fdm_mod
-    from dpl_heatlab.errors import UnstableConfig
 
-    def explode(*args, **kwargs):
-        raise UnstableConfig("synthetic instability")
-
-    monkeypatch.setattr(fdm_mod, "_jury_scan", explode)
+    monkeypatch.setattr(fdm_mod, "BLOWUP_SENTINEL", 1e-30)
     out = tmp_path / "o"
-    rc = main(["oracle", "--scenario", "ct_alpha2_q1_T1", "--out", str(out)])
+    rc = main(["oracle", "--scenario", "ct_alpha2_q1_T1", "--modes", "4,4",
+               "--fdm-hx", "0.1", "--fdm-hy", "0.1", "--fdm-sigma", "0.25",
+               "--out", str(out)])
     assert rc == 3
-    assert "error:" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith(
+        "error: solution exceeded 1e-30 at step 1;")
     assert not out.exists()
 
 
@@ -346,14 +346,14 @@ def test_rate_without_a_finite_period_exits_2_before_any_output(tmp_path,
     assert not out.exists()
 
 
-@pytest.mark.parametrize("name,w", [("lst_q1_T1", "1e305"),
-                                    ("ct_alpha2_q5_T1", "1e304"),
+@pytest.mark.parametrize("name,w", [("lst_q1_T1", "1e306"),
+                                    ("ct_alpha2_q5_T1", "1e306"),
                                     ("lst_q1_T1", "1e307")])
 def test_overflowing_coefficients_exit_3_before_any_output(tmp_path, capsys,
                                                            name, w):
-    # Past 1e304 (lst_q1_T1) and 1e303 (ct_alpha2_q5_T1) the harmonic sums
-    # overflow and summary.csv would read nan; at 1e307 a bare "cannot
-    # convert float infinity to integer" ended the run.
+    # At 1e306 the spectrum overflows and summary.csv would read nan; at
+    # 1e307 a bare "cannot convert float infinity to integer" ended the
+    # run.
     out = tmp_path / "o"
     rc = main(["sweep", "--scenario", name, "--t", "25", "--modes", "6,6",
                "--samples", "8", "--w", w, "--out", str(out)])
@@ -372,12 +372,12 @@ def test_overflow_prints_only_the_error_line(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "dpl_heatlab", "sweep", "--scenario",
          "lst_q1_T1", "--t", "25", "--modes", "6,6", "--samples", "8",
-         "--w", "1e305", "--out", str(out)],
+         "--w", "1e306", "--out", str(out)],
         capture_output=True, text=True, cwd=tmp_path,
         env=dict(os.environ, PYTHONPATH=src))
     assert proc.returncode == 3
     assert proc.stderr == ("error: numerical failure: coefficients at "
-                           "w = 1e+305, t = 25.0 are not finite\n")
+                           "w = 1e+306, t = 25.0 are not finite\n")
     assert not out.exists()
 
 
@@ -411,7 +411,7 @@ def test_overflowing_temperatures_exit_3_before_any_output(tmp_path, capsys):
 def test_overflowing_fdm_scheme_exits_3_and_names_the_coefficient(tmp_path,
                                                                   capsys):
     # alpha = 1e-305 overflows tau_q / (alpha dt^2), which a smaller dt
-    # only makes larger; the Jury scan reported a root-condition failure.
+    # only makes larger: the error names the quantity, not the step.
     s, block = dh.load_bundled("ct_alpha2_q5_T1")
     path = tmp_path / "case.cfg"
     dh.save_scenario(dataclasses.replace(s, alpha=1e-305), path, fdm=block)
@@ -602,21 +602,56 @@ def test_oracle_checks_fdm_inputs_before_any_series_work(tmp_path, monkeypatch,
     assert calls == []
 
 
+def _tiny_alpha_file(tmp_path):
+    """ct_alpha2_q5_T1 with alpha = 1e-300, saved with its fdm block."""
+    s, block = dh.load_bundled("ct_alpha2_q5_T1")
+    path = tmp_path / "tiny-alpha.cfg"
+    dh.save_scenario(dataclasses.replace(s, alpha=1e-300), path, fdm=block)
+    return str(path)
+
+
+_TINY_GRID = ["--fdm-hx", "0.1", "--fdm-hy", "0.1", "--fdm-sigma", "0.25"]
+
+
 def test_oracle_jury_scan_failure_exits_3_before_any_series_work(
         tmp_path, monkeypatch, capsys):
-    import dpl_heatlab.fdm as fdm_mod
-    from dpl_heatlab.errors import UnstableConfig
-
-    def explode(*args, **kwargs):
-        raise UnstableConfig("synthetic instability")
-
+    # --fdm-dt 1 gives a finite scheme, but the march takes one step of
+    # t_end = 1e-10, where 1 / (2 alpha dt) overflows.  The scheme is
+    # checked at that step, so the run stops before any series work.
     calls = _count_series_calls(monkeypatch)
-    monkeypatch.setattr(fdm_mod, "_jury_scan", explode)
     out = tmp_path / "o"
-    rc = main(["oracle", "--scenario", "ct_alpha2_q1_T1", "--modes", "4,4",
+    rc = main(["oracle", "--scenario", _tiny_alpha_file(tmp_path),
+               "--modes", "4,4", *_TINY_GRID, "--fdm-dt", "1",
+               "--fdm-t-end", "1e-10", "--out", str(out)])
+    assert rc == 3
+    assert capsys.readouterr().err == (
+        "error: numerical failure: FDM scheme overflows at alpha=1e-300, "
+        "dt=1e-10: 1 / (2 alpha dt) is not finite\n")
+    assert not out.exists()
+    assert calls == []
+
+
+@pytest.mark.parametrize("tiny_alpha,argv,message", [
+    (True, [*_TINY_GRID, "--fdm-dt", "1e-20", "--fdm-t-end", "1e-20"],
+     "FDM scheme overflows at alpha=1e-300, dt=1e-20: 1 / (2 alpha dt) "
+     "is not finite"),
+    (False, ["--fdm-dt", "1e-300", "--fdm-t-end", "1e300"],
+     "FDM step count t_end / dt = 1e+300 / 1e-300 is not finite"),
+], ids=["alpha-dt-underflows", "step-count-overflows"])
+def test_oracle_names_the_fdm_quantity_that_overflows(
+        tmp_path, monkeypatch, capsys, tiny_alpha, argv, message):
+    # alpha dt^2 underflows to 0 in the first, and t_end / dt overflows in
+    # the second: each error names the quantity, where a bare "float
+    # division by zero" or "cannot convert float infinity to integer"
+    # would name none.
+    calls = _count_series_calls(monkeypatch)
+    scenario = _tiny_alpha_file(tmp_path) if tiny_alpha else "ct_alpha2_q5_T1"
+    out = tmp_path / "o"
+    rc = main(["oracle", "--scenario", scenario, "--modes", "4,4", *argv,
                "--out", str(out)])
     assert rc == 3
-    assert "synthetic instability" in capsys.readouterr().err
+    assert (capsys.readouterr().err
+            == f"error: numerical failure: {message}\n")
     assert not out.exists()
     assert calls == []
 

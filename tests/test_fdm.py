@@ -1,9 +1,11 @@
 import dataclasses
 import math
+import re
 from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import dpl_heatlab as dh
 from dpl_heatlab.errors import UnstableConfig
@@ -423,15 +425,54 @@ def test_matched_series_rejects_a_non_positive_or_non_finite_sigma(sigma):
 
 
 def test_stability_scan_runs_before_stepping(monkeypatch):
-    import dpl_heatlab.fdm as fdm_mod
+    # The scheme is stable at every step iff alpha > 0 and tau_T >= 0
+    # (module docstring).  Hand-built scenarios outside that rule fail it
+    # before the march computes any source.
+    calls = _wrap_source_grid(monkeypatch)
+    cfg = dh.FdmConfig(hx=0.1, hy=0.1, dt=0.1, t_end=1.0)
+    for change in ({"alpha": 0.0}, {"alpha": -1.29e-2}, {"alpha": math.nan},
+                   {"tau_T": -1e-10}, {"tau_q": 0.0, "tau_T": -1e-10}):
+        s = tiny_scenario(**change)
+        with pytest.raises(UnstableConfig, match=re.escape(
+                f"got alpha={s.alpha!r}, tau_T={s.tau_T!r}")):
+            solve_fdm(s, cfg)
+    assert calls == []
 
-    def explode(*args, **kwargs):
-        raise UnstableConfig("synthetic instability")
 
-    monkeypatch.setattr(fdm_mod, "_jury_scan", explode)
-    with pytest.raises(UnstableConfig):
-        solve_fdm(tiny_scenario(), dh.FdmConfig(hx=0.1, hy=0.1, dt=0.1,
-                                                t_end=1.0))
+_LOG_UNIFORM = st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e)
+_SCHEME_QUANTITY = re.compile(
+    r"FDM scheme overflows at alpha=\S+, dt=\S+: (1 / \(2 alpha dt\)|"
+    r"tau_q / \(alpha dt\^2\)|1 / \(alpha dt\)|"
+    r"a Laplacian row of the update) is not finite")
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(alpha=st.one_of(st.just(0.0), _LOG_UNIFORM),
+       tau_q=st.one_of(st.just(0.0), _LOG_UNIFORM),
+       tau_T=st.one_of(st.just(0.0), _LOG_UNIFORM),
+       signs=st.tuples(st.sampled_from([1.0, -1.0]),
+                       st.sampled_from([1.0, -1.0])),
+       dt=_LOG_UNIFORM, hx=_LOG_UNIFORM, hy=_LOG_UNIFORM)
+def test_scheme_check_returns_the_grid_or_names_what_overflows(
+        alpha, tau_q, tau_T, signs, dt, hx, hy):
+    # Across the double range the check either passes or names the scheme
+    # quantity that is not finite: never a root-condition failure, never
+    # a bare ZeroDivisionError from an alpha dt or h^2 that underflows.
+    # Outside alpha > 0, tau_T >= 0 it always fails the stability rule,
+    # on every grid.
+    s = tiny_scenario(alpha=signs[0] * alpha, tau_q=tau_q,
+                      tau_T=signs[1] * tau_T)
+    # The grid step is at most L / 2, so sigma = L is always resolved.
+    cfg = dh.FdmConfig(hx=hx, hy=hy, dt=dt, t_end=1.0, sigma=1.0)
+    stable = s.alpha > 0.0 and s.tau_T >= 0.0
+    try:
+        grid = checked_grid(s, cfg)
+    except UnstableConfig:
+        assert not stable
+    except OverflowError as exc:
+        assert stable and _SCHEME_QUANTITY.fullmatch(str(exc)), str(exc)
+    else:
+        assert stable and min(grid.nx, grid.ny) >= 3
 
 
 @pytest.mark.parametrize("change,name", [

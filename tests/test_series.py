@@ -988,14 +988,18 @@ def _with_rate(name, w):
                                                                  w=w))
 
 
-@pytest.mark.parametrize("w", [1e300, 1e303])
-@pytest.mark.parametrize("name", ["lst_q1_T1", "ct_alpha2_q5_T1"])
+@pytest.mark.parametrize("name,w", [
+    ("ct_alpha2_q5_T1", 1e300), ("ct_alpha2_q5_T1", 1e303),
+    ("ct_alpha2_q5_T1", 1e304), ("lst_q1_T1", 1e300), ("lst_q1_T1", 1e303),
+    ("lst_q1_T1", 1e305)])
 def test_huge_rates_keep_lagged_coefficients_finite(name, w):
     # The scale is about log2 w here, and each term row takes its power of
     # two back only after its product with the sums: none of them flushes
-    # to 0 first (the coefficients came out +-inf when one did).  Every
-    # flag but underflow raises; terms such as P / w^4 lie below the
-    # double range and flush to 0.
+    # to 0 first (the coefficients came out +-inf when one did).  The
+    # spectrum F grows like w too; divided by a power of two of its own,
+    # E F stays finite at 1e304 and 1e305.  Every flag but underflow
+    # raises; terms such as P / w^4 lie below the double range and flush
+    # to 0.
     s = _with_rate(name, w)
     table = build_mode_table(s, 6, 6)
     with np.errstate(all="raise", under="ignore"):
@@ -1007,15 +1011,14 @@ def test_huge_rates_keep_lagged_coefficients_finite(name, w):
     assert np.abs(got - ref).max() <= 1e-15 * scale
 
 
-@pytest.mark.parametrize("name,w", [("lst_q1_T1", 1e305),
-                                    ("ct_alpha2_q5_T1", 1e304),
+@pytest.mark.parametrize("name,w", [("lst_q1_T1", 1e306),
+                                    ("ct_alpha2_q5_T1", 1e306),
                                     ("lst_q1_T1", 1e307),
                                     ("ct_alpha2_q5_T1", 1e307)])
 def test_overflowing_harmonics_raise_and_name_the_rate(name, w):
-    # At 1e305 (lst_q1_T1) and 1e304 (ct_alpha2_q5_T1) the harmonic sums
-    # overflow, though the complex reference is still finite; at 1e307
-    # the top harmonic's frequency itself is inf.  Both raise, naming w
-    # and t.
+    # At 1e306 the spectrum's rfft overflows, in the complex reference
+    # too; at 1e307 the top harmonic's frequency itself is inf.  Both
+    # raise, naming w and t.
     s = _with_rate(name, w)
     table = build_mode_table(s, 6, 6)
     with (pytest.raises(OverflowError) as err,
