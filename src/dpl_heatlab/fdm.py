@@ -76,11 +76,14 @@ BLOWUP_SENTINEL = 1e12
 
 def _counts(cfg: FdmConfig, L: float, H: float):
     """(nx, ny, hx, hy, nsteps, dt): nodes and steps of grid and march."""
+    for name, num, den in (("node count L / hx", L, cfg.hx),
+                           ("node count H / hy", H, cfg.hy),
+                           ("step count t_end / dt", cfg.t_end, cfg.dt)):
+        if num / den == math.inf:
+            raise OverflowError(f"FDM {name} = {num!r} / {den!r} is not "
+                                "finite")
     nx = max(3, int(round(L / cfg.hx)) + 1)
     ny = max(3, int(round(H / cfg.hy)) + 1)
-    if cfg.t_end / cfg.dt == math.inf:
-        raise OverflowError(f"FDM step count t_end / dt = {cfg.t_end!r} / "
-                            f"{cfg.dt!r} is not finite")
     nsteps = max(1, int(round(cfg.t_end / cfg.dt)))
     return nx, ny, L / (nx - 1), H / (ny - 1), nsteps, cfg.t_end / nsteps
 
@@ -153,8 +156,10 @@ def checked_grid(s: PlateScenario, cfg: FdmConfig) -> GridSpec:
 
     Steps and t_end must be positive and finite, sigma finite and at least
     twice the larger grid step and ``store_every`` at least 1 (ValueError),
-    and the march's step sound (``_counts``, ``_scheme``).  ``solve_fdm``
-    calls it first; so does a caller that needs the grid before the march.
+    the node and step counts finite and the march's step sound (``_counts``,
+    ``_scheme``), and the grid one numpy can index (ValueError).
+    ``solve_fdm`` calls it first; so does a caller that needs the grid
+    before the march.
     """
     if not all(0.0 < v < math.inf for v in (cfg.hx, cfg.hy, cfg.dt, cfg.t_end)):
         raise ValueError("hx, hy, dt and t_end must be positive and finite")
@@ -168,16 +173,17 @@ def checked_grid(s: PlateScenario, cfg: FdmConfig) -> GridSpec:
     if cfg.store_every < 1:
         raise ValueError(f"store_every must be >= 1, got {cfg.store_every}")
     _scheme(s, dt, hx, hy)
+    # The field and each axis's dense eigenbasis, in bytes of float64.
+    if 8 * max(nx * ny, (nx - 2) ** 2, (ny - 2) ** 2) > np.iinfo(np.intp).max:
+        raise ValueError(f"FDM grid of {nx:.3g} x {ny:.3g} nodes at "
+                         f"hx={cfg.hx!r}, hy={cfg.hy!r} is larger than numpy "
+                         "can index")
     return GridSpec(nx, ny)
 
 
-def solve_fdm(s: PlateScenario, cfg: FdmConfig, *, initial=None):
-    """March the lagged heat equation; returns the stored field sequence.
-
-    ``initial`` is a test-only hook: a callable (x, y) -> T overriding
-    the uniform T0 start at the interior nodes (the initial rate stays
-    zero).  The production path always starts quiescent.
-    """
+def solve_fdm(s: PlateScenario, cfg: FdmConfig):
+    """March the lagged heat equation from rest at T0; returns the stored
+    field sequence."""
     grid = checked_grid(s, cfg)
     nx, ny, hx, hy, nsteps, dt = _counts(cfg, s.L, s.H)
     mat_a, mat_b, mat_c, shift = _scheme(s, dt, hx, hy)
@@ -188,12 +194,7 @@ def solve_fdm(s: PlateScenario, cfg: FdmConfig, *, initial=None):
                 for m, h in ((nx - 2, hx), (ny - 2, hy)))
     (lx, vx), (ly, vy) = np.linalg.eigh(dxx), np.linalg.eigh(dyy)
     lam = lx[:, None] + ly[None, :]
-
-    if initial is None:
-        u_prev = np.zeros((nx - 2, ny - 2))
-    else:
-        xx, yy = np.meshgrid(xi, yi, indexing="ij")
-        u_prev = np.asarray(initial(xx, yy), dtype=float) - s.T0
+    u_prev = np.zeros((nx - 2, ny - 2))
 
     def snapshot(u, t):
         values = np.pad(u + s.T0, 1, constant_values=float(s.T0))

@@ -185,18 +185,15 @@ def validate_scenario(s: PlateScenario) -> PlateScenario:
             violations.append(Violation(
                 NON_POSITIVE_GEOMETRY,
                 f"semi-axes must be nonnegative, got A={traj.A!r}, B={traj.B!r}"))
-        if traj.kind == LINE and not (traj.B == 0.0 and traj.A > 0.0):
+        holds, rule = {
+            LINE: (traj.B == 0.0 and traj.A > 0.0, "B = 0 and A > 0"),
+            CIRCLE: (traj.A == traj.B and traj.A > 0.0, "A = B > 0"),
+            ELLIPSE: (traj.A != traj.B and traj.A > 0.0 and traj.B > 0.0,
+                      "A != B with both positive"),
+        }[traj.kind]
+        if not holds:
             violations.append(Violation(
-                INCONSISTENT_KIND,
-                f"kind 'line' requires B = 0 and A > 0, got A={traj.A!r}, B={traj.B!r}"))
-        if traj.kind == CIRCLE and not (traj.A == traj.B and traj.A > 0.0):
-            violations.append(Violation(
-                INCONSISTENT_KIND,
-                f"kind 'circle' requires A = B > 0, got A={traj.A!r}, B={traj.B!r}"))
-        if traj.kind == ELLIPSE and not (traj.A != traj.B and traj.A > 0.0 and traj.B > 0.0):
-            violations.append(Violation(
-                INCONSISTENT_KIND,
-                f"kind 'ellipse' requires A != B with both positive, "
+                INCONSISTENT_KIND, f"kind {traj.kind!r} requires {rule}, "
                 f"got A={traj.A!r}, B={traj.B!r}"))
 
     if not violations:

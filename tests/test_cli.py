@@ -589,15 +589,20 @@ def _count_series_calls(monkeypatch):
      "--fdm-sigma", "0.001"],
     ["--scenario", "ct_alpha2_q1_T1", "--modes", "4,4", "--fdm-sigma", "inf"],
     ["--scenario", "ct_alpha2_q1_T1", "--modes", "4,4", "--fdm-sigma", "nan"],
+    # L / hx is finite, but numpy cannot index a 1e150 x 11 field.
+    ["--scenario", "ct_alpha2_q5_T1", "--modes", "4,4", "--fdm-hx", "1e-150",
+     "--fdm-hy", "0.1", "--fdm-sigma", "0.25"],
 ], ids=["oracle-zero-hx", "oracle-negative-hx", "oracle-negative-dt",
-        "oracle-sigma-under-resolved", "oracle-sigma-inf", "oracle-sigma-nan"])
+        "oracle-sigma-under-resolved", "oracle-sigma-inf", "oracle-sigma-nan",
+        "oracle-grid-numpy-cannot-index"])
 def test_oracle_checks_fdm_inputs_before_any_series_work(tmp_path, monkeypatch,
                                                          capsys, argv):
     calls = _count_series_calls(monkeypatch)
     out = tmp_path / "o"
     rc = main(["oracle", *argv, "--out", str(out)])
     assert rc == 2
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1, err
     assert not out.exists()
     assert calls == []
 
@@ -637,13 +642,15 @@ def test_oracle_jury_scan_failure_exits_3_before_any_series_work(
      "is not finite"),
     (False, ["--fdm-dt", "1e-300", "--fdm-t-end", "1e300"],
      "FDM step count t_end / dt = 1e+300 / 1e-300 is not finite"),
-], ids=["alpha-dt-underflows", "step-count-overflows"])
+    (False, [*_TINY_GRID[2:], "--fdm-hx", "1e-320"],
+     "FDM node count L / hx = 1.0 / 1e-320 is not finite"),
+], ids=["alpha-dt-underflows", "step-count-overflows", "node-count-overflows"])
 def test_oracle_names_the_fdm_quantity_that_overflows(
         tmp_path, monkeypatch, capsys, tiny_alpha, argv, message):
-    # alpha dt^2 underflows to 0 in the first, and t_end / dt overflows in
-    # the second: each error names the quantity, where a bare "float
-    # division by zero" or "cannot convert float infinity to integer"
-    # would name none.
+    # alpha dt^2 underflows to 0 in the first, t_end / dt overflows in the
+    # second and L / hx in the third: each error names the quantity, where
+    # a bare "float division by zero" or "cannot convert float infinity to
+    # integer" would name none.
     calls = _count_series_calls(monkeypatch)
     scenario = _tiny_alpha_file(tmp_path) if tiny_alpha else "ct_alpha2_q5_T1"
     out = tmp_path / "o"

@@ -9,9 +9,10 @@ from hypothesis import given, settings, strategies as st
 
 import dpl_heatlab as dh
 from dpl_heatlab.errors import UnstableConfig
-from dpl_heatlab.fdm import (GaussianSourceFactors, _faddeeva, checked_grid,
-                             deviation_report, project_gaussian_source_series,
-                             sine_projection, solve_fdm)
+from dpl_heatlab.fdm import (GaussianSourceFactors, _faddeeva, _scheme,
+                             checked_grid, deviation_report,
+                             project_gaussian_source_series, sine_projection,
+                             solve_fdm)
 from dpl_heatlab.modes import build_mode_table
 from dpl_heatlab.series import PointSourceFactors, mode_coefficients
 from helpers import (classical, outer_product_source, simpson, source_track,
@@ -19,8 +20,22 @@ from helpers import (classical, outer_product_source, simpson, source_track,
                      wofz_sine_projection)
 
 
-def unit_mode(xx, yy):
-    return np.sin(np.pi * xx) * np.sin(np.pi * yy)
+def mode_amplitude(s, h, dt, t_end=1.0):
+    """Amplitude at t_end of the fundamental mode sin(pi x) sin(pi y) of the
+    unit plate, started at 1 from rest, under the scheme's own recurrence.
+
+    The mode is an eigenvector of the 5-point Laplacian with eigenvalue
+    -lam_h, lam_h = (8 / h^2) sin^2(pi h / 2), so each a I + b Lap of
+    ``_scheme`` acts on it as the scalar a - b lam_h.  The march's
+    quiescent first step is (A - C) u[1] = B u[0]; then A u[n+1] =
+    B u[n] + C u[n-1].
+    """
+    lam = 8.0 / (h * h) * math.sin(math.pi * h / 2.0) ** 2
+    a, b, c = (m[0] - m[1] * lam for m in _scheme(s, dt, h, h)[:3])
+    u_old, u = 1.0, b / (a - c)
+    for _ in range(1, round(t_end / dt)):
+        u_old, u = u, (b * u + c * u_old) / a
+    return u
 
 
 def test_zero_strength_source_stays_ambient():
@@ -49,37 +64,29 @@ def test_snapshot_times_and_boundaries():
 def test_classical_stepping_matches_mode_decay():
     # No source; start on the fundamental eigenmode and watch it relax.
     s = tiny_scenario(theta=0.0, alpha=0.05, tau_q=0.0, tau_T=0.0)
-    cfg = dh.FdmConfig(hx=0.025, hy=0.025, dt=0.0025, t_end=1.0)
-    final = solve_fdm(s, cfg, initial=unit_mode)[-1]
     lam2 = 2.0 * math.pi ** 2
     exact = math.exp(-s.alpha * lam2 * 1.0)
-    center = final.values[20, 20]
-    assert math.isclose(center, exact, rel_tol=2e-3)
+    assert math.isclose(mode_amplitude(s, 0.025, 0.0025), exact,
+                        rel_tol=2e-3)
 
 
 def test_lagged_stepping_matches_two_root_decay():
     # Equal lags factor the mode equation exactly: roots -1/tau, -alpha k2.
     tau = 0.25
     s = tiny_scenario(theta=0.0, alpha=0.05, tau_q=tau, tau_T=tau)
-    cfg = dh.FdmConfig(hx=0.025, hy=0.025, dt=0.0025, t_end=1.0)
-    final = solve_fdm(s, cfg, initial=unit_mode)[-1]
     lam2 = 2.0 * math.pi ** 2
     r1, r2 = -1.0 / tau, -s.alpha * lam2
     exact = (r1 * math.exp(r2) - r2 * math.exp(r1)) / (r1 - r2)
-    center = final.values[20, 20]
-    assert math.isclose(center, exact, rel_tol=2e-3)
+    assert math.isclose(mode_amplitude(s, 0.025, 0.0025), exact,
+                        rel_tol=2e-3)
 
 
 def test_spatial_convergence_is_second_order():
     s = tiny_scenario(theta=0.0, alpha=0.05, tau_q=0.0, tau_T=0.0)
     lam2 = 2.0 * math.pi ** 2
     exact = math.exp(-s.alpha * lam2 * 1.0)
-    errors = []
-    for h in (0.05, 0.025):
-        cfg = dh.FdmConfig(hx=h, hy=h, dt=0.00125, t_end=1.0)
-        final = solve_fdm(s, cfg, initial=unit_mode)[-1]
-        i = int(round(0.5 / h))
-        errors.append(abs(final.values[i, i] - exact))
+    errors = [abs(mode_amplitude(s, h, 0.00125) - exact)
+              for h in (0.05, 0.025)]
     assert errors[0] / errors[1] > 3.0
 
 
@@ -455,24 +462,30 @@ _SCHEME_QUANTITY = re.compile(
        dt=_LOG_UNIFORM, hx=_LOG_UNIFORM, hy=_LOG_UNIFORM)
 def test_scheme_check_returns_the_grid_or_names_what_overflows(
         alpha, tau_q, tau_T, signs, dt, hx, hy):
-    # Across the double range the check either passes or names the scheme
-    # quantity that is not finite: never a root-condition failure, never
-    # a bare ZeroDivisionError from an alpha dt or h^2 that underflows.
-    # Outside alpha > 0, tau_T >= 0 it always fails the stability rule,
-    # on every grid.
+    # Across the double range the check either passes, names the scheme
+    # quantity that is not finite, or rejects a grid numpy cannot index:
+    # never a root-condition failure, never a bare ZeroDivisionError from
+    # an alpha dt or h^2 that underflows.  Outside alpha > 0, tau_T >= 0
+    # it always fails the stability rule, on every grid.
     s = tiny_scenario(alpha=signs[0] * alpha, tau_q=tau_q,
                       tau_T=signs[1] * tau_T)
     # The grid step is at most L / 2, so sigma = L is always resolved.
     cfg = dh.FdmConfig(hx=hx, hy=hy, dt=dt, t_end=1.0, sigma=1.0)
     stable = s.alpha > 0.0 and s.tau_T >= 0.0
+    nx, ny = (max(3, round(1.0 / h) + 1) for h in (hx, hy))
+    # Bytes of the field and of each axis's eigenbasis numpy must index.
+    fits = (8 * max(nx * ny, (nx - 2) ** 2, (ny - 2) ** 2)
+            <= np.iinfo(np.intp).max)
     try:
         grid = checked_grid(s, cfg)
     except UnstableConfig:
         assert not stable
     except OverflowError as exc:
         assert stable and _SCHEME_QUANTITY.fullmatch(str(exc)), str(exc)
+    except ValueError as exc:
+        assert stable and not fits, str(exc)
     else:
-        assert stable and min(grid.nx, grid.ny) >= 3
+        assert stable and fits and grid == dh.GridSpec(nx, ny)
 
 
 @pytest.mark.parametrize("change,name", [
@@ -491,6 +504,19 @@ def test_overflowing_scheme_coefficient_fails_the_scan(change, name):
         checked_grid(s, block)
     assert str(err.value) == (f"FDM scheme overflows at alpha={s.alpha!r}, "
                               f"dt=0.0125: {name} is not finite")
+
+
+def test_scheme_check_rejects_a_grid_numpy_cannot_index():
+    # L / hx = 1e150 is finite, but a field of 1e150 x 11 nodes is not one
+    # numpy can index: the check names the steps where numpy would raise a
+    # bare "Maximum allowed size exceeded".
+    s, block = dh.load_bundled("ct_alpha2_q5_T1")
+    assert checked_grid(s, block) == dh.GridSpec(81, 81)
+    cfg = dataclasses.replace(block, hx=1e-150, hy=0.1, sigma=0.25)
+    with pytest.raises(ValueError) as err:
+        checked_grid(s, cfg)
+    assert str(err.value) == ("FDM grid of 1e+150 x 11 nodes at hx=1e-150, "
+                              "hy=0.1 is larger than numpy can index")
 
 
 @pytest.mark.parametrize("lagged", [True, False])
