@@ -132,8 +132,8 @@ def test_no_package_module_imports_scipy():
 
 # The FDM oracle cross-checks the series solver, so its march and input
 # checks must stay an independent discretization of the PDE.
-ORACLE_FUNCTIONS = ("solve_fdm", "checked_grid", "_source_grid", "_scheme",
-                    "_counts")
+ORACLE_FUNCTIONS = ("solve_fdm", "checked_grid", "_source_factors",
+                    "_source_grid", "_scheme", "_counts")
 
 
 def test_fdm_march_uses_nothing_from_the_series_solver():

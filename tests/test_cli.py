@@ -262,8 +262,8 @@ def test_unstable_stepping_exits_3(tmp_path, monkeypatch, capsys):
 
 
 def test_out_of_memory_exits_3_before_any_output(tmp_path, capsys):
-    # t_end / dt steps need a time array of about 178 PiB, more than any
-    # address space, so the allocation fails at once and takes no memory.
+    # 2.5e16 steps need a time array of about 178 PiB, more than any
+    # machine's memory, so the input check fails before any allocation.
     out = tmp_path / "X"
     rc = main(["oracle", "--scenario", "ct_alpha2_q5_T1", "--modes", "8,8",
                "--fdm-dt", "1e-15", "--out", str(out)])
@@ -603,6 +603,29 @@ def test_oracle_checks_fdm_inputs_before_any_series_work(tmp_path, monkeypatch,
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1, err
+    assert not out.exists()
+    assert calls == []
+
+
+@pytest.mark.skipif(
+    not {"SC_PAGE_SIZE", "SC_PHYS_PAGES"} <= set(getattr(os, "sysconf_names",
+                                                         ())),
+    reason="sysconf does not report the physical memory")
+@pytest.mark.parametrize("argv", [
+    # numpy can index a 1e9 x 11 grid, but its eigenbasis is 8e18 bytes.
+    ["--fdm-hx", "1e-9", "--fdm-hy", "0.1", "--fdm-sigma", "0.25"],
+    ["--fdm-dt", "1e-15"],
+], ids=["grid", "steps"])
+def test_oracle_march_larger_than_memory_exits_3_before_any_series_work(
+        tmp_path, monkeypatch, capsys, argv):
+    calls = _count_series_calls(monkeypatch)
+    out = tmp_path / "o"
+    rc = main(["oracle", "--scenario", "ct_alpha2_q5_T1", "--modes", "4,4",
+               *argv, "--out", str(out)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory: the FDM march of ")
+    assert err.count("\n") == 1, err
     assert not out.exists()
     assert calls == []
 

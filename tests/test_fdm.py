@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import os
 import re
 from functools import partial
 
@@ -139,6 +140,53 @@ def test_fast_diagonalization_matches_sparse_lu_steps(tau_q, tau_T):
         assert np.abs(g - r).max() <= 1e-12 * peak
 
 
+@pytest.mark.parametrize("tau_q", [1.0, 0.0],
+                         ids=["lagged", "crank-nicolson"])
+@pytest.mark.parametrize("plate,cfg,blocks", [
+    # 24 x 13 interior nodes: source factors for 4 steps (rank 2) or 8
+    # (rank 1) per block, so 43 steps end on a block of 3.
+    ((1.0, 0.7), dh.FdmConfig(hx=0.04, hy=0.05, dt=0.05, t_end=2.15,
+                              sigma=0.12, store_every=6), {2: 4, 1: 8}),
+    # 2 x 3 interior nodes: a level holds fewer doubles than one step's
+    # factors, so every block is one step.
+    ((1.0, 1.0), dh.FdmConfig(hx=1 / 3, hy=0.25, dt=0.05, t_end=1.0,
+                              sigma=0.7, store_every=7), {2: 1, 1: 1}),
+    # 19 x 19 nodes at equal steps: both axes share one eigenbasis.
+    ((1.0, 1.0), dh.FdmConfig(hx=0.05, hy=0.05, dt=0.05, t_end=2.15,
+                              sigma=0.12, store_every=6), {2: 4, 1: 9}),
+    # 24 x 24 nodes at unequal steps: equal counts alone share nothing.
+    ((1.0, 0.7), dh.FdmConfig(hx=0.04, hy=0.028, dt=0.05, t_end=2.15,
+                              sigma=0.12, store_every=6), {2: 6, 1: 12}),
+], ids=["ragged-last-block", "block-of-one", "shared-basis",
+        "equal-counts-own-bases"])
+def test_blocked_source_march_matches_sparse_lu_steps(monkeypatch, tau_q,
+                                                      plate, cfg, blocks):
+    import dpl_heatlab.fdm as fdm_mod
+
+    real, sizes = fdm_mod._source_factors, []
+
+    def sized(*args):
+        factors = real(*args)
+        sizes.append(len(factors[0]))
+        return factors
+
+    monkeypatch.setattr(fdm_mod, "_source_factors", sized)
+    traj = dh.Trajectory(kind="ellipse", A=0.3, B=0.15, w=0.8)
+    s = tiny_scenario(L=plate[0], H=plate[1], alpha=0.05, tau_q=tau_q,
+                      tau_T=0.5, T0=20.0, trajectory=traj)
+    got = [f.values for f in solve_fdm(s, cfg)]
+    ref = sparse_lu_fdm(s, cfg)
+    nsteps = round(cfg.t_end / cfg.dt)
+    block = blocks[2 if tau_q else 1]
+    assert sizes == [block] * (nsteps // block) + (
+        [nsteps % block] if nsteps % block else [])
+    assert len(got) == len(ref)
+    peak = max(np.abs(v - s.T0).max() for v in ref)
+    assert peak > 0.0
+    for g, r in zip(got, ref):
+        assert np.abs(g - r).max() <= 1e-12 * peak
+
+
 @pytest.mark.parametrize("tau_q", [1.0, 0.0], ids=["lagged", "classical"])
 def test_rank2_source_matches_outer_product_form(tau_q):
     import dpl_heatlab.fdm as fdm_mod
@@ -147,11 +195,23 @@ def test_rank2_source_matches_outer_product_form(tau_q):
     s = tiny_scenario(L=1.0, H=0.7, tau_q=tau_q, trajectory=traj)
     xi = np.linspace(0.0, 1.0, 26)[1:-1]
     yi = np.linspace(0.0, 0.7, 15)[1:-1]
-    for t in (0.0, 0.37, 2.9, 6.1):
-        got = fdm_mod._source_grid(s, xi, yi, 0.12, source_track(s, t))
+    times = np.array([0.0, 0.37, 2.9, 6.1])
+    out = np.empty((24, 13))
+    # One block of the four times, then a block of one per time: the
+    # march's blocks hold any number of steps, so a step's source must
+    # not depend on its block.
+    whole = fdm_mod._source_factors(s, xi, yi, 0.12, source_track(s, times))
+    for j, t in enumerate(times):
         ref = outer_product_source(s, xi, yi, 0.12, t)
-        assert got.shape == (24, 13)
-        assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+        alone = fdm_mod._source_factors(s, xi, yi, 0.12,
+                                        source_track(s, times[j:j + 1]))
+        got = [fdm_mod._source_grid(left[k], right[k], out).copy()
+               for (left, right), k in ((whole, j), (alone, 0))]
+        assert np.array_equal(got[0], got[1])
+        for g in got:
+            assert g.shape == (24, 13)
+            assert np.abs(g - ref).max() <= 1e-14 * np.abs(ref).max()
+    assert len(whole[0]) == len(whole[1]) == 4
 
 
 def _wrap_source_grid(monkeypatch, poison=None):
@@ -453,6 +513,15 @@ _SCHEME_QUANTITY = re.compile(
     r"a Laplacian row of the update) is not finite")
 
 
+_MARCH_TOO_LARGE = re.compile(
+    r"the FDM march of \S+ x \S+ nodes, \S+ steps and \S+ stored fields "
+    r"needs \S+ bytes, more than the \S+ bytes of physical memory")
+
+
+def _physical_memory():
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(alpha=st.one_of(st.just(0.0), _LOG_UNIFORM),
        tau_q=st.one_of(st.just(0.0), _LOG_UNIFORM),
@@ -463,10 +532,11 @@ _SCHEME_QUANTITY = re.compile(
 def test_scheme_check_returns_the_grid_or_names_what_overflows(
         alpha, tau_q, tau_T, signs, dt, hx, hy):
     # Across the double range the check either passes, names the scheme
-    # quantity that is not finite, or rejects a grid numpy cannot index:
-    # never a root-condition failure, never a bare ZeroDivisionError from
-    # an alpha dt or h^2 that underflows.  Outside alpha > 0, tau_T >= 0
-    # it always fails the stability rule, on every grid.
+    # quantity that is not finite, rejects a grid numpy cannot index or a
+    # march larger than the machine's memory: never a root-condition
+    # failure, never a bare ZeroDivisionError from an alpha dt or h^2 that
+    # underflows.  Outside alpha > 0, tau_T >= 0 it always fails the
+    # stability rule, on every grid.
     s = tiny_scenario(alpha=signs[0] * alpha, tau_q=tau_q,
                       tau_T=signs[1] * tau_T)
     # The grid step is at most L / 2, so sigma = L is always resolved.
@@ -484,8 +554,14 @@ def test_scheme_check_returns_the_grid_or_names_what_overflows(
         assert stable and _SCHEME_QUANTITY.fullmatch(str(exc)), str(exc)
     except ValueError as exc:
         assert stable and not fits, str(exc)
+    except MemoryError as exc:
+        assert stable and fits and _MARCH_TOO_LARGE.fullmatch(str(exc)), (
+            str(exc))
     else:
-        assert stable and fits and grid == dh.GridSpec(nx, ny)
+        # Passing grids at least hold their two dense eigenbases.
+        bases = 8 * ((nx - 2) ** 2 + (ny - 2) ** 2)
+        assert stable and fits and bases <= _physical_memory()
+        assert grid == dh.GridSpec(nx, ny)
 
 
 @pytest.mark.parametrize("change,name", [
@@ -517,6 +593,34 @@ def test_scheme_check_rejects_a_grid_numpy_cannot_index():
         checked_grid(s, cfg)
     assert str(err.value) == ("FDM grid of 1e+150 x 11 nodes at hx=1e-150, "
                               "hy=0.1 is larger than numpy can index")
+
+
+def test_scheme_check_rejects_a_march_no_machine_can_hold(monkeypatch):
+    # A 1e9 x 11 grid is one numpy can index, but its x eigenbasis alone
+    # is 8e18 bytes: the check raises MemoryError before the march
+    # allocates anything.  Where sysconf cannot tell the machine's memory,
+    # the check is skipped and the grid is returned.
+    s, block = dh.load_bundled("ct_alpha2_q5_T1")
+    cfg = dataclasses.replace(block, hx=1e-9, hy=0.1, sigma=0.25)
+    with pytest.raises(MemoryError) as err:
+        checked_grid(s, cfg)
+    assert _MARCH_TOO_LARGE.fullmatch(str(err.value)), str(err.value)
+    assert str(err.value).startswith(
+        "the FDM march of 1e+09 x 11 nodes, 2e+03 steps and 6 stored fields "
+        "needs 8e+18 bytes")
+    # The stored fields count: 1e7 steps on the bundled 81 x 81 grid fit
+    # when two fields are stored, not when all 1e7 (525 GB) are.
+    steps = dataclasses.replace(block, dt=2.5e-6)
+    assert checked_grid(s, dataclasses.replace(steps, store_every=10 ** 7)) \
+        == dh.GridSpec(81, 81)
+    with pytest.raises(MemoryError, match=r"1e\+07 steps and 1e\+07 stored"):
+        checked_grid(s, dataclasses.replace(steps, store_every=1))
+
+    def unknown(name):
+        raise ValueError(f"unrecognized configuration name {name!r}")
+
+    monkeypatch.setattr(os, "sysconf", unknown)
+    assert checked_grid(s, cfg) == dh.GridSpec(1_000_000_001, 11)
 
 
 @pytest.mark.parametrize("lagged", [True, False])
